@@ -32,6 +32,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import check
 from tracing import self_times
@@ -98,13 +99,14 @@ class Bench:
             "correct": all(status != check.WRONG for status, _ in self.outcomes),
             "attempted": len(self.outcomes),
             "failed": sum(status != check.OK for status, _ in self.outcomes),
-            "metrics": {k: {"value": v, "unit": u} for k, (v, u, _) in metrics.items()},
+            "metrics": {k: {"value": m.value, "unit": m.unit} for k, m in metrics.items()},
         }
 
 
-def _metric(value, unit, samples=None):
-    """A metric as ``(value, unit, sample count or None)``."""
-    return value, unit, samples
+class Metric(NamedTuple):
+    value: float
+    unit: str
+    samples: int | None = None
 
 
 def end_to_end(bench: Bench, cfgs, seconds: float) -> dict:
@@ -117,11 +119,11 @@ def end_to_end(bench: Bench, cfgs, seconds: float) -> dict:
         setups.append(bench.run_pass(cfgs, setup_only=True)["setup_s"])
     n = len(passes)
     return {
-        "setup_s": _metric(statistics.median(setups), "s", len(setups)),
-        "sweep_s": _metric(statistics.median(p["sweep_s"] for p in passes), "s", n),
-        "frames_per_s": _metric(
+        "setup_s": Metric(statistics.median(setups), "s", len(setups)),
+        "sweep_s": Metric(statistics.median(p["sweep_s"] for p in passes), "s", n),
+        "frames_per_s": Metric(
             statistics.median(p["frames"] / p["sweep_s"] for p in passes), "1/s", n),
-        "peak_rss_mb": _metric(statistics.median(p["peak_rss_mb"] for p in passes), "MB", n),
+        "peak_rss_mb": Metric(statistics.median(p["peak_rss_mb"] for p in passes), "MB", n),
     }
 
 
@@ -166,33 +168,33 @@ def per_layer(bench: Bench, workload: str, seed: int) -> dict:
     leaf_s = sum(s for _p, name, _c, s in trace["leaves"] if name == "distributions")
 
     m = {
-        "mppm.make_code.s": _metric(total("mppm.make_code"), "s"),
-        "mppm.make_code.calls": _metric(len(durations("mppm.make_code")), "count"),
-        "mppm.correction_stats.s": _metric(total("mppm.correction_stats"), "s"),
+        "mppm.make_code.s": Metric(total("mppm.make_code"), "s"),
+        "mppm.make_code.calls": Metric(len(durations("mppm.make_code")), "count"),
+        "mppm.correction_stats.s": Metric(total("mppm.correction_stats"), "s"),
     }
     for route in ("cmd_ja", "cmd_sa", "imd_ni", "imd_ub"):
-        m[f"analytic.pe_{route}.s"] = _metric(total(f"analytic.pe_{route}"), "s")
-        m[f"analytic.pe_{route}.median_s"] = _metric(median(f"analytic.pe_{route}"), "s")
+        m[f"analytic.pe_{route}.s"] = Metric(total(f"analytic.pe_{route}"), "s")
+        m[f"analytic.pe_{route}.median_s"] = Metric(median(f"analytic.pe_{route}"), "s")
     m.update({
-        "analytic.self_s": _metric(self_sum("analytic."), "s"),
-        "sweep.analytic_row.s": _metric(total("sweep.analytic_row"), "s"),
-        "sweep.run.self_s": _metric(self_sum("sweep.run"), "s"),
-        "distributions.calls": _metric(leaf_calls, "count"),
-        "distributions.s": _metric(leaf_s, "s"),
-        "simulate.run_point.median_s": _metric(median("simulate.run_point"), "s"),
-        "simulate.run_point.max_s": _metric(max(durations("simulate.run_point"), default=0.0),
-                                            "s"),
-        "simulate.run_point.self_s": _metric(self_sum("simulate.run_point"), "s"),
-        "simulate.run_point.frames": _metric(sum(s[5]["frames"] for s in points), "count"),
-        "simulate.early_stopped": _metric(
+        "analytic.self_s": Metric(self_sum("analytic."), "s"),
+        "sweep.analytic_row.s": Metric(total("sweep.analytic_row"), "s"),
+        "sweep.run.self_s": Metric(self_sum("sweep.run"), "s"),
+        "distributions.calls": Metric(leaf_calls, "count"),
+        "distributions.s": Metric(leaf_s, "s"),
+        "simulate.run_point.median_s": Metric(median("simulate.run_point"), "s"),
+        "simulate.run_point.max_s": Metric(max(durations("simulate.run_point"), default=0.0),
+                                           "s"),
+        "simulate.run_point.self_s": Metric(self_sum("simulate.run_point"), "s"),
+        "simulate.run_point.frames": Metric(sum(s[5]["frames"] for s in points), "count"),
+        "simulate.early_stopped": Metric(
             sum(s[5]["frames"] < s[5]["budget"] for s in points), "count"),
-        "simulate.simulate_batch.s": _metric(batch_s, "s"),
-        "simulate.simulate_batch.calls": _metric(len(batches), "count"),
-        "simulate.simulate_batch.frames_per_s": _metric(
+        "simulate.simulate_batch.s": Metric(batch_s, "s"),
+        "simulate.simulate_batch.calls": Metric(len(batches), "count"),
+        "simulate.simulate_batch.frames_per_s": Metric(
             batch_frames / batch_s if batch_s else 0.0, "1/s"),
-        "simulate.pool_idle_s": _metric(pool_wall - batch_s, "s"),
-        "simulate.scaling_2w": _metric(rate[2] / rate[1], "ratio"),
-        "trace.overhead": _metric(traced["sweep_s"] / plain["sweep_s"], "ratio"),
+        "simulate.pool_idle_s": Metric(pool_wall - batch_s, "s"),
+        "simulate.scaling_2w": Metric(rate[2] / rate[1], "ratio"),
+        "trace.overhead": Metric(traced["sweep_s"] / plain["sweep_s"], "ratio"),
     })
     return m
 
@@ -231,9 +233,9 @@ def run_workload(root: Path, work: Path, reference: dict, workload: str, seed: i
     for status, message in bench.outcomes:
         if status != check.OK:
             print(f"{workload} point {status}: {message}")
-    for name, (value, unit, samples) in metrics.items():
-        n = f"  (n={samples})" if samples else ""
-        print(f"{workload} {name:<40} {value:<14.6g} {unit}{n}")
+    for name, m in metrics.items():
+        n = f"  (n={m.samples})" if m.samples else ""
+        print(f"{workload} {name:<40} {m.value:<14.6g} {m.unit}{n}")
     share = result["failed"] / result["attempted"]
     print(f"{workload} {'fail_share':<40} {share:<14.6g} ratio  "
           f"({result['failed']} of {result['attempted']} points)", flush=True)
@@ -247,8 +249,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--reference", type=Path, default=HERE / "reference.json",
-                        help="stored analytic values (default: %(default)s)")
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error("--seed must be >= 0")
@@ -258,7 +258,7 @@ def main(argv=None) -> int:
         print("perfbench: no src/qam_mppm here; run from the root of a qam-mppm checkout",
               file=sys.stderr)
         return 2
-    reference = json.loads(args.reference.read_text(encoding="utf-8"))["systems"]
+    reference = json.loads((HERE / "reference.json").read_text(encoding="utf-8"))["systems"]
     names = BENCHMARK_WORKLOADS if args.workload == "all" else (args.workload,)
     (root / ".perfbench_work").mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="run-", dir=root / ".perfbench_work"))
