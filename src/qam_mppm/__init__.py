@@ -1,13 +1,11 @@
 """Hybrid QAM-MPPM modulation toolkit: analysis, simulation and sweeps."""
 
 from .analytic import (
-    AnalyticMethod,
     AnalyticResult,
     CapacityError,
     QuadratureError,
     ebn0_at_target,
     pb_cmd,
-    pb_imd,
     pe_cmd_ja,
     pe_cmd_sa,
     pe_imd,
@@ -26,11 +24,10 @@ from .link import (
     total_bits,
 )
 from .mppm import MppmCode, bits_per_mppm, decode_mppm, encode_mppm, make_code
-from .simulate import TrialCounters, run_point, run_sweep
+from .simulate import TrialCounters, run_point
 from .sweep import ConfigError, SweepSpec, build_spec, parse_config
 
 __all__ = [
-    "AnalyticMethod",
     "AnalyticResult",
     "CapacityError",
     "ComplexityReport",
@@ -57,13 +54,11 @@ __all__ = [
     "make_code",
     "parse_config",
     "pb_cmd",
-    "pb_imd",
     "pe_cmd_ja",
     "pe_cmd_sa",
     "pe_imd",
     "qam_avg_ser",
     "run_point",
-    "run_sweep",
     "sigma_from_ebn0",
     "total_bits",
 ]

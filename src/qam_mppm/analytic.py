@@ -22,7 +22,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -37,13 +36,6 @@ _COMBINATION_BUDGET = 10**7
 _DOMAIN_SIGMAS = 12.0
 _GL_NODES = np.polynomial.legendre.leggauss(96)
 _GL_ARC = np.polynomial.legendre.leggauss(16)
-
-
-class AnalyticMethod(Enum):
-    CMD_JA = "ja"
-    CMD_SA = "sa"
-    IMD_NI = "ni"
-    IMD_UB = "ub"
 
 
 class CapacityError(RuntimeError):
@@ -715,12 +707,13 @@ def _pb_from_terms(code: MppmCode, c: Constellation, link: LinkParams,
 
 def pe_cmd_ja(code: MppmCode, c: Constellation, link: LinkParams,
               tol: float = 1e-10) -> AnalyticResult:
-    """CMD error probabilities, joint-average route."""
+    """CMD error probabilities, joint-average route.
+
+    The events model is the separate-average one (see pe_cmd_sa); only the
+    joint-average combination budget is enforced on top of it.
+    """
     _check_ja_budget(c, link)
-    model = _SlotModel(c, link, "cmd")
-    st = correction_stats(code)
-    ev = _event_quantities(model, code, tol, st)
-    return _assemble(model, code, ev, st)
+    return pe_cmd_sa(code, c, link, tol)
 
 
 def pe_cmd_sa(code: MppmCode, c: Constellation, link: LinkParams,
@@ -741,24 +734,29 @@ def pe_cmd_sa(code: MppmCode, c: Constellation, link: LinkParams,
 def pe_cmd_composition(code: MppmCode, c: Constellation, link: LinkParams,
                        tol: float = 1e-10, method: str = "ja") -> AnalyticResult:
     """Uncoupled composition P_e = 1 - E[Pc_sort*Pc_QAM] (cross-check mode)."""
+    if method == "sa":
+        return _compose_separate(code, c, link, pc_mppm_cmd_sa(code, c, link, tol), tol)
+    if method != "ja":
+        raise ValueError("method must be 'ja' or 'sa'")
+    acc = _joint_expectations(code, c, link, tol)
+    pe = 1.0 - acc["pc_joint"]
+    pb = _pb_from_terms(code, c, link, acc["pcm_nb"], acc["em_nb"], acc["em"])
+    pe_avg = float(np.mean(np.minimum(per_symbol_errors(link, c)[0], 1.0)))
+    return AnalyticResult(pe=min(max(pe, 0.0), 1.0), pb=pb, pc_mppm=acc["pcm"],
+                          pe_qam=pe_avg, quad_error=tol)
+
+
+def _compose_separate(code: MppmCode, c: Constellation, link: LinkParams,
+                      pc: float, tol: float) -> AnalyticResult:
+    """Textbook composition from a correct-pattern probability pc, with the
+    QAM symbols averaged separately: P_e = 1 - pc * (1 - P_e,QAM)^w."""
     pe_sym, nb_sym = per_symbol_errors(link, c)
     pe_avg = float(np.mean(np.minimum(pe_sym, 1.0)))
     nb_avg = float(np.mean(nb_sym))
     w = link.weight
-    if method == "ja":
-        acc = _joint_expectations(code, c, link, tol)
-        pe = 1.0 - acc["pc_joint"]
-        pb = _pb_from_terms(code, c, link, acc["pcm_nb"], acc["em_nb"], acc["em"])
-        pc = acc["pcm"]
-    elif method == "sa":
-        pc = pc_mppm_cmd_sa(code, c, link, tol)
-        pe = 1.0 - pc * (1.0 - pe_avg) ** w
-        pb = _pb_from_terms(code, c, link, pc * w * nb_avg,
-                            (1.0 - pc) * w * nb_avg, 1.0 - pc)
-    else:
-        raise ValueError("method must be 'ja' or 'sa'")
-    return AnalyticResult(pe=min(max(pe, 0.0), 1.0), pb=pb, pc_mppm=pc,
-                          pe_qam=pe_avg, quad_error=tol)
+    pe = min(max(1.0 - pc * (1.0 - pe_avg) ** w, 0.0), 1.0)
+    pb = _pb_from_terms(code, c, link, pc * w * nb_avg, (1.0 - pc) * w * nb_avg, 1.0 - pc)
+    return AnalyticResult(pe=pe, pb=pb, pc_mppm=pc, pe_qam=pe_avg, quad_error=tol)
 
 
 def pe_imd(code: MppmCode, c: Constellation, link: LinkParams,
@@ -771,15 +769,8 @@ def pe_imd(code: MppmCode, c: Constellation, link: LinkParams,
         return _assemble(model, code, ev, st)
     if mppm_route != "ub":
         raise ValueError("mppm_route must be 'ni' or 'ub'")
-    scale = link.slot_energy / link.sigma2
-    pc = 1.0 - mppm_ser_ub(code, scale, clamp=True)
-    pe_sym, nb_sym = per_symbol_errors(link, c)
-    pe_avg = float(np.mean(np.minimum(pe_sym, 1.0)))
-    nb_avg = float(np.mean(nb_sym))
-    w = link.weight
-    pe = min(max(1.0 - pc * (1.0 - pe_avg) ** w, 0.0), 1.0)
-    pb = _pb_from_terms(code, c, link, pc * w * nb_avg, (1.0 - pc) * w * nb_avg, 1.0 - pc)
-    return AnalyticResult(pe=pe, pb=pb, pc_mppm=pc, pe_qam=pe_avg, quad_error=tol)
+    pc = 1.0 - mppm_ser_ub(code, link.slot_energy / link.sigma2, clamp=True)
+    return _compose_separate(code, c, link, pc, tol)
 
 
 def pb_cmd(code: MppmCode, c: Constellation, link: LinkParams,
@@ -792,11 +783,6 @@ def pb_cmd(code: MppmCode, c: Constellation, link: LinkParams,
     if model == "composition":
         return pe_cmd_composition(code, c, link, tol, method).pb
     raise ValueError("model must be 'events' or 'composition'")
-
-
-def pb_imd(code: MppmCode, c: Constellation, link: LinkParams,
-           tol: float = 1e-10) -> float:
-    return pe_imd(code, c, link, tol).pb
 
 
 def ebn0_at_target(ebn0_db: np.ndarray, values: np.ndarray, target: float) -> float:

@@ -18,6 +18,8 @@ from scipy.special import erfc
 # Support tables above this set size are not materialized; tx generation and
 # pairwise-distance enumeration fall back per-pattern or are refused.
 _TABLE_LIMIT = 1 << 20
+# Rows per vectorized single-swap candidate block.
+_CORRECTION_CHUNK = 2048
 
 
 def bits_per_mppm(n_slots: int, weight: int) -> int:
@@ -43,10 +45,6 @@ class MppmCode:
     rank_prefix: np.ndarray = field(repr=False)
     table: np.ndarray | None = field(default=None, repr=False)
     table_bits: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def n_patterns_total(self) -> int:
-        return math.comb(self.n_slots, self.weight)
 
 
 def make_code(n_slots: int, weight: int) -> MppmCode:
@@ -97,16 +95,12 @@ def rank_support(support, code: MppmCode) -> int:
 
 def rank_supports(supports: np.ndarray, code: MppmCode) -> np.ndarray:
     """Vectorized lex rank for an (n, w) array of sorted supports."""
-    w = code.weight
-    prev = np.concatenate(
-        [np.full((supports.shape[0], 1), -1, dtype=supports.dtype), supports[:, :-1]],
-        axis=1,
-    )
-    j = np.arange(w)
-    return (
-        code.rank_prefix[j, supports.astype(np.int64)]
-        - code.rank_prefix[j, prev.astype(np.int64) + 1]
-    ).sum(axis=1)
+    sup = supports.astype(np.int64)
+    prefix = code.rank_prefix
+    r = prefix[0, sup[:, 0]] - prefix[0, 0]
+    for j in range(1, code.weight):
+        r += prefix[j, sup[:, j]] - prefix[j, sup[:, j - 1] + 1]
+    return r
 
 
 def unrank(r: int, code: MppmCode) -> tuple[int, ...]:
@@ -162,32 +156,55 @@ def correct_pattern(detected: np.ndarray, code: MppmCode, rng: np.random.Generat
     support = np.flatnonzero(detected)
     if len(support) != code.weight:
         raise ValueError("detected pattern must have popcount w")
-    r = rank_support(support, code)
-    if r < code.size:
+    if rank_support(support, code) < code.size:
         return detected
+    return pattern_from_support(_nearest_member(support, code, rng), code.n_slots)
+
+
+def correct_patterns(supports: np.ndarray, code: MppmCode,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Vectorized nearest-member correction for out-of-set sorted supports.
+
+    All single-swap neighbors (squared distance 2) are ranked; a uniform
+    random in-set neighbor is taken.  Rows with no in-set neighbor fall back
+    to the full nearest-member scan.
+    """
+    out = supports.copy()
+    for lo in range(0, len(supports), _CORRECTION_CHUNK):
+        sub = supports[lo : lo + _CORRECTION_CHUNK]
+        cands = _single_swaps(sub, code.n_slots)
+        ranks = rank_supports(cands.reshape(-1, code.weight), code).reshape(cands.shape[:2])
+        ok = ranks < code.size
+        u = rng.random(ok.shape)
+        u[~ok] = -1.0
+        chosen = cands[np.arange(len(sub)), np.argmax(u, axis=1)]
+        for row in np.flatnonzero(~ok.any(axis=1)):
+            chosen[row] = _nearest_member(sub[row], code, rng)
+        out[lo : lo + _CORRECTION_CHUNK] = chosen
+    return out
+
+
+def _nearest_member(support, code: MppmCode, rng: np.random.Generator):
+    """Sorted support of a uniform random usable pattern sharing the most
+    slots with support (equivalently, at minimal Hamming distance)."""
     if code.table_bits is not None:
-        det_bits = np.uint64(0)
+        bits = np.uint64(0)
         for c in support:
-            det_bits |= np.uint64(1) << np.uint64(c)
-        overlap = np.bitwise_count(code.table_bits & det_bits)
-        best = overlap == overlap.max()
-        choice = rng.choice(np.flatnonzero(best))
-        return pattern_from_support(code.table[choice], code.n_slots)
+            bits |= np.uint64(1) << np.uint64(c)
+        overlap = np.bitwise_count(code.table_bits & bits)
+        return code.table[rng.choice(np.flatnonzero(overlap == overlap.max()))]
     # Large sets: scan distance shells (swap one slot, then two, ...).
     inactive = np.setdiff1d(np.arange(code.n_slots), support)
-    from itertools import combinations
-
     for shell in range(1, code.weight + 1):
         cands = []
-        for rem in combinations(support, shell):
+        for rem in itertools.combinations(support, shell):
             keep = [c for c in support if c not in rem]
-            for add in combinations(inactive, shell):
+            for add in itertools.combinations(inactive, shell):
                 cand = tuple(sorted(keep + list(add)))
                 if rank_support(cand, code) < code.size:
                     cands.append(cand)
         if cands:
-            choice = cands[rng.integers(len(cands))]
-            return pattern_from_support(choice, code.n_slots)
+            return cands[rng.integers(len(cands))]
     raise RuntimeError("empty expurgated set")  # unreachable for valid codes
 
 
@@ -235,14 +252,6 @@ class CorrectionStats:
     def aligned(self, swaps: int) -> float:
         return self.align_v[swaps - 1] + self.align_p[swaps - 1]
 
-    @property
-    def pat_bits_1(self) -> float:
-        return self.pat_bits[0]
-
-    @property
-    def aligned_1(self) -> float:
-        return self.aligned(1)
-
 
 _STATS_CACHE: dict[tuple[int, int], CorrectionStats] = {}
 _STATS_EXACT_EVENTS = 300_000
@@ -264,83 +273,102 @@ def _single_swaps(sup: np.ndarray, n_slots: int) -> np.ndarray:
 
 
 def _classify_positions(tx_sup, det, mask_tx, mask_w):
-    """Position classes of decoded supports against the transmitted one.
+    """Position classes of decoded supports against the transmitted ones.
 
-    det has shape (rows, members, w); mask_tx / mask_w are (rows, N_slots)
-    membership masks for the transmitted support and the raw sorted
-    selection.  Returns per (row, member): aligned counts split by retained
-    vs displaced slots and a (2, 4) misaligned class count matrix (word
-    side: retained/displaced; slot side: entered noise / other noise /
-    retained signal / displaced signal).
+    tx_sup and det are (rows, w) sorted supports; mask_tx / mask_w are
+    (rows, N_slots) membership masks for the transmitted support and the
+    raw sorted selection.  Returns per row: aligned counts split by
+    retained vs displaced slots and a (2, 4) misaligned class count matrix
+    (word side: retained/displaced; slot side: entered noise / other
+    noise / retained signal / displaced signal).
     """
-    n_rows = len(tx_sup)
-    r3 = np.arange(n_rows)[:, None, None]
-    al = det == tx_sup[:, None, :]
-    in_tx = mask_tx[r3, det]
-    in_w = mask_w[r3, det]
-    disp_d = in_tx & ~in_w
-    surv_d = in_tx & in_w
-    ent_d = ~in_tx & in_w
-    noise_d = ~in_tx & ~in_w
-    a_v = (al & surv_d).sum(axis=2)
-    a_p = (al & disp_d).sum(axis=2)
-    mis = ~al
-    tx_disp = ~mask_w[np.arange(n_rows)[:, None], tx_sup]
-    tx_d = tx_disp[:, None, :]
-    cls = np.empty(det.shape[:2] + (2, 4))
-    for ti, tmask in ((0, ~tx_d), (1, tx_d)):
-        for di, dmask in enumerate((ent_d, noise_d, surv_d, disp_d)):
-            cls[:, :, ti, di] = (mis & tmask & dmask).sum(axis=2)
-    return a_v, a_p, cls
+    n_rows, n_slots = mask_tx.shape
+    row_base = n_slots * np.arange(n_rows)[:, None]
+    # slot side per slot: 0 entered noise, 1 other noise, 2 retained, 3 displaced
+    slot_of = 2 * mask_tx + ~mask_w
+    tx_disp = ~np.take(mask_w, tx_sup + row_base)
+    # class of each position: 4 * word side + slot side when misaligned,
+    # 8 (retained) or 9 (displaced) when aligned; counted per row
+    cls = np.where(det == tx_sup, 6, 4 * tx_disp)
+    cls += np.take(slot_of, det + row_base) + 10 * np.arange(n_rows)[:, None]
+    counts = np.bincount(cls.ravel(), minlength=10 * n_rows).reshape(n_rows, 10)
+    return counts[:, 8], counts[:, 9], counts[:, :8].reshape(n_rows, 2, 4)
 
 
 def _decode_swap_rows(tx_sup, tx_rank, cands, code):
     """Per-row decoded-pattern expectations for detected candidates.
 
-    Returns (rescue, pat_bits, align_v, align_p, classes) row means,
-    applying the correction rule to candidates outside the usable set.
+    Returns (rescue, pat_bits, align_v, align_p, classes) row means over
+    the members a detection decodes to: itself when it is in the usable
+    set, else its in-set single-swap neighbors (the correction rule).
     """
     n_rows = len(cands)
     w = code.weight
-    n = code.n_slots
     r = rank_supports(cands, code)
-    inside = r < code.size
+    rows_all = np.arange(n_rows)[:, None]
+    mask_tx = np.zeros((n_rows, code.n_slots), dtype=bool)
+    mask_tx[rows_all, tx_sup] = True
+    mask_w = np.zeros((n_rows, code.n_slots), dtype=bool)
+    mask_w[rows_all, cands] = True
     rescue = np.zeros(n_rows)
     pat = np.zeros(n_rows)
     a_v = np.zeros(n_rows)
     a_p = np.zeros(n_rows)
     classes = np.zeros((n_rows, 2, 4))
-    rows_all = np.arange(n_rows)[:, None]
-    mask_tx = np.zeros((n_rows, n), dtype=bool)
-    mask_tx[rows_all, tx_sup] = True
-    mask_w = np.zeros((n_rows, n), dtype=bool)
-    mask_w[rows_all, cands] = True
-    idx_in = np.flatnonzero(inside)
-    if len(idx_in):
-        pat[idx_in] = np.bitwise_count((tx_rank[idx_in] ^ r[idx_in]).astype(np.uint64))
-        av, ap, cl = _classify_positions(
-            tx_sup[idx_in], cands[idx_in][:, None, :], mask_tx[idx_in], mask_w[idx_in]
-        )
-        a_v[idx_in] = av[:, 0]
-        a_p[idx_in] = ap[:, 0]
-        classes[idx_in] = cl[:, 0]
-    idx_out = np.flatnonzero(~inside)
-    chunk = 2048
-    for lo in range(0, len(idx_out), chunk):
-        rows = idx_out[lo : lo + chunk]
-        nb = _single_swaps(cands[rows], code.n_slots)
-        rk = rank_supports(nb.reshape(-1, w), code).reshape(len(rows), -1)
-        ok = rk < code.size
-        n_mem = ok.sum(axis=1)
-        mem_pat = np.bitwise_count((tx_rank[rows, None] ^ rk).astype(np.uint64))
-        av, ap, cl = _classify_positions(tx_sup[rows], nb, mask_tx[rows], mask_w[rows])
-        is_tx = (av + ap) == w
-        rescue[rows] = (is_tx & ok).sum(axis=1) / n_mem
-        pat[rows] = np.where(ok, mem_pat, 0).sum(axis=1) / n_mem
-        a_v[rows] = np.where(ok, av, 0).sum(axis=1) / n_mem
-        a_p[rows] = np.where(ok, ap, 0).sum(axis=1) / n_mem
-        classes[rows] = (cl * ok[:, :, None, None]).sum(axis=1) / n_mem[:, None, None]
+    # Rows grouped by detected pattern: members are built once per
+    # distinct pattern of a chunk.
+    order = np.argsort(r, kind="stable")
+    for lo in range(0, n_rows, _CORRECTION_CHUNK):
+        rows = order[lo : lo + _CORRECTION_CHUNK]
+        pats, first, which = np.unique(r[rows], return_index=True, return_inverse=True)
+        sup = cands[rows[first]]
+        nb = _single_swaps(sup, code.n_slots)
+        rk = rank_supports(nb.reshape(-1, w), code).reshape(len(first), -1)
+        inset = pats < code.size
+        mem_sup = np.concatenate([sup[:, None, :], nb], axis=1)
+        mem_rank = np.concatenate([pats[:, None], rk], axis=1)
+        mem_ok = np.concatenate([inset[:, None], (rk < code.size) & ~inset[:, None]], axis=1)
+        row, m = np.nonzero(mem_ok[which])
+        pat_of, tx_of = which[row], rows[row]
+        av, ap, cl = _classify_positions(tx_sup[tx_of], mem_sup[pat_of, m],
+                                         mask_tx[tx_of], mask_w[tx_of])
+        n_mem = np.bincount(row, minlength=len(rows))
+
+        def mean(v):
+            return np.bincount(row, weights=v, minlength=len(rows)) / n_mem
+
+        rescue[rows] = mean(av + ap == w)
+        pat[rows] = mean(np.bitwise_count((tx_rank[tx_of] ^ mem_rank[pat_of, m]).astype(np.uint64)))
+        a_v[rows] = mean(av)
+        a_p[rows] = mean(ap)
+        classes[rows] = np.stack([mean(c) for c in cl.reshape(-1, 8).T], axis=1).reshape(-1, 2, 4)
     return rescue, pat, a_v, a_p, classes
+
+
+def _swap_events(code: MppmCode, l: int, rng: np.random.Generator):
+    """l-swap events: transmitted ranks, their supports and the sorted
+    detected supports, all events when there are at most
+    _STATS_EXACT_EVENTS of them (exact) and a sample of them otherwise."""
+    n, w, size = code.n_slots, code.weight, code.size
+    jp = np.array(list(itertools.combinations(range(w), l)))
+    kp = np.array(list(itertools.combinations(range(n - w), l)))
+    exact = size * len(jp) * len(kp) <= _STATS_EXACT_EVENTS
+    if exact:
+        tx_l = np.repeat(np.arange(size, dtype=np.int64), len(jp) * len(kp))
+        jj = np.tile(np.repeat(jp, len(kp), axis=0), (size, 1))
+        kk = np.tile(np.tile(kp, (len(jp), 1)), (size, 1))
+    else:
+        tx_l = rng.integers(0, size, _STATS_SAMPLES)
+        jj = jp[rng.integers(0, len(jp), _STATS_SAMPLES)]
+        kk = kp[rng.integers(0, len(kp), _STATS_SAMPLES)]
+    sup = code.table[tx_l].astype(np.int64)
+    mask = np.zeros((len(sup), n), dtype=bool)
+    rows = np.arange(len(sup))
+    mask[rows[:, None], sup] = True
+    inact = np.nonzero(~mask)[1].reshape(len(sup), n - w)
+    det = sup.copy()
+    det[rows[:, None], jj] = inact[rows[:, None], kk]
+    return tx_l, sup, np.sort(det, axis=1), exact
 
 
 def correction_stats(code: MppmCode) -> CorrectionStats:
@@ -354,7 +382,7 @@ def correction_stats(code: MppmCode) -> CorrectionStats:
         return _STATS_CACHE[key]
     if code.table is None:
         raise ValueError("correction statistics require a materialized table")
-    n, w, size = code.n_slots, code.weight, code.size
+    n, w = code.n_slots, code.weight
     rng = np.random.Generator(np.random.Philox(_STATS_SEED))
     exact = True
     rescue = 0.0
@@ -363,26 +391,8 @@ def correction_stats(code: MppmCode) -> CorrectionStats:
     align_p: list[float] = []
     classes: list[tuple] = []
     for l in range(1, min(w, n - w) + 1):
-        jp = np.array(list(itertools.combinations(range(w), l)))
-        kp = np.array(list(itertools.combinations(range(n - w), l)))
-        n_events = size * len(jp) * len(kp)
-        if n_events <= _STATS_EXACT_EVENTS:
-            tx_l = np.repeat(np.arange(size, dtype=np.int64), len(jp) * len(kp))
-            jj = np.tile(np.repeat(jp, len(kp), axis=0), (size, 1))
-            kk = np.tile(np.tile(kp, (len(jp), 1)), (size, 1))
-        else:
-            exact = False
-            tx_l = rng.integers(0, size, _STATS_SAMPLES)
-            jj = jp[rng.integers(0, len(jp), _STATS_SAMPLES)]
-            kk = kp[rng.integers(0, len(kp), _STATS_SAMPLES)]
-        sup = code.table[tx_l].astype(np.int64)
-        mask = np.zeros((len(sup), n), dtype=bool)
-        rows = np.arange(len(sup))
-        mask[rows[:, None], sup] = True
-        inact = np.nonzero(~mask)[1].reshape(len(sup), n - w)
-        det = sup.copy()
-        det[rows[:, None], jj] = inact[rows[:, None], kk]
-        det = np.sort(det, axis=1)
+        tx_l, sup, det, exact_l = _swap_events(code, l, rng)
+        exact = exact and exact_l
         resc, pb, av, ap, cl = _decode_swap_rows(sup, tx_l, det, code)
         if l == 1:
             rescue = float(resc.mean())

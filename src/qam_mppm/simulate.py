@@ -12,18 +12,17 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .constellation import Constellation, build_constellation
 from .link import LinkParams
-from .mppm import MppmCode, make_code, rank_supports, unrank
+from .mppm import MppmCode, correct_patterns, make_code, rank_supports, unrank
 
 BATCH_FRAMES = 50_000
 MIN_ERRORS = 100
 MIN_FRAMES = 100_000
-_CORRECTION_CHUNK = 2048
 
 WORKER_ENV_VAR = "QAM_MPPM_MAX_WORKERS"
 
@@ -105,80 +104,10 @@ def generate_frame(rng: np.random.Generator, code: MppmCode, c: Constellation) -
                    qam_indices=qam, bits=bits)
 
 
-def channel(frame: FrameTx, c: Constellation, link: LinkParams,
-            rng: np.random.Generator):
-    """Slot statistics (r_i, r_q, r_dc) for one frame, with AWGN.
-
-    The three noise components per slot are mutually independent: the DC
-    matched filter and the two carrier correlators are orthogonal over a
-    slot for an integer number of carrier cycles.
-    """
-    n = link.n_slots
-    amp = math.sqrt(link.t_s / 2.0) * link.i_ph * link.m
-    mu = math.sqrt(link.t_s) * link.i_ph
-    r_i = np.zeros(n)
-    r_q = np.zeros(n)
-    r_dc = np.zeros(n)
-    for j, slot in enumerate(frame.support):
-        r_i[slot] = amp * c.points[frame.qam_indices[j], 0]
-        r_q[slot] = amp * c.points[frame.qam_indices[j], 1]
-        r_dc[slot] = mu
-    sigma = math.sqrt(link.sigma2)
-    r_i += rng.normal(0.0, sigma, n)
-    r_q += rng.normal(0.0, sigma, n)
-    r_dc += rng.normal(0.0, sigma, n)
-    return r_i, r_q, r_dc
-
-
-def _correct_patterns(supports: np.ndarray, code: MppmCode,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Vectorized nearest-member correction for out-of-set patterns.
-
-    All single-swap neighbors (squared distance 2) are ranked; a uniform
-    random in-set neighbor is taken.  Rows with no in-set neighbor (possible
-    only for tiny expurgated sets) fall back to a full scan.
-    """
-    n, w = code.n_slots, code.weight
-    out = supports.copy()
-    for lo in range(0, len(supports), _CORRECTION_CHUNK):
-        sub = supports[lo : lo + _CORRECTION_CHUNK]
-        nb = len(sub)
-        mask = np.zeros((nb, n), dtype=bool)
-        mask[np.arange(nb)[:, None], sub] = True
-        inactive = np.nonzero(~mask)[1].reshape(nb, n - w)
-        # candidates: drop active j, add inactive b -> (nb, w*(n-w), w)
-        cands = np.repeat(sub[:, None, :], w * (n - w), axis=1).reshape(nb, w, n - w, w)
-        for j in range(w):
-            cands[:, j, :, j] = inactive
-        cands = np.sort(cands.reshape(nb, w * (n - w), w), axis=2)
-        ranks = rank_supports(cands.reshape(-1, w), code).reshape(nb, w * (n - w))
-        ok = ranks < code.size
-        u = rng.random(ok.shape)
-        u[~ok] = -1.0
-        pick = np.argmax(u, axis=1)
-        chosen = cands[np.arange(nb), pick]
-        none = ~ok.any(axis=1)
-        if np.any(none):
-            for row in np.flatnonzero(none):
-                chosen[row] = _full_scan_correct(sub[row], code, rng)
-        out[lo : lo + _CORRECTION_CHUNK] = chosen
-    return out
-
-
-def _full_scan_correct(support, code: MppmCode, rng) -> np.ndarray:
-    bits = np.uint64(0)
-    for c in support:
-        bits |= np.uint64(1) << np.uint64(c)
-    if code.table_bits is not None:
-        overlap = np.bitwise_count(code.table_bits & bits)
-        best = np.flatnonzero(overlap == overlap.max())
-        return code.table[best[rng.integers(len(best))]]
-    raise RuntimeError("full-scan correction requires a materialized table")
-
-
 def _detect(metric: np.ndarray, r_i: np.ndarray, r_q: np.ndarray,
-            code: MppmCode, c: Constellation, rng: np.random.Generator):
-    """Shared slot-selection + correction + demap for one metric choice."""
+            code: MppmCode, rng: np.random.Generator):
+    """Top-w slot selection and nearest-member correction for one metric
+    choice; returns the decoded supports, ranks and their QAM statistics."""
     nb, _ = metric.shape
     w = code.weight
     top = np.argpartition(-metric, w - 1, axis=1)[:, :w]
@@ -187,14 +116,12 @@ def _detect(metric: np.ndarray, r_i: np.ndarray, r_q: np.ndarray,
     bad = det_rank >= code.size
     if np.any(bad):
         det_support = det_support.copy()
-        det_support[bad] = _correct_patterns(det_support[bad], code, rng)
+        det_support[bad] = correct_patterns(det_support[bad], code, rng)
         det_rank = det_rank.copy()
         det_rank[bad] = rank_supports(det_support[bad], code)
     rows = np.arange(nb)[:, None]
     yi = r_i[rows, det_support]
     yq = r_q[rows, det_support]
-    # ML demap against scaled points; scale cancels in the argmin ordering
-    # only if applied to the points, so compare in statistic units.
     return det_support, det_rank, yi, yq
 
 
@@ -207,35 +134,6 @@ def _demap(yi, yq, c: Constellation, amp: float):
 
 def _popcount64(v: np.ndarray) -> np.ndarray:
     return np.bitwise_count(v.astype(np.uint64)).astype(np.int64)
-
-
-def _detect_single(metric, r_i, r_q, code, c, amp, rng):
-    det_support, det_rank, yi, yq = _detect(
-        metric[None, :], r_i[None, :], r_q[None, :], code, c, rng
-    )
-    det_idx = _demap(yi, yq, c, amp)
-    bits = int(assemble_bits(det_rank, c.labels[det_idx], c.n_q)[0])
-    pattern = np.zeros(code.n_slots, dtype=np.uint8)
-    pattern[det_support[0]] = 1
-    return pattern, tuple(int(v) for v in det_idx[0]), bits
-
-
-def detect_cmd(stats, code: MppmCode, c: Constellation, link: LinkParams,
-               rng: np.random.Generator):
-    """Power-metric detection of one frame's (r_i, r_q, r_dc) statistics."""
-    r_i, r_q, _ = stats
-    amp = math.sqrt(link.t_s / 2.0) * link.i_ph * link.m
-    metric = np.asarray(r_i) ** 2 + np.asarray(r_q) ** 2
-    return _detect_single(metric, np.asarray(r_i), np.asarray(r_q), code, c, amp, rng)
-
-
-def detect_imd(stats, code: MppmCode, c: Constellation, link: LinkParams,
-               rng: np.random.Generator):
-    """Matched-filter detection of one frame's statistics."""
-    r_i, r_q, r_dc = stats
-    amp = math.sqrt(link.t_s / 2.0) * link.i_ph * link.m
-    return _detect_single(np.asarray(r_dc, dtype=float), np.asarray(r_i),
-                          np.asarray(r_q), code, c, amp, rng)
 
 
 def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
@@ -271,7 +169,7 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
     out: dict[str, TrialCounters] = {}
     for det in detectors:
         metric = r_i**2 + r_q**2 if det == "cmd" else r_dc
-        det_support, det_rank, yi, yq = _detect(metric, r_i, r_q, code, c, rng)
+        det_support, det_rank, yi, yq = _detect(metric, r_i, r_q, code, rng)
         det_idx = _demap(yi, yq, c, amp)
         rx_bits = assemble_bits(det_rank, c.labels[det_idx], n_q)
         diff = _popcount64(np.bitwise_xor(tx_bits, rx_bits))
@@ -375,16 +273,6 @@ def run_point(code: MppmCode, c: Constellation, link: LinkParams,
                 break
             i = wave[-1] + 1
     return totals
-
-
-def run_sweep(code: MppmCode, c: Constellation, links: list[LinkParams],
-              detectors: tuple[str, ...], budget: int, seed: int,
-              workers: int | None = None, **kwargs) -> list[dict[str, TrialCounters]]:
-    """Simulate every sweep point; budget is the per-point frame cap."""
-    return [
-        run_point(code, c, link, detectors, budget, seed, idx, workers, **kwargs)
-        for idx, link in enumerate(links)
-    ]
 
 
 def waveform_crosscheck(frame: FrameTx, c: Constellation, link: LinkParams,

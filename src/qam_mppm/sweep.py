@@ -117,8 +117,10 @@ def build_spec(values: dict[str, str], overrides: dict | None = None) -> SweepSp
     n_slots = number("sys.N", int)
     weight = number("sys.w", int)
     n_q = number("sys.nQ", int)
+    if n_q is not None and not (2 <= n_q <= 10):
+        problems.append("sys.nQ must satisfy 2 <= nQ <= 10")
     m = number("sys.m")
-    r_b = float(merged.get("sys.Rb", 50e6))
+    r_b = number("sys.Rb") if "sys.Rb" in merged else 50e6
     detectors = tuple(d.strip() for d in merged["detectors"].split(",") if d.strip())
     if not detectors:
         problems.append("detector set must be nonempty")
@@ -137,6 +139,7 @@ def build_spec(values: dict[str, str], overrides: dict | None = None) -> SweepSp
     if trials is not None and trials < 1:
         problems.append("sim.trials must be >= 1")
     seed = number("sim.seed", int)
+    workers = number("sim.workers", int) if "sim.workers" in merged else None
     if n_slots is not None and weight is not None and not (1 <= weight <= n_slots - 1):
         problems.append("sys.w must satisfy 1 <= w <= N-1")
     if m is not None and not (0 < m <= 1):
@@ -148,7 +151,7 @@ def build_spec(values: dict[str, str], overrides: dict | None = None) -> SweepSp
         weight=weight, n_q=n_q, m=m, r_b=r_b, detectors=detectors,
         methods=methods, trials=trials, seed=seed, out_csv=merged["out.csv"],
         out_plot=merged.get("out.plot") or None,
-        workers=int(merged["sim.workers"]) if "sim.workers" in merged else None,
+        workers=workers,
     )
 
 
@@ -172,12 +175,13 @@ def links_for(spec: SweepSpec) -> list[LinkParams]:
 def analytic_row(code, const, link, methods, tol) -> dict[str, float]:
     out = {}
     try:
-        if "ja" in methods:
-            res = analytic.pe_cmd_ja(code, const, link, tol)
-            out["pe_cmd_ja"], out["pb_cmd_ja"] = res.pe, res.pb
-        if "sa" in methods:
-            res = analytic.pe_cmd_sa(code, const, link, tol)
-            out["pe_cmd_sa"], out["pb_cmd_sa"] = res.pe, res.pb
+        # ja and sa share one events model; ja only adds its budget check.
+        cmd = [meth for meth in ("ja", "sa") if meth in methods]
+        if cmd:
+            fn = analytic.pe_cmd_ja if "ja" in cmd else analytic.pe_cmd_sa
+            res = fn(code, const, link, tol)
+            for meth in cmd:
+                out[f"pe_cmd_{meth}"], out[f"pb_cmd_{meth}"] = res.pe, res.pb
         if "ni" in methods:
             res = analytic.pe_imd(code, const, link, tol, mppm_route="ni")
             out["pe_imd_ni"], out["pb_imd_ni"] = res.pe, res.pb

@@ -1,7 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qam_mppm
 from qam_mppm.cli import complexity_report, main
 
 
@@ -47,6 +53,23 @@ def test_sweep_config_error_exit_code(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, **{"sys.m": "7"})
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_bad_values_reported_together(tmp_path):
+    """Unparsable rate and worker count plus an out-of-range nQ: exit 2 with
+    one diagnostic each and no traceback."""
+    cfg = _write_cfg(tmp_path, **{"sys.Rb": "fast", "sim.workers": "two", "sys.nQ": "12"})
+    env = dict(os.environ, PYTHONPATH=str(Path(qam_mppm.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "qam_mppm", "sweep", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("config error:")]
+    assert len(errors) == 3, proc.stderr
+    assert any("sys.Rb" in ln for ln in errors)
+    assert any("sim.workers" in ln for ln in errors)
+    assert any("sys.nQ" in ln for ln in errors)
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_sweep_missing_file_exit_code(tmp_path, capsys):

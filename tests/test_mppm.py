@@ -1,5 +1,6 @@
 """Unit tests for the MPPM pattern codec, correction rule and code geometry."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from qam_mppm.mppm import (
     bits_per_mppm,
     correct_pattern,
+    correct_patterns,
     correction_stats,
     decode_mppm,
     distance_spectrum,
@@ -24,6 +26,7 @@ from qam_mppm.mppm import (
     rank_supports,
     unrank,
 )
+from qam_mppm.mppm import _classify_positions, _single_swaps
 
 
 @pytest.mark.parametrize(
@@ -97,6 +100,22 @@ def test_correct_pattern_passthrough_and_projection():
     assert int(np.sum(fixed != outside)) == 2
 
 
+def test_correct_patterns_full_scan_fallback():
+    """A support with no in-set single-swap neighbor goes to a member at the
+    maximum overlap, found by the full scan."""
+    code = make_code(9, 5)
+    sup = np.array([[4, 5, 6, 7, 8]], dtype=np.int16)
+    assert rank_support(sup[0], code) >= code.size
+    members = {tuple(int(v) for v in row) for row in code.table}
+    assert max(len(set(m) & set(sup[0].tolist())) for m in members) == 3
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        fixed = correct_patterns(sup, code, rng)
+        assert fixed.shape == sup.shape
+        assert tuple(int(v) for v in fixed[0]) in members
+        assert len(set(fixed[0].tolist()) & set(sup[0].tolist())) == 3
+
+
 def test_k_l_sums_to_one_exactly():
     """Sum over missed-slot counts of the K_l weights is exactly 1 (rational)."""
     for n in range(2, 65):
@@ -146,6 +165,76 @@ def test_correction_stats_position_budget(n, w):
         mis = sum(sum(row) for row in st_.classes[l - 1])
         assert aligned + mis == pytest.approx(w, abs=1e-9)
         assert 0.0 <= st_.pat_bits[l - 1] <= code.q_mppm
+
+
+def test_classify_positions_matches_per_position_count():
+    """Vectorized position classes equal a direct count, slot by slot."""
+    code = make_code(12, 6)
+    rng = np.random.default_rng(3)
+    tx = code.table[rng.integers(0, code.size, 200)].astype(np.int64)
+    raw = np.sort(np.array([rng.choice(12, 6, replace=False) for _ in tx]), axis=1)
+    # decoded supports: the raw selection itself or one of its single swaps
+    swaps = _single_swaps(raw, 12)
+    pick = rng.integers(-1, swaps.shape[1], len(tx))
+    dec = np.where((pick < 0)[:, None], raw, swaps[np.arange(len(tx)), pick])
+    mask_tx = np.zeros((len(tx), 12), dtype=bool)
+    mask_w = np.zeros((len(tx), 12), dtype=bool)
+    mask_tx[np.arange(len(tx))[:, None], tx] = True
+    mask_w[np.arange(len(tx))[:, None], raw] = True
+    a_v, a_p, cls = _classify_positions(tx, dec, mask_tx, mask_w)
+    for r in range(len(tx)):
+        want_v = want_p = 0
+        want_cls = np.zeros((2, 4), dtype=int)
+        for k in range(6):
+            slot, in_w = dec[r, k], mask_w[r, dec[r, k]]
+            if slot == tx[r, k]:
+                want_v += int(in_w)
+                want_p += int(not in_w)
+                continue
+            side = int(not mask_w[r, tx[r, k]])
+            kind = (2 if in_w else 3) if mask_tx[r, slot] else (0 if in_w else 1)
+            want_cls[side, kind] += 1
+        assert (a_v[r], a_p[r]) == (want_v, want_p)
+        assert (cls[r] == want_cls).all()
+
+
+def test_correction_stats_matches_event_by_event_enumeration():
+    """Every l-swap event of a small code, decoded and classified one by one."""
+    n, w = 6, 3
+    code = make_code(n, w)
+    members = [tuple(int(v) for v in row) for row in code.table]
+    rank = {m: i for i, m in enumerate(members)}
+    st_ = correction_stats(code)
+    for l in range(1, min(w, n - w) + 1):
+        total, events = np.zeros(12), 0
+        for tx in members:
+            idle = [s for s in range(n) if s not in tx]
+            for out in itertools.combinations(tx, l):
+                for into in itertools.combinations(idle, l):
+                    raw = tuple(sorted(set(tx) - set(out) | set(into)))
+                    decoded = [raw] if raw in rank else [
+                        m for m in members if len(set(m) & set(raw)) == w - 1]
+                    for d in decoded:
+                        row = np.zeros(12)  # rescue, pattern bits, a_v, a_p, 2x4 classes
+                        row[0] = d == tx
+                        row[1] = bin(rank[d] ^ rank[tx]).count("1")
+                        for k in range(w):
+                            if d[k] == tx[k]:
+                                row[2 if d[k] in raw else 3] += 1
+                                continue
+                            side = int(tx[k] not in raw)
+                            kind = (2 if d[k] in raw else 3) if d[k] in tx else (
+                                0 if d[k] in raw else 1)
+                            row[4 + 4 * side + kind] += 1
+                        total += row / len(decoded)
+                    events += 1
+        mean = total / events
+        if l == 1:
+            assert st_.rescue_prob == pytest.approx(mean[0], abs=1e-12)
+        assert st_.pat_bits[l - 1] == pytest.approx(mean[1], abs=1e-12)
+        assert st_.align_v[l - 1] == pytest.approx(mean[2], abs=1e-12)
+        assert st_.align_p[l - 1] == pytest.approx(mean[3], abs=1e-12)
+        assert np.allclose(st_.classes[l - 1], mean[4:].reshape(2, 4), atol=1e-12)
 
 
 def test_correction_stats_exact_for_small_codes():

@@ -12,9 +12,6 @@ from qam_mppm.simulate import (
     FrameTx,
     TrialCounters,
     assemble_bits,
-    channel,
-    detect_cmd,
-    detect_imd,
     generate_frame,
     run_point,
     simulate_batch,
@@ -46,17 +43,14 @@ def test_generate_frame_fields():
 
 
 def test_noiseless_detection_recovers_frame():
+    """Without noise both detectors recover every pattern, symbol and bit."""
     code, c, link = _setup()
     zero = link.with_sigma2(1e-18)
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        fr = generate_frame(rng, code, c)
-        stats = channel(fr, c, zero, rng)
-        for det in (detect_cmd, detect_imd):
-            pattern, qam, bits = det(stats, code, c, zero, rng)
-            assert tuple(np.flatnonzero(pattern)) == fr.support
-            assert qam == fr.qam_indices
-            assert bits == fr.bits
+    res = simulate_batch(code, c, zero, ("cmd", "imd"), 2000, [9, 0, 0])
+    for det in ("cmd", "imd"):
+        t = res[det]
+        assert t.frames == 2000
+        assert (t.sym_errors, t.bit_errors, t.mppm_errors, t.qam_cond_errors) == (0, 0, 0, 0)
 
 
 def test_simulate_batch_deterministic():

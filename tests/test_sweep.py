@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from qam_mppm import analytic
 from qam_mppm.sweep import (
     CSV_COLUMNS,
     ConfigError,
+    NumericFailure,
     SweepSpec,
     build_spec,
     links_for,
@@ -139,3 +141,40 @@ def test_write_plot_script_popt_axis(tmp_path):
                               "out.plot": str(tmp_path / "p.gp")})
     write_plot_script(spec, tmp_path / "out.csv")
     assert "P_opt (dBm)" in (tmp_path / "p.gp").read_text(encoding="utf-8")
+
+
+def _cmd_spec(tmp_path, methods):
+    return _spec(tmp_path, **{"sys.N": "4", "sys.w": "2", "sys.nQ": "2",
+                              "detectors": "cmd", "methods": methods,
+                              "sim.trials": "200"})
+
+
+def test_ja_sa_share_one_events_evaluation(tmp_path, monkeypatch):
+    """Requesting both CMD averages evaluates the events model once per point
+    and writes equal ja/sa cells."""
+    calls = []
+    original = analytic._event_quantities
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "_event_quantities", counted)
+    spec = _cmd_spec(tmp_path, "ja,sa")
+    lines = run(spec).read_text(encoding="utf-8").splitlines()
+    body = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+    assert len(calls) == len(spec.grid()) == len(body)
+    col = CSV_COLUMNS.index
+    for cells in body:
+        assert cells[col("pe_cmd_ja")] == cells[col("pe_cmd_sa")] != ""
+        assert cells[col("pb_cmd_ja")] == cells[col("pb_cmd_sa")] != ""
+
+
+def test_ja_budget_guard_only_when_ja_requested(tmp_path, monkeypatch):
+    def over_budget(c, link):
+        raise analytic.CapacityError("budget exceeded")
+
+    monkeypatch.setattr(analytic, "_check_ja_budget", over_budget)
+    run(_cmd_spec(tmp_path, "sa"))
+    with pytest.raises(NumericFailure):
+        run(_cmd_spec(tmp_path, "ja,sa"))
