@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .link import complexity
 from .sweep import ConfigError, NumericFailure, build_spec, parse_config, run
@@ -22,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--mode", choices=("ebn0", "popt"))
     sw.add_argument("--seed", type=int)
     sw.add_argument("--trials", type=int)
-    sw.add_argument("--out", help="override out.csv")
+    sw.add_argument("--out", help="override out.csv; a relative out.plot goes next to it")
 
     cx = sub.add_parser("complexity", help="per-frame operation counts for both detectors")
     cx.add_argument("--N", type=int, required=True)
@@ -63,6 +64,10 @@ def main(argv=None) -> int:
 
     try:
         values = parse_config(args.config)
+        plot = values.get("out.plot")
+        if args.out and plot and not Path(plot).is_absolute():
+            # The plot script goes next to the relocated CSV.
+            plot = str(Path(args.out).parent / Path(plot).name)
         spec = build_spec(
             values,
             overrides={
@@ -70,6 +75,7 @@ def main(argv=None) -> int:
                 "sim.seed": args.seed,
                 "sim.trials": args.trials,
                 "out.csv": args.out,
+                "out.plot": plot,
             },
         )
     except OSError as exc:

@@ -184,15 +184,26 @@ def correct_patterns(supports: np.ndarray, code: MppmCode,
     return out
 
 
-def _nearest_member(support, code: MppmCode, rng: np.random.Generator):
-    """Sorted support of a uniform random usable pattern sharing the most
-    slots with support (equivalently, at minimal Hamming distance)."""
+def _nearest_members(support, code: MppmCode) -> np.ndarray:
+    """Ranks of the usable patterns sharing the most slots with support
+    (equivalently, at minimal Hamming distance); needs the support table."""
     if code.table_bits is not None:
         bits = np.uint64(0)
         for c in support:
             bits |= np.uint64(1) << np.uint64(c)
         overlap = np.bitwise_count(code.table_bits & bits)
-        return code.table[rng.choice(np.flatnonzero(overlap == overlap.max()))]
+    else:  # more than 64 slots
+        hit = np.zeros(code.n_slots, dtype=bool)
+        hit[np.asarray(support)] = True
+        overlap = hit[code.table].sum(axis=1)
+    return np.flatnonzero(overlap == overlap.max())
+
+
+def _nearest_member(support, code: MppmCode, rng: np.random.Generator):
+    """Sorted support of a uniform random usable pattern sharing the most
+    slots with support (equivalently, at minimal Hamming distance)."""
+    if code.table_bits is not None:
+        return code.table[rng.choice(_nearest_members(support, code))]
     # Large sets: scan distance shells (swap one slot, then two, ...).
     inactive = np.setdiff1d(np.arange(code.n_slots), support)
     for shell in range(1, code.weight + 1):
@@ -300,7 +311,8 @@ def _decode_swap_rows(tx_sup, tx_rank, cands, code):
 
     Returns (rescue, pat_bits, align_v, align_p, classes) row means over
     the members a detection decodes to: itself when it is in the usable
-    set, else its in-set single-swap neighbors (the correction rule).
+    set, else its in-set single-swap neighbors, else its nearest members
+    (the correction rule).
     """
     n_rows = len(cands)
     w = code.weight
@@ -325,20 +337,34 @@ def _decode_swap_rows(tx_sup, tx_rank, cands, code):
         nb = _single_swaps(sup, code.n_slots)
         rk = rank_supports(nb.reshape(-1, w), code).reshape(len(first), -1)
         inset = pats < code.size
-        mem_sup = np.concatenate([sup[:, None, :], nb], axis=1)
-        mem_rank = np.concatenate([pats[:, None], rk], axis=1)
         mem_ok = np.concatenate([inset[:, None], (rk < code.size) & ~inset[:, None]], axis=1)
-        row, m = np.nonzero(mem_ok[which])
-        pat_of, tx_of = which[row], rows[row]
-        av, ap, cl = _classify_positions(tx_sup[tx_of], mem_sup[pat_of, m],
+        owner, m = np.nonzero(mem_ok)
+        mem_sup = np.concatenate([sup[:, None, :], nb], axis=1)[owner, m]
+        mem_rank = np.concatenate([pats[:, None], rk], axis=1)[owner, m]
+        # Without an in-set single swap, the correction draws from all
+        # nearest members. Such patterns need w > N/2: otherwise moving the
+        # first slot to slot 0 gives a usable pattern.
+        lone = np.flatnonzero(~mem_ok.any(axis=1))
+        near = [_nearest_members(sup[p], code) for p in lone]
+        owner = np.concatenate([owner, *(np.full(len(v), p) for p, v in zip(lone, near))])
+        by_owner = np.argsort(owner, kind="stable")
+        mem_rank = np.concatenate([mem_rank, *near])[by_owner]
+        mem_sup = np.concatenate([mem_sup, *(code.table[v] for v in near)])[by_owner]
+        # Row-major (row, member) pairs over the members of each row's pattern.
+        n_of = np.bincount(owner, minlength=len(pats))
+        n_mem = n_of[which]
+        row = np.repeat(np.arange(len(rows)), n_mem)
+        first_mem = np.cumsum(n_of) - n_of
+        mem = np.arange(len(row)) + np.repeat(first_mem[which] - np.cumsum(n_mem) + n_mem, n_mem)
+        tx_of = rows[row]
+        av, ap, cl = _classify_positions(tx_sup[tx_of], mem_sup[mem],
                                          mask_tx[tx_of], mask_w[tx_of])
-        n_mem = np.bincount(row, minlength=len(rows))
 
         def mean(v):
             return np.bincount(row, weights=v, minlength=len(rows)) / n_mem
 
         rescue[rows] = mean(av + ap == w)
-        pat[rows] = mean(np.bitwise_count((tx_rank[tx_of] ^ mem_rank[pat_of, m]).astype(np.uint64)))
+        pat[rows] = mean(np.bitwise_count((tx_rank[tx_of] ^ mem_rank[mem]).astype(np.uint64)))
         a_v[rows] = mean(av)
         a_p[rows] = mean(ap)
         classes[rows] = np.stack([mean(c) for c in cl.reshape(-1, 8).T], axis=1).reshape(-1, 2, 4)

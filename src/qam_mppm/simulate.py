@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constellation import Constellation, build_constellation
+from .constellation import Constellation
 from .link import LinkParams
-from .mppm import MppmCode, correct_patterns, make_code, rank_supports, unrank
+from .mppm import MppmCode, correct_patterns, rank_supports, unrank
 
 BATCH_FRAMES = 50_000
 MIN_ERRORS = 100
@@ -190,33 +191,35 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
     return out
 
 
+_WORKER: dict = {}
+
+
+def _init_worker(code: MppmCode, c: Constellation) -> None:
+    _WORKER["code"], _WORKER["c"] = code, c
+
+
+def worker_pool(code: MppmCode, c: Constellation, workers: int) -> ProcessPoolExecutor:
+    """Process pool whose workers simulate batches of code and c.
+
+    The workers receive both objects once, through the pool initializer;
+    under fork they inherit them without pickling.
+    """
+    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                               initargs=(code, c))
+
+
 def _batch_worker(args):
-    code_args, n_q, link, detectors, n_frames, seed_key = args
-    code = _worker_code(code_args)
-    c = _worker_const(n_q)
-    return simulate_batch(code, c, link, detectors, n_frames, seed_key)
-
-
-_CODE_CACHE: dict = {}
-
-
-def _worker_code(code_args):
-    if code_args not in _CODE_CACHE:
-        _CODE_CACHE[code_args] = make_code(*code_args)
-    return _CODE_CACHE[code_args]
-
-
-def _worker_const(n_q):
-    key = ("const", n_q)
-    if key not in _CODE_CACHE:
-        _CODE_CACHE[key] = build_constellation(n_q)
-    return _CODE_CACHE[key]
+    link, detectors, n_frames, seed_key = args
+    return simulate_batch(_WORKER["code"], _WORKER["c"], link, detectors, n_frames, seed_key)
 
 
 def max_workers() -> int:
     env = os.environ.get(WORKER_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{WORKER_ENV_VAR}: cannot parse {env!r}") from None
     return min(os.cpu_count() or 1, 8)
 
 
@@ -224,12 +227,14 @@ def run_point(code: MppmCode, c: Constellation, link: LinkParams,
               detectors: tuple[str, ...], budget: int, seed: int, point_index: int,
               workers: int | None = None, batch_frames: int = BATCH_FRAMES,
               min_errors: int = MIN_ERRORS, min_frames: int = MIN_FRAMES,
-              ) -> dict[str, TrialCounters]:
+              pool: ProcessPoolExecutor | None = None) -> dict[str, TrialCounters]:
     """Simulate one sweep point with deterministic early stopping.
 
-    Batches are merged strictly in index order and the stop decision is a
-    function of the in-order cumulative counters only, so the result is
-    identical for any worker count.
+    With more than one worker, batches run in lock-step waves of ``workers``
+    on ``pool`` (from ``worker_pool(code, c, ...)``), or on a pool opened for
+    this point when none is given.  Batches are merged strictly in index
+    order and the stop decision is a function of the in-order cumulative
+    counters only, so the result is identical for any worker count.
     """
     if budget < 1:
         raise ValueError("budget must be at least one frame")
@@ -238,40 +243,29 @@ def run_point(code: MppmCode, c: Constellation, link: LinkParams,
     sizes = [min(batch_frames, budget - i * batch_frames) for i in range(n_batches)]
     totals = {det: TrialCounters() for det in detectors}
 
-    def arg(i):
-        return ((code.n_slots, code.weight), c.n_q, link, detectors, sizes[i],
-                [seed, point_index, i])
-
     def stopped() -> bool:
         frames = totals[detectors[0]].frames
         if frames < min(min_frames, budget):
             return False
         return all(t.sym_errors >= min_errors for t in totals.values())
 
-    if workers <= 1:
-        for i in range(n_batches):
-            res = simulate_batch(code, c, link, detectors, sizes[i], [seed, point_index, i])
+    def results(pool):
+        """Batch results in index order; a wave completes before it is merged."""
+        for lo in range(0, n_batches, workers):
+            wave = [(link, detectors, sizes[i], [seed, point_index, i])
+                    for i in range(lo, min(lo + workers, n_batches))]
+            if workers <= 1:
+                yield from (simulate_batch(code, c, *args) for args in wave)
+            else:
+                yield from list(pool.map(_batch_worker, wave))
+
+    own = pool is None and workers > 1
+    with (worker_pool(code, c, workers) if own else nullcontext(pool)) as pool:
+        for res in results(pool):
             for det in detectors:
                 totals[det].merge(res[det])
             if stopped():
                 break
-        return totals
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        i = 0
-        while i < n_batches:
-            wave = list(range(i, min(i + workers, n_batches)))
-            results = list(pool.map(_batch_worker, [arg(j) for j in wave]))
-            done = False
-            for res in results:
-                for det in detectors:
-                    totals[det].merge(res[det])
-                if stopped():
-                    done = True
-                    break
-            if done:
-                break
-            i = wave[-1] + 1
     return totals
 
 

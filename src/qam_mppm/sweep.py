@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from . import analytic
 from .constellation import build_constellation
 from .link import DEFAULT_RECEIVER, LinkParams, link_from_popt, sigma_from_ebn0, total_bits
 from .mppm import make_code
-from .simulate import run_point
+from .simulate import max_workers, run_point, worker_pool
 
 CSV_COLUMNS = [
     "sweep_db", "ser_sim", "ser_ci", "ber_sim", "ber_ci", "ser_mppm_sim",
@@ -121,6 +122,8 @@ def build_spec(values: dict[str, str], overrides: dict | None = None) -> SweepSp
         problems.append("sys.nQ must satisfy 2 <= nQ <= 10")
     m = number("sys.m")
     r_b = number("sys.Rb") if "sys.Rb" in merged else 50e6
+    if mode == "popt" and r_b is not None and not 0 < r_b < math.inf:
+        problems.append("sys.Rb must be a positive finite bit rate")
     detectors = tuple(d.strip() for d in merged["detectors"].split(",") if d.strip())
     if not detectors:
         problems.append("detector set must be nonempty")
@@ -139,7 +142,16 @@ def build_spec(values: dict[str, str], overrides: dict | None = None) -> SweepSp
     if trials is not None and trials < 1:
         problems.append("sim.trials must be >= 1")
     seed = number("sim.seed", int)
-    workers = number("sim.workers", int) if "sim.workers" in merged else None
+    workers = None
+    if "sim.workers" in merged:
+        workers = number("sim.workers", int)
+        if workers is not None and workers < 1:
+            problems.append("sim.workers must be >= 1")
+    else:
+        try:
+            max_workers()
+        except ValueError as exc:
+            problems.append(str(exc))
     if n_slots is not None and weight is not None and not (1 <= weight <= n_slots - 1):
         problems.append("sys.w must satisfy 1 <= w <= N-1")
     if m is not None and not (0 < m <= 1):
@@ -208,8 +220,11 @@ def run(spec: SweepSpec, log=None) -> Path:
     q_total = total_bits(spec.n_slots, spec.weight, spec.n_q)
     links = links_for(spec)
     grid = spec.grid()
+    workers = spec.workers or max_workers()
     out_path = Path(spec.out_csv)
-    with out_path.open("w", encoding="utf-8", newline="\n") as fh:
+    # One pool for the whole sweep; its workers exit when the `with` closes.
+    with (out_path.open("w", encoding="utf-8", newline="\n") as fh,
+          worker_pool(code, const, workers) if workers > 1 else nullcontext() as pool):
         fh.write("# qam-mppm sweep; x axis in dB (ebn0 mode) or dBm (popt mode)\n")
         fh.write("# zero-error simulated rates are reported as the one-sided 95% "
                  "bound 3/n instead of 0\n")
@@ -221,7 +236,7 @@ def run(spec: SweepSpec, log=None) -> Path:
             except NumericFailure as exc:
                 raise NumericFailure(f"sweep point {val:g}: {exc}") from exc
             counters = run_point(code, const, link, spec.detectors, spec.trials,
-                                 spec.seed, idx, spec.workers)
+                                 spec.seed, idx, workers, pool=pool)
             for det in spec.detectors:
                 t = counters[det]
                 ser = t.ser()

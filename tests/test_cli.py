@@ -72,6 +72,44 @@ def test_sweep_bad_values_reported_together(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("over, env, keys", [
+    ({"sim.workers": "-2"}, {}, ("sys.Rb", "sim.workers")),
+    ({}, {"QAM_MPPM_MAX_WORKERS": "two"}, ("sys.Rb", "QAM_MPPM_MAX_WORKERS")),
+], ids=["config", "environment"])
+def test_sweep_bad_workers_and_rate_reported_together(tmp_path, over, env, keys):
+    """A zero popt bit rate plus a bad worker count from the config or the
+    environment: exit 2 with one diagnostic each, no traceback, no CSV."""
+    cfg = _write_cfg(tmp_path, **{"mode": "popt", "grid.start": "-30", "grid.stop": "-30",
+                                  "sys.Rb": "0", **over})
+    env = dict(os.environ, PYTHONPATH=str(Path(qam_mppm.__file__).parents[1]), **env)
+    proc = subprocess.run([sys.executable, "-m", "qam_mppm", "sweep", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("config error:")]
+    assert len(errors) == len(keys), proc.stderr
+    for key in keys:
+        assert any(key in ln for ln in errors), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_out_relocates_plot_script(tmp_path, monkeypatch):
+    """--out puts a relative out.plot beside the CSV, and the script names
+    the CSV relative to itself, so it does not depend on the directory."""
+    cfg = _write_cfg(tmp_path, **{"out.plot": "sweep.gp", "sim.trials": "500"})
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    scripts = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / name / "r.csv")]) == 0
+        scripts.append((tmp_path / name / "sweep.gp").read_bytes())
+    assert scripts[0] == scripts[1]
+    assert b"'r.csv'" in scripts[0]
+    assert list(cwd.iterdir()) == []
+
+
 def test_sweep_missing_file_exit_code(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Unit tests for the MPPM pattern codec, correction rule and code geometry."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -9,6 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qam_mppm.analytic import pe_imd
+from qam_mppm.constellation import build_constellation
+from qam_mppm.link import LinkParams, sigma_from_ebn0
 from qam_mppm.mppm import (
     bits_per_mppm,
     correct_pattern,
@@ -26,7 +30,7 @@ from qam_mppm.mppm import (
     rank_supports,
     unrank,
 )
-from qam_mppm.mppm import _classify_positions, _single_swaps
+from qam_mppm.mppm import _classify_positions, _nearest_members, _single_swaps
 
 
 @pytest.mark.parametrize(
@@ -114,6 +118,11 @@ def test_correct_patterns_full_scan_fallback():
         assert fixed.shape == sup.shape
         assert tuple(int(v) for v in fixed[0]) in members
         assert len(set(fixed[0].tolist()) & set(sup[0].tolist())) == 3
+    detected = set(sup[0].tolist())
+    nearest = [r for r, m in enumerate(code.table) if len(set(m.tolist()) & detected) == 3]
+    assert _nearest_members(sup[0], code).tolist() == nearest
+    no_bits = dataclasses.replace(code, table_bits=None)  # the scan for more than 64 slots
+    assert _nearest_members(sup[0], no_bits).tolist() == nearest
 
 
 def test_k_l_sums_to_one_exactly():
@@ -199,42 +208,51 @@ def test_classify_positions_matches_per_position_count():
 
 
 def test_correction_stats_matches_event_by_event_enumeration():
-    """Every l-swap event of a small code, decoded and classified one by one."""
-    n, w = 6, 3
-    code = make_code(n, w)
-    members = [tuple(int(v) for v in row) for row in code.table]
-    rank = {m: i for i, m in enumerate(members)}
-    st_ = correction_stats(code)
-    for l in range(1, min(w, n - w) + 1):
-        total, events = np.zeros(12), 0
-        for tx in members:
-            idle = [s for s in range(n) if s not in tx]
-            for out in itertools.combinations(tx, l):
-                for into in itertools.combinations(idle, l):
-                    raw = tuple(sorted(set(tx) - set(out) | set(into)))
-                    decoded = [raw] if raw in rank else [
-                        m for m in members if len(set(m) & set(raw)) == w - 1]
-                    for d in decoded:
-                        row = np.zeros(12)  # rescue, pattern bits, a_v, a_p, 2x4 classes
-                        row[0] = d == tx
-                        row[1] = bin(rank[d] ^ rank[tx]).count("1")
-                        for k in range(w):
-                            if d[k] == tx[k]:
-                                row[2 if d[k] in raw else 3] += 1
-                                continue
-                            side = int(tx[k] not in raw)
-                            kind = (2 if d[k] in raw else 3) if d[k] in tx else (
-                                0 if d[k] in raw else 1)
-                            row[4 + 4 * side + kind] += 1
-                        total += row / len(decoded)
-                    events += 1
-        mean = total / events
-        if l == 1:
-            assert st_.rescue_prob == pytest.approx(mean[0], abs=1e-12)
-        assert st_.pat_bits[l - 1] == pytest.approx(mean[1], abs=1e-12)
-        assert st_.align_v[l - 1] == pytest.approx(mean[2], abs=1e-12)
-        assert st_.align_p[l - 1] == pytest.approx(mean[3], abs=1e-12)
-        assert np.allclose(st_.classes[l - 1], mean[4:].reshape(2, 4), atol=1e-12)
+    """Every l-swap event of a small code, decoded and classified one by one.
+
+    An out-of-set detection decodes to each nearest member with equal
+    weight. In (9, 5) some multi-swap detections have no in-set single-swap
+    neighbor, so their nearest members share fewer than w - 1 slots.
+    """
+    for n, w in [(6, 3), (9, 5)]:
+        code = make_code(n, w)
+        members = [tuple(int(v) for v in row) for row in code.table]
+        rank = {m: i for i, m in enumerate(members)}
+        st_ = correction_stats(code)
+        for l in range(1, min(w, n - w) + 1):
+            total, events = np.zeros(12), 0
+            for tx in members:
+                idle = [s for s in range(n) if s not in tx]
+                for out in itertools.combinations(tx, l):
+                    for into in itertools.combinations(idle, l):
+                        raw = tuple(sorted(set(tx) - set(out) | set(into)))
+                        best = max(len(set(m) & set(raw)) for m in members)
+                        decoded = [m for m in members if len(set(m) & set(raw)) == best]
+                        for d in decoded:
+                            row = np.zeros(12)  # rescue, pattern bits, a_v, a_p, 2x4 classes
+                            row[0] = d == tx
+                            row[1] = bin(rank[d] ^ rank[tx]).count("1")
+                            for k in range(w):
+                                if d[k] == tx[k]:
+                                    row[2 if d[k] in raw else 3] += 1
+                                    continue
+                                side = int(tx[k] not in raw)
+                                kind = (2 if d[k] in raw else 3) if d[k] in tx else (
+                                    0 if d[k] in raw else 1)
+                                row[4 + 4 * side + kind] += 1
+                            total += row / len(decoded)
+                        events += 1
+            mean = total / events
+            if l == 1:
+                assert st_.rescue_prob == pytest.approx(mean[0], abs=1e-12)
+            assert st_.pat_bits[l - 1] == pytest.approx(mean[1], abs=1e-12)
+            assert st_.align_v[l - 1] == pytest.approx(mean[2], abs=1e-12)
+            assert st_.align_p[l - 1] == pytest.approx(mean[3], abs=1e-12)
+            assert np.allclose(st_.classes[l - 1], mean[4:].reshape(2, 4), atol=1e-12)
+    c = build_constellation(4)
+    base = LinkParams.from_normalized(9, 5, 0.5, 1.0)
+    link = base.with_sigma2(sigma_from_ebn0(12.0, base, c))
+    assert math.isfinite(pe_imd(make_code(9, 5), c, link).pe)
 
 
 def test_correction_stats_exact_for_small_codes():

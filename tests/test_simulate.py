@@ -16,6 +16,7 @@ from qam_mppm.simulate import (
     run_point,
     simulate_batch,
     waveform_crosscheck,
+    worker_pool,
 )
 
 
@@ -76,6 +77,18 @@ def test_run_point_independent_of_worker_count():
     solo = run_point(code, c, link, ("cmd", "imd"), workers=1, **kw)
     pooled = run_point(code, c, link, ("cmd", "imd"), workers=4, **kw)
     assert solo == pooled
+
+
+def test_run_point_reuses_one_pool_across_points():
+    code, c, link = _setup(db=8.0)
+    kw = dict(budget=30_000, seed=17, workers=2, batch_frames=5_000,
+              min_errors=10, min_frames=10_000)
+    fresh = [run_point(code, c, link, ("cmd", "imd"), point_index=i, **kw) for i in (0, 1)]
+    with worker_pool(code, c, 2) as pool:
+        shared = [run_point(code, c, link, ("cmd", "imd"), point_index=i, pool=pool, **kw)
+                  for i in (0, 1)]
+    assert shared == fresh
+    assert fresh[0] != fresh[1]
 
 
 def test_run_point_early_stop_and_budget():

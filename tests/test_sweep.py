@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qam_mppm import analytic
+from qam_mppm import analytic, mppm, simulate, sweep
 from qam_mppm.sweep import (
     CSV_COLUMNS,
     ConfigError,
@@ -178,3 +178,39 @@ def test_ja_budget_guard_only_when_ja_requested(tmp_path, monkeypatch):
     run(_cmd_spec(tmp_path, "sa"))
     with pytest.raises(NumericFailure):
         run(_cmd_spec(tmp_path, "ja,sa"))
+
+
+def _pooled_spec(tmp_path, workers):
+    """Two points of three batches each: the first stops early at 100k
+    frames, the second runs its whole budget."""
+    return _spec(tmp_path, **{"sys.N": "4", "sys.w": "2", "sys.nQ": "2",
+                              "grid.start": "4", "grid.stop": "18", "grid.step": "14",
+                              "detectors": "cmd", "methods": "", "sim.trials": "120000",
+                              "sim.workers": str(workers),
+                              "out.csv": str(tmp_path / f"w{workers}.csv")})
+
+
+def test_pooled_sweep_matches_serial_csv(tmp_path):
+    serial = run(_pooled_spec(tmp_path, 1)).read_bytes()
+    pooled = run(_pooled_spec(tmp_path, 2)).read_bytes()
+    frames = [ln.split(b",")[CSV_COLUMNS.index("frames")] for ln in pooled.splitlines()[3:]]
+    assert frames == [b"100000", b"120000"]
+    assert pooled == serial
+
+
+def test_pooled_sweep_workers_never_rebuild_code(tmp_path, monkeypatch):
+    """The workers get the code sweep.run built; under fork they inherit
+    the patched make_code, so a rebuild in a worker would fail the sweep."""
+    real = mppm.make_code
+
+    def forbidden(*args):
+        raise AssertionError("make_code called after the sweep built its code")
+
+    def build_once(*args):
+        for module in (mppm, simulate):
+            monkeypatch.setattr(module, "make_code", forbidden, raising=False)
+        return real(*args)
+
+    monkeypatch.setattr(sweep, "make_code", build_once)
+    lines = run(_pooled_spec(tmp_path, 2)).read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 3 + 2
