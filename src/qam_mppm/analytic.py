@@ -225,14 +225,13 @@ class _SlotModel:
         ci, ri = c.col_idx, c.row_idx
         self._m_i = amp * c.points[:, 0]
         self._m_q = amp * c.points[:, 1]
+        self._cells = c.grid_cells(amp)
 
-        def cell_bounds(levels):
-            lv = amp * levels
-            mids = (lv[:-1] + lv[1:]) / 2.0
+        def cell_bounds(mids):
             return np.concatenate([[-np.inf], mids]), np.concatenate([mids, [np.inf]])
 
-        self._col_lo, self._col_hi = cell_bounds(c.i_levels)
-        self._row_lo, self._row_hi = cell_bounds(c.q_levels)
+        self._col_lo, self._col_hi = cell_bounds(self._cells.i_bounds)
+        self._row_lo, self._row_hi = cell_bounds(self._cells.q_bounds)
         # Rectangle probabilities per (source symbol, decision cell) and the
         # Gray-label Hamming weights between them.
         pc_i = ndtr((self._col_hi[None, :] - self._m_i[:, None]) / self.sigma) - ndtr(
@@ -249,11 +248,6 @@ class _SlotModel:
         self._bits_mat = (
             (c.labels[None, :] >> np.arange(c.n_q)[:, None]) & 1
         ).astype(float)  # (n_q, M)
-        self._col_bnds = self._col_hi[:-1]  # finite interior boundaries
-        self._row_bnds = self._row_hi[:-1]
-        n_cols, n_rows = len(c.i_levels), len(c.q_levels)
-        self._sym_of = np.full((n_cols, n_rows), -1, dtype=np.int64)
-        self._sym_of[ci, ri] = np.arange(c.m_q)
         r0_i = ndtr(self._col_hi / self.sigma) - ndtr(self._col_lo / self.sigma)
         r0_q = ndtr(self._row_hi / self.sigma) - ndtr(self._row_lo / self.sigma)
         self._rect0 = r0_i[ci] * r0_q[ri]  # zero-mean cell masses
@@ -287,20 +281,18 @@ class _SlotModel:
         into arcs; returns (start angles, spans, decision symbol per arc).
         """
         angles = [0.0]
-        for b in self._col_bnds:
+        for b in self._cells.i_bounds:
             if abs(b) < radius:
                 t = math.acos(b / radius)
                 angles.extend((t, 2 * math.pi - t))
-        for b in self._row_bnds:
+        for b in self._cells.q_bounds:
             if abs(b) < radius:
                 t = math.asin(b / radius)
                 angles.extend((t % (2 * math.pi), (math.pi - t) % (2 * math.pi)))
         angles = np.sort(np.array(angles))
         spans = np.diff(np.append(angles, angles[0] + 2 * math.pi))
         mid = angles + spans / 2.0
-        cols = np.searchsorted(self._col_bnds, radius * np.cos(mid))
-        rows = np.searchsorted(self._row_bnds, radius * np.sin(mid))
-        return angles, spans, self._sym_of[cols, rows]
+        return angles, spans, self._cells.decide(radius * np.cos(mid), radius * np.sin(mid))
 
     def _circle_demap(self, radius: float) -> np.ndarray:
         """Decision-cell distribution of a point uniform on a circle."""

@@ -30,7 +30,8 @@ class Constellation:
     units; labels[i] is the n_q-bit word carried by point i.  For grid
     shapes (square / rectangular) col_idx, row_idx and the per-axis level
     arrays are kept so exact per-symbol error probabilities can be
-    computed from one-dimensional crossover probabilities.
+    computed from one-dimensional crossover probabilities, and so the ML
+    decision can be made one axis at a time (grid_cells).
     """
 
     n_q: int
@@ -59,6 +60,41 @@ class Constellation:
         uniq = np.unique(e)
         groups = [np.flatnonzero(e == u) for u in uniq]
         return uniq, groups
+
+    def grid_cells(self, amp: float) -> "GridCells":
+        """Midpoint decision cells of a grid shape whose points are scaled by amp."""
+        if not self.is_grid:
+            raise ValueError("decision cells are axis-aligned only for grid constellations")
+
+        def bounds(levels):
+            lv = amp * levels
+            return (lv[:-1] + lv[1:]) / 2.0
+
+        symbol = np.full((len(self.i_levels), len(self.q_levels)), -1, dtype=np.int64)
+        symbol[self.col_idx, self.row_idx] = np.arange(self.m_q)
+        return GridCells(bounds(self.i_levels), bounds(self.q_levels), symbol)
+
+
+@dataclass(frozen=True)
+class GridCells:
+    """Decision cells of the ML demapper of a grid constellation.
+
+    The cells are rectangles cut by the midpoints between adjacent levels of
+    each axis.  i_bounds and q_bounds hold those interior boundaries in
+    increasing order; column k of the I axis is (i_bounds[k-1], i_bounds[k]],
+    so a point on a boundary is decided as the lower level, which is the
+    lowest-index tie of an argmin over the points.  symbol[col, row] is the
+    index of the point in that cell.
+    """
+
+    i_bounds: np.ndarray
+    q_bounds: np.ndarray
+    symbol: np.ndarray
+
+    def decide(self, yi, yq) -> np.ndarray:
+        """Symbol index of the cell holding each (yi, yq), one axis at a time."""
+        return self.symbol[np.searchsorted(self.i_bounds, yi),
+                           np.searchsorted(self.q_bounds, yq)]
 
 
 def build_constellation(n_q: int) -> Constellation:

@@ -109,7 +109,6 @@ def _detect(metric: np.ndarray, r_i: np.ndarray, r_q: np.ndarray,
             code: MppmCode, rng: np.random.Generator):
     """Top-w slot selection and nearest-member correction for one metric
     choice; returns the decoded supports, ranks and their QAM statistics."""
-    nb, _ = metric.shape
     w = code.weight
     top = np.argpartition(-metric, w - 1, axis=1)[:, :w]
     det_support = np.sort(top, axis=1).astype(np.int16)
@@ -120,13 +119,16 @@ def _detect(metric: np.ndarray, r_i: np.ndarray, r_q: np.ndarray,
         det_support[bad] = correct_patterns(det_support[bad], code, rng)
         det_rank = det_rank.copy()
         det_rank[bad] = rank_supports(det_support[bad], code)
-    rows = np.arange(nb)[:, None]
-    yi = r_i[rows, det_support]
-    yq = r_q[rows, det_support]
+    yi = np.take_along_axis(r_i, det_support, axis=1)
+    yq = np.take_along_axis(r_q, det_support, axis=1)
     return det_support, det_rank, yi, yq
 
 
 def _demap(yi, yq, c: Constellation, amp: float):
+    """ML decision: a per-axis slicer for grid shapes, whose decision cells
+    are rectangles, and the M-way distance argmin for cross shapes."""
+    if c.is_grid:
+        return c.grid_cells(amp).decide(yi, yq)
     pi = amp * c.points[:, 0]
     pq = amp * c.points[:, 1]
     d2 = (yi[..., None] - pi) ** 2 + (yq[..., None] - pq) ** 2
@@ -175,10 +177,9 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
         rx_bits = assemble_bits(det_rank, c.labels[det_idx], n_q)
         diff = _popcount64(np.bitwise_xor(tx_bits, rx_bits))
         mppm_err = det_rank != tx_rank
-        rx_slot_sym = np.full((n_frames, n), -2, dtype=np.int64)
-        rx_slot_sym[rows, det_support] = det_idx
-        common = (tx_slot_sym >= 0) & (rx_slot_sym >= 0)  # slot active in both
-        cond_err = int(np.sum((tx_slot_sym != rx_slot_sym) & common))
+        tx_at_det = np.take_along_axis(tx_slot_sym, det_support, axis=1)
+        common = tx_at_det >= 0  # detected slot that was also sent
+        cond_err = int(np.sum((tx_at_det != det_idx) & common))
         out[det] = TrialCounters(
             frames=n_frames,
             sym_errors=int(np.sum(diff > 0)),
@@ -217,9 +218,12 @@ def max_workers() -> int:
     env = os.environ.get(WORKER_ENV_VAR)
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise ValueError(f"{WORKER_ENV_VAR}: cannot parse {env!r}") from None
+        if workers < 1:
+            raise ValueError(f"{WORKER_ENV_VAR} must be >= 1, got {workers}")
+        return workers
     return min(os.cpu_count() or 1, 8)
 
 

@@ -96,6 +96,7 @@ def sim_points(system):
     return points
 
 
+@pytest.mark.slow
 def test_criterion_01_cmd_ser_agreement(analytic_curves, sim_points):
     """CMD/JA matches simulated SER within 3 standard errors on the grid."""
     checked = 0
@@ -109,6 +110,7 @@ def test_criterion_01_cmd_ser_agreement(analytic_curves, sim_points):
     assert checked >= 15
 
 
+@pytest.mark.slow
 def test_criterion_02_imd_ser_agreement(analytic_curves, sim_points):
     """IMD/NI matches simulated SER within 3 standard errors on the grid."""
     checked = 0
@@ -122,6 +124,7 @@ def test_criterion_02_imd_ser_agreement(analytic_curves, sim_points):
     assert checked >= 15
 
 
+@pytest.mark.slow
 def test_criterion_03_imd_gain_at_ser_1e3(analytic_curves):
     """IMD reaches SER = 1e-3 about 0.7 dB before CMD (log-linear interp)."""
     grid = np.concatenate([MAIN_GRID, EXT_GRID])
@@ -131,6 +134,7 @@ def test_criterion_03_imd_gain_at_ser_1e3(analytic_curves):
     assert 0.5 <= gain <= 0.9, f"gain {gain:.3f} dB outside 0.7 +/- 0.2"
 
 
+@pytest.mark.slow
 def test_criterion_04_ja_sa_negligible_difference(system, analytic_curves):
     """Joint- and separate-average CMD results differ by less than 1%."""
     code, c = system
@@ -144,6 +148,7 @@ def test_criterion_04_ja_sa_negligible_difference(system, analytic_curves):
     assert worst < 0.01
 
 
+@pytest.mark.slow
 def test_criterion_05_imd_qam_dominance(system, analytic_curves):
     """Above 10 dB the IMD SER is governed by the QAM error probability."""
     code, c = system
@@ -156,6 +161,7 @@ def test_criterion_05_imd_qam_dominance(system, analytic_curves):
         assert abs(pe - dominant) / pe < 0.02, f"dominance broken at {db} dB"
 
 
+@pytest.mark.slow
 def test_criterion_06_ber_agreement(analytic_curves, sim_points):
     """Analytic BER overlays the simulated BER within 3 sigma (BER >= 1e-4)."""
     q_total = total_bits(12, 6, 4)
@@ -191,6 +197,7 @@ def _fig6_link(n, w, n_q, m, dbm):
     return link_from_popt(p_opt, DEFAULT_RECEIVER, n, w, FIG6_RB, q_total, m)
 
 
+@pytest.mark.slow
 def test_criterion_07_link_budget_ordering(system):
     """The three link-budget configurations keep the stated BER ordering and
     the analytic curves match simulation within 3 sigma where BER >= 1e-4."""
@@ -341,6 +348,7 @@ def test_criterion_11_worker_count_determinism(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.slow
 def test_criterion_12_cmd_qam_bias(analytic_curves, sim_points):
     """Conditional QAM-SER sits below the analytic value under CMD (the shared
     metric biases surviving slots toward clean decisions) and matches it

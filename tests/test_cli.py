@@ -75,7 +75,8 @@ def test_sweep_bad_values_reported_together(tmp_path):
 @pytest.mark.parametrize("over, env, keys", [
     ({"sim.workers": "-2"}, {}, ("sys.Rb", "sim.workers")),
     ({}, {"QAM_MPPM_MAX_WORKERS": "two"}, ("sys.Rb", "QAM_MPPM_MAX_WORKERS")),
-], ids=["config", "environment"])
+    ({}, {"QAM_MPPM_MAX_WORKERS": "-3"}, ("sys.Rb", "QAM_MPPM_MAX_WORKERS")),
+], ids=["config", "environment", "environment-negative"])
 def test_sweep_bad_workers_and_rate_reported_together(tmp_path, over, env, keys):
     """A zero popt bit rate plus a bad worker count from the config or the
     environment: exit 2 with one diagnostic each, no traceback, no CSV."""

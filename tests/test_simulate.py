@@ -1,16 +1,19 @@
 """Unit tests for the Monte-Carlo simulator and its determinism guarantees."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from qam_mppm.constellation import build_constellation
+from qam_mppm import simulate
+from qam_mppm.constellation import build_constellation, demap_ml
 from qam_mppm.link import LinkParams, sigma_from_ebn0
-from qam_mppm.mppm import make_code
+from qam_mppm.mppm import correct_patterns, make_code
 from qam_mppm.simulate import (
     FrameTx,
     TrialCounters,
+    _demap,
     assemble_bits,
     generate_frame,
     run_point,
@@ -150,3 +153,70 @@ def test_detectors_disagree_only_through_metric():
     # at this SNR pattern errors are essentially absent for both detectors
     assert res["cmd"].mppm_errors == 0
     assert res["imd"].mppm_errors == 0
+
+
+def _argmin_oracle(yi, yq, c, amp):
+    return np.array([demap_ml((a / amp, b / amp), c) for a, b in zip(yi, yq)])
+
+
+@pytest.mark.parametrize("n_q", range(2, 11))
+def test_demap_matches_argmin(n_q):
+    """The per-axis slicer of grid shapes, and the argmin of cross shapes,
+    decide every point as the brute-force nearest-point search does."""
+    c = build_constellation(n_q)
+    rng = np.random.default_rng(n_q)
+    amp = 0.7
+    edge = amp * np.abs(c.points).max()
+    inside = rng.uniform(-1.1 * edge, 1.1 * edge, (2, 400))
+    outside = rng.uniform(3.0 * edge, 50.0 * edge, (2, 100)) * rng.choice([-1.0, 1.0], (2, 100))
+    yi, yq = np.concatenate([inside, outside], axis=1)
+    got = _demap(yi.reshape(50, 10), yq.reshape(50, 10), c, amp)
+    assert got.shape == (50, 10)
+    assert np.array_equal(got.ravel(), _argmin_oracle(yi, yq, c, amp))
+
+
+@pytest.mark.parametrize("n_q", [2, 3, 4, 6, 8, 10])
+def test_slicer_ties_go_to_lower_level(n_q):
+    """On a cell boundary both the slicer and the argmin pick the lower level.
+
+    The levels are made integers so that the two distances of a midpoint
+    tie exactly in floating point.
+    """
+    c = build_constellation(n_q)
+    scale = (len(c.i_levels) - 1) / c.i_levels[-1]
+    c = dataclasses.replace(c, points=np.round(c.points * scale),
+                            i_levels=np.round(c.i_levels * scale),
+                            q_levels=np.round(c.q_levels * scale))
+    cells = c.grid_cells(1.0)
+    # every boundary against every level of the other axis, and every corner
+    yi = np.concatenate([np.repeat(cells.i_bounds, len(c.q_levels)),
+                         np.tile(c.i_levels, len(cells.q_bounds)),
+                         np.repeat(cells.i_bounds, len(cells.q_bounds))])
+    yq = np.concatenate([np.tile(c.q_levels, len(cells.i_bounds)),
+                         np.repeat(cells.q_bounds, len(c.i_levels)),
+                         np.tile(cells.q_bounds, len(cells.i_bounds))])
+    got = _demap(yi, yq, c, 1.0)
+    assert np.array_equal(got, _argmin_oracle(yi, yq, c, 1.0))
+    lower_i = np.searchsorted(c.i_levels, yi) - (~np.isin(yi, c.i_levels))
+    lower_q = np.searchsorted(c.q_levels, yq) - (~np.isin(yq, c.q_levels))
+    assert np.array_equal(c.col_idx[got], lower_i)
+    assert np.array_equal(c.row_idx[got], lower_q)
+
+
+@pytest.mark.parametrize("n_q", [4, 3])
+def test_slicer_counters_match_argmin_path(n_q, monkeypatch):
+    """simulate_batch counts the same errors with the slicer as with the
+    argmin, which the same points labelled as a cross shape take."""
+    code, c, link = _setup(db=6.0, n_q=n_q)
+    corrected = []
+
+    def spy(support, code, rng):
+        corrected.append(len(support))
+        return correct_patterns(support, code, rng)
+
+    monkeypatch.setattr(simulate, "correct_patterns", spy)
+    grid = simulate_batch(code, c, link, ("cmd", "imd"), 20_000, [11, 0, 0])
+    assert sum(corrected) > 0  # the nearest-member correction fired
+    cross = simulate_batch(code, dataclasses.replace(c, kind="cross"), link,
+                           ("cmd", "imd"), 20_000, [11, 0, 0])
+    assert grid == cross
