@@ -22,6 +22,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -30,16 +31,12 @@ from scipy.special import ndtr
 from . import distributions as dist
 from .constellation import Constellation, qam_bit_errors_exact, qam_ser_exact
 from .link import LinkParams, total_bits
-from .mppm import MppmCode, correction_stats, k_l, mppm_ser_ub, ne_mppm
+from .mppm import CapacityError, MppmCode, correction_stats, k_l, mppm_ser_ub, ne_mppm
 
 _COMBINATION_BUDGET = 10**7
 _DOMAIN_SIGMAS = 12.0
 _GL_NODES = np.polynomial.legendre.leggauss(96)
 _GL_ARC = np.polynomial.legendre.leggauss(16)
-
-
-class CapacityError(RuntimeError):
-    """Joint-average enumeration would exceed the configured budget."""
 
 
 class QuadratureError(RuntimeError):
@@ -181,6 +178,18 @@ def pc_mppm_imd(code: MppmCode, link: LinkParams, tol: float = 1e-10,
     return min(max(w * total, 0.0), 1.0)
 
 
+class _Threshold(NamedTuple):
+    """Slot-model quantities at one threshold y (see _SlotModel._entry)."""
+
+    s: float  # survival
+    g: float  # correct-decision survival
+    t: float  # bit-weighted survival
+    extra: tuple | None  # decision conditioning of the coupled model
+    f_nsl: float
+    F_nsl: float
+    signal_pdf: float
+
+
 class _SlotModel:
     """Slot-metric survival/decision functions for one detector and link.
 
@@ -223,8 +232,11 @@ class _SlotModel:
             return
         amp = math.sqrt(link.t_s / 2.0) * link.i_ph * link.m
         ci, ri = c.col_idx, c.row_idx
-        self._m_i = amp * c.points[:, 0]
-        self._m_q = amp * c.points[:, 1]
+        # Statistic means per I/Q level; a source's means are its levels'.
+        self._lv_i = amp * c.i_levels
+        self._lv_q = amp * c.q_levels
+        self._m_i = self._lv_i[ci]
+        self._m_q = self._lv_q[ri]
         self._cells = c.grid_cells(amp)
 
         def cell_bounds(mids):
@@ -252,16 +264,35 @@ class _SlotModel:
         r0_q = ndtr(self._row_hi / self.sigma) - ndtr(self._row_lo / self.sigma)
         self._rect0 = r0_i[ci] * r0_q[ri]  # zero-mean cell masses
 
+    # -- one record per threshold -------------------------------------------
+    def _entry(self, y: float) -> _Threshold:
+        """Everything the event integrands read at threshold y.
+
+        quad revisits the same nodes across the event integrals, so each
+        distinct y is evaluated once.  The distribution functions are looked
+        up through ``dist`` at call time.
+        """
+        got = self._cache.get(y)
+        if got is None:
+            vals = self._values_coupled(y) if self.coupled else self._values_uncoupled(y)
+            if self.detector == "cmd":
+                nsl = dist.f_nsl_cmd(y, self.s2), dist.F_nsl_cmd(y, self.s2)
+                pdf = sum(
+                    a * dist.f_sl_cmd(y, o, self.s2)
+                    for a, o in zip(self._mix_w, self._mix_om)
+                )
+            else:
+                nsl = dist.f_nsl_imd(y, self.s2), dist.F_nsl_imd(y, self.s2)
+                pdf = dist.f_sl_imd(y, self.mu, self.s2)
+            got = self._cache[y] = _Threshold(*vals, *nsl, pdf)
+        return got
+
     # -- non-signal slot metric --------------------------------------------
     def f_nsl(self, y: float) -> float:
-        if self.detector == "cmd":
-            return dist.f_nsl_cmd(y, self.s2)
-        return dist.f_nsl_imd(y, self.s2)
+        return self._entry(y).f_nsl
 
     def F_nsl(self, y: float) -> float:
-        if self.detector == "cmd":
-            return dist.F_nsl_cmd(y, self.s2)
-        return dist.F_nsl_imd(y, self.s2)
+        return self._entry(y).F_nsl
 
     # -- signal slot metric/decision ---------------------------------------
     def _values_uncoupled(self, y: float):
@@ -294,23 +325,24 @@ class _SlotModel:
         mid = angles + spans / 2.0
         return angles, spans, self._cells.decide(radius * np.cos(mid), radius * np.sin(mid))
 
-    def _circle_demap(self, radius: float) -> np.ndarray:
-        """Decision-cell distribution of a point uniform on a circle."""
-        _, spans, syms = self._circle_arcs(radius)
+    def _circle_demap(self, arcs) -> np.ndarray:
+        """Decision-cell distribution of a point uniform on a circle, from
+        the circle's arc partition."""
+        _, spans, syms = arcs
         q = np.zeros(self.c.m_q)
         np.add.at(q, syms, spans / (2 * math.pi))
         return q
 
-    def _circle_density(self, y: float):
-        """Joint density of (decision cell, metric) at metric value y.
+    def _circle_density(self, r: float, arcs):
+        """Joint density of (decision cell, metric) at metric value r**2.
 
         Returns the (M sources, M cells) matrix of d/dy P(decide cell,
         X <= y | source): the line integral of each source Gaussian along
-        the threshold circle, split by decision arc.  In polar form the
-        metric density at angle theta is phi(r cos t, r sin t) / 2.
+        the threshold circle of radius r, split by the decision arcs of its
+        partition.  In polar form the metric density at angle theta is
+        phi(r cos t, r sin t) / 2.
         """
-        r = math.sqrt(max(y, 0.0))
-        angles, spans, syms = self._circle_arcs(r)
+        angles, spans, syms = arcs
         nodes, wts = _GL_ARC
         theta = angles[:, None] + spans[:, None] * (nodes[None, :] + 1.0) / 2.0
         px = r * np.cos(theta)
@@ -338,14 +370,17 @@ class _SlotModel:
         # disk-clipped row extents: (rows, cols, K)
         qhi = np.minimum(self._row_hi[:, None, None], g[None, :, :])
         qlo = np.maximum(self._row_lo[:, None, None], -g[None, :, :])
-        # per source: (M, rows, cols, K)
+        # A source's disk-clipped row masses depend only on its Q level and
+        # its column densities only on its I level: evaluate them per level,
+        # then gather them per source, (M, rows, cols, K) and (M, cols, K).
         inner = np.maximum(
-            ndtr((qhi[None] - self._m_q[:, None, None, None]) / sig)
-            - ndtr((qlo[None] - self._m_q[:, None, None, None]) / sig),
+            ndtr((qhi[None] - self._lv_q[:, None, None, None]) / sig)
+            - ndtr((qlo[None] - self._lv_q[:, None, None, None]) / sig),
             0.0,
-        )
-        dens = np.exp(-((u[None, :, :] - self._m_i[:, None, None]) ** 2) / (2 * self.s2))
+        )[c.row_idx]
+        dens = np.exp(-((u[None, :, :] - self._lv_i[:, None, None]) ** 2) / (2 * self.s2))
         dens /= math.sqrt(2 * math.pi * self.s2)
+        dens = dens[c.col_idx]
         disk = 0.5 * span[None, None, :] * np.sum(
             wts[None, None, None, :] * dens[:, None, :, :] * inner, axis=3
         )  # (M, rows, cols)
@@ -370,9 +405,10 @@ class _SlotModel:
             tot = v.sum()
             return v / tot if tot > 0.0 else np.full(m, 1.0 / m)
 
+        arcs = self._circle_arcs(r)
         bp = self._bits_mat
         bp_tx = np.stack([bp @ norm(surv), bp @ norm(1.0 - surv)])
-        q_u = self._circle_demap(r) if r > 0.0 else np.full(m, 1.0 / m)
+        q_u = self._circle_demap(arcs) if r > 0.0 else np.full(m, 1.0 / m)
         bp_det = np.stack(
             [
                 bp @ norm(q_u),
@@ -383,7 +419,7 @@ class _SlotModel:
             ]
         )
         # at-threshold signal slot: metric-density-resolved conditioning
-        f_at = self._circle_density(y)
+        f_at = self._circle_density(r, arcs)
         f_tot = f_at.sum()
         if f_tot > 0.0:
             rate_at = float(np.sum(self._ham * f_at)) / f_tot
@@ -399,13 +435,6 @@ class _SlotModel:
         """(survival, correct-decision survival, bit-weighted survival) at y."""
         return self._entry(y)[:3]
 
-    def _entry(self, y: float):
-        got = self._cache.get(y)
-        if got is None:
-            got = self._values_coupled(y) if self.coupled else self._values_uncoupled(y)
-            self._cache[y] = got
-        return got
-
     def aligned_rates(self, y: float) -> tuple[float, float]:
         """Expected erroneous bits of an aligned slot, split by slot fate.
 
@@ -415,9 +444,10 @@ class _SlotModel:
         information about the decision, so both equal the unconditional
         mean.
         """
-        s, _, t, _ = self._entry(y)
         if not self.coupled:
             return self.nb_bar, self.nb_bar
+        e = self._entry(y)
+        s, t = e.s, e.t
         rate_v = t / s if s > 1e-300 else self.nb_bar
         rate_p = (self.nb_bar - t) / (1.0 - s) if s < 1.0 - 1e-12 else self.nb_bar
         return min(max(rate_v, 0.0), float(self.c.n_q)), min(max(rate_p, 0.0),
@@ -425,17 +455,12 @@ class _SlotModel:
 
     def at_rate(self, y: float) -> float:
         """Expected erroneous bits of a signal slot with metric exactly y."""
-        extra = self._entry(y)[3]
+        extra = self._entry(y).extra
         return self.nb_bar if extra is None else extra[4]
 
     def signal_pdf(self, y: float) -> float:
         """Marginal metric density of a signal slot (symbol averaged)."""
-        if self.detector == "imd":
-            return dist.f_sl_imd(y, self.mu, self.s2)
-        return sum(
-            a * dist.f_sl_cmd(y, o, self.s2)
-            for a, o in zip(self._mix_w, self._mix_om)
-        )
+        return self._entry(y).signal_pdf
 
     def mis_bits(self, y: float, classes: np.ndarray, circle_frac: float,
                  at_frac: float = 0.0) -> float:
@@ -455,7 +480,7 @@ class _SlotModel:
         total = float(np.sum(classes))
         if total == 0.0:
             return 0.0
-        extra = self._entry(y)[3]
+        extra = self._entry(y).extra
         if extra is None:
             return total * self.c.n_q / 2.0
         bp_tx, bp_det, bp_at_tx, bp_at_det, _ = extra
@@ -581,7 +606,9 @@ def _event_quantities(model: _SlotModel, code: MppmCode, tol: float,
                 break
             continue
 
-        def bits_at(y, cls=cls, av=av, ap=ap, l=l):
+        # Bound per l: a closure reading the loop's names would see the last
+        # l's densities if it ran after the loop moved on.
+        def bits_at(y, cls=cls, av=av, ap=ap, l=l, c_a=c_a, dens_a=dens_a, dens_b=dens_b):
             rv, rp = model.aligned_rates(y)
             bits_b = av * rv + ap * rp + model.mis_bits(y, cls, 1.0 / l)
             out = dens_b(y) * bits_b

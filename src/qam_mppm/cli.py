@@ -1,7 +1,7 @@
 """Command-line entry points: sweep runner and complexity report.
 
 Exit codes: 0 on success, 2 on configuration problems, 3 on numeric
-failures inside the analytic machinery.
+failures inside the analytic machinery and on capacity limits.
 """
 
 from __future__ import annotations

@@ -22,6 +22,10 @@ _TABLE_LIMIT = 1 << 20
 _CORRECTION_CHUNK = 2048
 
 
+class CapacityError(RuntimeError):
+    """A computation would exceed one of the program's size limits."""
+
+
 def bits_per_mppm(n_slots: int, weight: int) -> int:
     """floor(log2 C(N, w)) computed in exact integer arithmetic."""
     if not (1 <= weight <= n_slots - 1):
@@ -407,7 +411,11 @@ def correction_stats(code: MppmCode) -> CorrectionStats:
     if key in _STATS_CACHE:
         return _STATS_CACHE[key]
     if code.table is None:
-        raise ValueError("correction statistics require a materialized table")
+        raise CapacityError(
+            "correction statistics need the support table, which is built only for codes "
+            f"of at most 2^{_TABLE_LIMIT.bit_length() - 1} patterns; "
+            f"({code.n_slots}, {code.weight}) has 2^{code.q_mppm}"
+        )
     n, w = code.n_slots, code.weight
     rng = np.random.Generator(np.random.Philox(_STATS_SEED))
     exact = True

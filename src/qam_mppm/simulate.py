@@ -73,16 +73,6 @@ class TrialCounters:
         return self.qam_cond_errors / self.qam_cond_opportunities
 
 
-@dataclass(frozen=True)
-class FrameTx:
-    """One transmitted frame: pattern rank, symbols at active slots, bits."""
-
-    pattern_rank: int
-    support: tuple[int, ...]
-    qam_indices: tuple[int, ...]
-    bits: int
-
-
 def assemble_bits(pattern_rank, qam_labels, n_q: int):
     """Frame bit word: pattern bits first, then QAM words in slot order."""
     word = np.asarray(pattern_rank, dtype=np.int64)
@@ -93,16 +83,6 @@ def assemble_bits(pattern_rank, qam_labels, n_q: int):
     for j in range(labels.shape[1]):
         word = (word << n_q) | labels[:, j]
     return word
-
-
-def generate_frame(rng: np.random.Generator, code: MppmCode, c: Constellation) -> FrameTx:
-    """Draw one uniform frame (pattern word and QAM symbols)."""
-    rank = int(rng.integers(0, code.size))
-    support = tuple(code.table[rank]) if code.table is not None else unrank(rank, code)
-    qam = tuple(int(v) for v in rng.integers(0, c.m_q, code.weight))
-    bits = int(assemble_bits(rank, c.labels[list(qam)], c.n_q)[0])
-    return FrameTx(pattern_rank=rank, support=tuple(int(s) for s in support),
-                   qam_indices=qam, bits=bits)
 
 
 def _detect(metric: np.ndarray, r_i: np.ndarray, r_q: np.ndarray,
@@ -273,10 +253,12 @@ def run_point(code: MppmCode, c: Constellation, link: LinkParams,
     return totals
 
 
-def waveform_crosscheck(frame: FrameTx, c: Constellation, link: LinkParams,
+def waveform_crosscheck(support, qam_indices, c: Constellation, link: LinkParams,
                         n_c: int, samples_per_slot: int,
                         rng: np.random.Generator | None = None):
     """Sampled-waveform synthesis and discrete correlators for one frame.
+
+    The frame sends QAM symbol qam_indices[j] in slot support[j].
 
     Returns (r_i, r_q, r_dc) per slot from Riemann-sum approximations of the
     continuous correlators; with no noise these converge to the statistic
@@ -294,10 +276,10 @@ def waveform_crosscheck(frame: FrameTx, c: Constellation, link: LinkParams,
     active = np.zeros(n)
     ai = np.zeros(n)
     aq = np.zeros(n)
-    for j, slot in enumerate(frame.support):
+    for slot, sym in zip(support, qam_indices):
         active[slot] = 1.0
-        ai[slot] = c.points[frame.qam_indices[j], 0]
-        aq[slot] = c.points[frame.qam_indices[j], 1]
+        ai[slot] = c.points[sym, 0]
+        aq[slot] = c.points[sym, 1]
     slot_of = np.repeat(np.arange(n), ns)
     s = link.i_ph * active[slot_of] * (
         1.0

@@ -12,7 +12,7 @@ import numpy as np
 from . import analytic
 from .constellation import build_constellation
 from .link import DEFAULT_RECEIVER, LinkParams, link_from_popt, sigma_from_ebn0, total_bits
-from .mppm import make_code
+from .mppm import CapacityError, correction_stats, make_code
 from .simulate import max_workers, run_point, worker_pool
 
 CSV_COLUMNS = [
@@ -23,6 +23,8 @@ CSV_COLUMNS = [
 ]
 
 _DETECTOR_METHODS = {"cmd": {"ja", "sa"}, "imd": {"ni", "ub"}}
+# Methods whose events model reads the code's correction statistics.
+_STATS_METHODS = ("ja", "sa", "ni")
 
 REQUIRED_KEYS = [
     "mode", "grid.start", "grid.stop", "grid.step", "sys.N", "sys.w",
@@ -221,6 +223,14 @@ def run(spec: SweepSpec, log=None) -> Path:
     links = links_for(spec)
     grid = spec.grid()
     workers = spec.workers or max_workers()
+    stats_methods = [meth for meth in _STATS_METHODS if meth in spec.methods]
+    if stats_methods:
+        # A code too large for the events model fails before the CSV is
+        # opened; the statistics stay cached for the points.
+        try:
+            correction_stats(code)
+        except CapacityError as exc:
+            raise NumericFailure(f"methods {','.join(stats_methods)}: {exc}") from exc
     out_path = Path(spec.out_csv)
     # One pool for the whole sweep; its workers exit when the `with` closes.
     with (out_path.open("w", encoding="utf-8", newline="\n") as fh,

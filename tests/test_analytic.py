@@ -1,8 +1,15 @@
 """Unit tests for the analytic SER/BER machinery."""
 
+import inspect
+import math
+import types
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
+from qam_mppm import analytic, distributions
 from qam_mppm.analytic import (
     CapacityError,
     ebn0_at_target,
@@ -15,6 +22,7 @@ from qam_mppm.analytic import (
     pe_imd,
     per_symbol_errors,
     qam_scale,
+    _SlotModel,
 )
 from qam_mppm.constellation import build_constellation
 from qam_mppm.link import LinkParams, sigma_from_ebn0
@@ -152,3 +160,110 @@ def test_ebn0_at_target_interpolation():
     assert ebn0_at_target(x, y, 10 ** -2.5) == pytest.approx(10.5, abs=1e-9)
     with pytest.raises(ValueError):
         ebn0_at_target(x, y, 1e-6)
+
+
+def _values_coupled_per_source(model, y):
+    """Reference slot model: the disk-clipped masses of every source symbol
+    evaluated from its own means, and the circle's arcs found per use."""
+    c = model.c
+    sig = model.sigma
+    r = math.sqrt(max(y, 0.0))
+    nodes, wts = analytic._GL_NODES
+    lo_u = np.maximum(model._col_lo, -r)
+    hi_u = np.minimum(model._col_hi, r)
+    span = np.maximum(hi_u - lo_u, 0.0)
+    u = 0.5 * span[:, None] * nodes[None, :] + 0.5 * (lo_u + hi_u)[:, None]
+    g = np.sqrt(np.maximum(r * r - u * u, 0.0))
+    qhi = np.minimum(model._row_hi[:, None, None], g[None, :, :])
+    qlo = np.maximum(model._row_lo[:, None, None], -g[None, :, :])
+    amp = math.sqrt(model.link.t_s / 2.0) * model.link.i_ph * model.link.m
+    m_i = amp * c.points[:, 0]
+    m_q = amp * c.points[:, 1]
+    inner = np.maximum(
+        ndtr((qhi[None] - m_q[:, None, None, None]) / sig)
+        - ndtr((qlo[None] - m_q[:, None, None, None]) / sig),
+        0.0,
+    )
+    dens = np.exp(-((u[None, :, :] - m_i[:, None, None]) ** 2) / (2 * model.s2))
+    dens /= math.sqrt(2 * math.pi * model.s2)
+    disk = 0.5 * span[None, None, :] * np.sum(
+        wts[None, None, None, :] * dens[:, None, :, :] * inner, axis=3
+    )
+    j = np.clip(model._p_rect - disk[:, c.row_idx, c.col_idx], 0.0, None)
+    m = c.m_q
+    surv = j.sum(axis=1)
+    s_bar = float(surv.mean())
+    g_bar = float(np.mean(j[np.arange(m), np.arange(m)]))
+    t_bar = float(np.mean(np.sum(model._ham * j, axis=1)))
+    inner0 = np.maximum(ndtr(qhi / sig) - ndtr(qlo / sig), 0.0)
+    dens0 = np.exp(-(u**2) / (2 * model.s2)) / math.sqrt(2 * math.pi * model.s2)
+    disk0 = 0.5 * span[None, :] * np.sum(wts * dens0[None, :, :] * inner0, axis=2)
+    noise_lo = disk0[c.row_idx, c.col_idx]
+    noise_hi = np.clip(model._rect0 - noise_lo, 0.0, None)
+
+    def norm(v):
+        v = np.clip(np.asarray(v, dtype=float), 0.0, None)
+        tot = v.sum()
+        return v / tot if tot > 0.0 else np.full(m, 1.0 / m)
+
+    bp = model._bits_mat
+    bp_tx = np.stack([bp @ norm(surv), bp @ norm(1.0 - surv)])
+    q_u = model._circle_demap(model._circle_arcs(r)) if r > 0.0 else np.full(m, 1.0 / m)
+    bp_det = np.stack([
+        bp @ norm(q_u),
+        bp @ norm(noise_lo),
+        bp @ norm(j.sum(axis=0)),
+        bp @ norm((model._p_rect - j).sum(axis=0)),
+        bp @ norm(noise_hi),
+    ])
+    f_at = model._circle_density(r, model._circle_arcs(r))
+    f_tot = f_at.sum()
+    if f_tot > 0.0:
+        rate_at = float(np.sum(model._ham * f_at)) / f_tot
+        bp_at_tx = bp @ norm(f_at.sum(axis=1))
+        bp_at_det = bp @ norm(f_at.sum(axis=0))
+    else:
+        rate_at = model.nb_bar
+        bp_at_tx = bp_tx[0]
+        bp_at_det = bp_det[2]
+    return s_bar, g_bar, t_bar, (bp_tx, bp_det, bp_at_tx, bp_at_det, rate_at)
+
+
+@pytest.mark.parametrize("n_q", [2, 3, 4, 6])
+def test_slot_model_per_level_matches_per_source(n_q):
+    """Masses computed once per constellation level give bit for bit the
+    values of the per-source evaluation."""
+    link, c = _link(8.0, n_q=n_q)
+    model = _SlotModel(c, link, "cmd")
+    ref = _SlotModel(c, link, "cmd")
+    ref._values_coupled = lambda y: _values_coupled_per_source(ref, y)
+    classes = np.arange(1.0, 9.0).reshape(2, 4)
+    for y in (0.0, 1e-4 * model.hi, 0.3 * model.hi, 1.5 * model.hi):
+        assert model.values(y) == ref.values(y)
+        assert model.aligned_rates(y) == ref.aligned_rates(y)
+        assert model.at_rate(y) == ref.at_rate(y)
+        assert model.mis_bits(y, classes, 0.5) == ref.mis_bits(y, classes, 0.5)
+        assert model.mis_bits(y, classes, 0.0, 0.25) == ref.mis_bits(y, classes, 0.0, 0.25)
+
+
+def test_distributions_run_once_per_threshold(monkeypatch):
+    """Every scalar distribution call of one CMD evaluation has distinct
+    arguments: one per quad node, and per energy ring for the signal slot."""
+    calls = Counter()
+    proxy = types.SimpleNamespace()
+    for name, fn in vars(distributions).items():
+        if inspect.isfunction(fn) and fn.__module__ == distributions.__name__:
+            def counted(*args, _fn=fn, _name=name):
+                calls[(_name, *args)] += 1
+                return _fn(*args)
+
+            fn = counted
+        setattr(proxy, name, fn)
+    monkeypatch.setattr(analytic, "dist", proxy)
+    link, c = _link(12.0)
+    pe_cmd_sa(make_code(12, 6), c, link)
+    names = Counter(key[0] for key in calls)
+    assert {"f_nsl_cmd", "F_nsl_cmd", "f_sl_cmd"} <= set(names)
+    assert names["f_sl_cmd"] == 3 * names["f_nsl_cmd"]  # three energy rings
+    repeated = [key for key, n in calls.items() if n > 1]
+    assert repeated == []

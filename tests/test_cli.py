@@ -94,6 +94,24 @@ def test_sweep_bad_workers_and_rate_reported_together(tmp_path, over, env, keys)
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_sweep_capacity_limit_exit_code(tmp_path):
+    """Analytic methods on a code too large for its support table: exit 3
+    naming the 2^20 limit, no traceback, no CSV. The simulation alone runs."""
+    cfg = _write_cfg(tmp_path, **{"sys.N": "40", "sys.w": "10", "detectors": "cmd",
+                                  "methods": "sa", "sim.workers": "1"})
+    env = dict(os.environ, PYTHONPATH=str(Path(qam_mppm.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "qam_mppm", "sweep", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert "2^20" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+    cfg = _write_cfg(tmp_path, **{"sys.N": "40", "sys.w": "10", "detectors": "cmd",
+                                  "methods": "", "sim.workers": "1"})
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert (tmp_path / "out.csv").exists()
+
+
 def test_sweep_out_relocates_plot_script(tmp_path, monkeypatch):
     """--out puts a relative out.plot beside the CSV, and the script names
     the CSV relative to itself, so it does not depend on the directory."""

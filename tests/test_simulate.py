@@ -11,11 +11,9 @@ from qam_mppm.constellation import build_constellation, demap_ml
 from qam_mppm.link import LinkParams, sigma_from_ebn0
 from qam_mppm.mppm import correct_patterns, make_code
 from qam_mppm.simulate import (
-    FrameTx,
     TrialCounters,
     _demap,
     assemble_bits,
-    generate_frame,
     run_point,
     simulate_batch,
     waveform_crosscheck,
@@ -28,6 +26,26 @@ def _setup(db=10.0, n=12, w=6, n_q=4, m=0.5):
     c = build_constellation(n_q)
     base = LinkParams.from_normalized(n, w, m, 1.0)
     return code, c, base.with_sigma2(sigma_from_ebn0(db, base, c))
+
+
+@dataclasses.dataclass(frozen=True)
+class FrameTx:
+    """One transmitted frame: pattern rank, symbols at active slots, bits."""
+
+    pattern_rank: int
+    support: tuple[int, ...]
+    qam_indices: tuple[int, ...]
+    bits: int
+
+
+def generate_frame(rng: np.random.Generator, code, c) -> FrameTx:
+    """Draw one uniform frame (pattern word and QAM symbols)."""
+    rank = int(rng.integers(0, code.size))
+    support = code.table[rank]
+    qam = tuple(int(v) for v in rng.integers(0, c.m_q, code.weight))
+    bits = int(assemble_bits(rank, c.labels[list(qam)], c.n_q)[0])
+    return FrameTx(pattern_rank=rank, support=tuple(int(s) for s in support),
+                   qam_indices=qam, bits=bits)
 
 
 def test_assemble_bits_layout():
@@ -121,7 +139,8 @@ def test_waveform_crosscheck_matches_statistic_means():
     code, c, link = _setup()
     rng = np.random.default_rng(2)
     fr = generate_frame(rng, code, c)
-    r_i, r_q, r_dc = waveform_crosscheck(fr, c, link, n_c=4, samples_per_slot=512)
+    r_i, r_q, r_dc = waveform_crosscheck(fr.support, fr.qam_indices, c, link, n_c=4,
+                                         samples_per_slot=512)
     amp = math.sqrt(link.t_s / 2.0) * link.i_ph * link.m
     mu = math.sqrt(link.t_s) * link.i_ph
     want_i = np.zeros(link.n_slots)
@@ -138,12 +157,11 @@ def test_waveform_crosscheck_matches_statistic_means():
 
 def test_waveform_crosscheck_validation():
     code, c, link = _setup()
-    fr = FrameTx(pattern_rank=0, support=(0, 1, 2, 3, 4, 5),
-                 qam_indices=(0,) * 6, bits=0)
+    support, qam = (0, 1, 2, 3, 4, 5), (0,) * 6
     with pytest.raises(ValueError):
-        waveform_crosscheck(fr, c, link, n_c=1, samples_per_slot=64)
+        waveform_crosscheck(support, qam, c, link, n_c=1, samples_per_slot=64)
     with pytest.raises(ValueError):
-        waveform_crosscheck(fr, c, link, n_c=4, samples_per_slot=100)
+        waveform_crosscheck(support, qam, c, link, n_c=4, samples_per_slot=100)
 
 
 def test_detectors_disagree_only_through_metric():
