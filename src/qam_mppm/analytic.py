@@ -184,7 +184,8 @@ class _Threshold(NamedTuple):
     s: float  # survival
     g: float  # correct-decision survival
     t: float  # bit-weighted survival
-    extra: tuple | None  # decision conditioning of the coupled model
+    at_rate: float  # expected erroneous bits of a signal slot with metric y
+    gram: tuple | None  # Gray-bit conditioning of the coupled model (mis_bits)
     f_nsl: float
     F_nsl: float
     signal_pdf: float
@@ -244,6 +245,15 @@ class _SlotModel:
 
         self._col_lo, self._col_hi = cell_bounds(self._cells.i_bounds)
         self._row_lo, self._row_hi = cell_bounds(self._cells.q_bounds)
+        # Levels with the zero mean of a noise slot appended as one more
+        # level, and each source's level (the noise slot last).
+        self._lv_i0 = np.append(self._lv_i, 0.0)
+        self._lv_q0 = np.append(self._lv_q, 0.0)
+        self._src_i = np.append(ci, len(self._lv_i))
+        self._src_q = np.append(ri, len(self._lv_q))
+        # Normal CDF of each row bound per Q level, (levels, rows).
+        self._cdf_row_hi = ndtr((self._row_hi[None, :] - self._lv_q0[:, None]) / self.sigma)
+        self._cdf_row_lo = ndtr((self._row_lo[None, :] - self._lv_q0[:, None]) / self.sigma)
         # Rectangle probabilities per (source symbol, decision cell) and the
         # Gray-label Hamming weights between them.
         pc_i = ndtr((self._col_hi[None, :] - self._m_i[:, None]) / self.sigma) - ndtr(
@@ -274,7 +284,19 @@ class _SlotModel:
         """
         got = self._cache.get(y)
         if got is None:
-            vals = self._values_coupled(y) if self.coupled else self._values_uncoupled(y)
+            s, g, t, extra = (self._values_coupled(y) if self.coupled
+                              else self._values_uncoupled(y))
+            at_rate, gram = self.nb_bar, None
+            if extra is not None:
+                # Bit-one probabilities of the transmitted words
+                # W = (bp_tx[0], bp_tx[1], bp_at_tx) and the demaps
+                # D = (bp_det[0..4], bp_at_det), as for mis_bits: the Gram
+                # matrix W D^T and the row sums of W and D.
+                bp_tx, bp_det, bp_at_tx, bp_at_det, at_rate = extra
+                words = np.vstack((bp_tx, bp_at_tx))
+                demaps = np.vstack((bp_det, bp_at_det))
+                gram = ((words @ demaps.T).tolist(), words.sum(axis=1).tolist(),
+                        demaps.sum(axis=1).tolist())
             if self.detector == "cmd":
                 nsl = dist.f_nsl_cmd(y, self.s2), dist.F_nsl_cmd(y, self.s2)
                 pdf = sum(
@@ -284,7 +306,7 @@ class _SlotModel:
             else:
                 nsl = dist.f_nsl_imd(y, self.s2), dist.F_nsl_imd(y, self.s2)
                 pdf = dist.f_sl_imd(y, self.mu, self.s2)
-            got = self._cache[y] = _Threshold(*vals, *nsl, pdf)
+            got = self._cache[y] = _Threshold(s, g, t, at_rate, gram, *nsl, pdf)
         return got
 
     # -- non-signal slot metric --------------------------------------------
@@ -367,69 +389,58 @@ class _SlotModel:
         span = np.maximum(hi_u - lo_u, 0.0)  # (cols,)
         u = 0.5 * span[:, None] * nodes[None, :] + 0.5 * (lo_u + hi_u)[:, None]
         g = np.sqrt(np.maximum(r * r - u * u, 0.0))  # (cols, K)
-        # disk-clipped row extents: (rows, cols, K)
-        qhi = np.minimum(self._row_hi[:, None, None], g[None, :, :])
-        qlo = np.maximum(self._row_lo[:, None, None], -g[None, :, :])
-        # A source's disk-clipped row masses depend only on its Q level and
-        # its column densities only on its I level: evaluate them per level,
-        # then gather them per source, (M, rows, cols, K) and (M, cols, K).
-        inner = np.maximum(
-            ndtr((qhi[None] - self._lv_q[:, None, None, None]) / sig)
-            - ndtr((qlo[None] - self._lv_q[:, None, None, None]) / sig),
-            0.0,
-        )[c.row_idx]
-        dens = np.exp(-((u[None, :, :] - self._lv_i[:, None, None]) ** 2) / (2 * self.s2))
+        # A disk-clipped row extent stops at its row bound or at the chord
+        # +-g, so its normal CDF per Q level comes from the row-bound table
+        # or from one ndtr per level and chord node: (levels, rows, cols, K).
+        lv = self._lv_q0[:, None, None]
+        cdf_hi = np.where(self._row_hi[:, None, None] < g, self._cdf_row_hi[:, :, None, None],
+                          ndtr((g - lv) / sig)[:, None])
+        cdf_lo = np.where(self._row_lo[:, None, None] > -g, self._cdf_row_lo[:, :, None, None],
+                          ndtr((-g - lv) / sig)[:, None])
+        inner = np.maximum(cdf_hi - cdf_lo, 0.0)
+        dens = np.exp(-((u[None, :, :] - self._lv_i0[:, None, None]) ** 2) / (2 * self.s2))
         dens /= math.sqrt(2 * math.pi * self.s2)
-        dens = dens[c.col_idx]
-        disk = 0.5 * span[None, None, :] * np.sum(
-            wts[None, None, None, :] * dens[:, None, :, :] * inner, axis=3
-        )  # (M, rows, cols)
-        # J[s, cell] = P(land in cell AND metric above y)
-        j = self._p_rect - disk[:, c.row_idx, c.col_idx]
-        j = np.clip(j, 0.0, None)
+        # A source's disk-clipped masses are its levels': (M + 1, rows, cols),
+        # the zero-mean (pure noise) slot last.
+        disk = 0.5 * span * np.sum(wts * dens[self._src_i][:, None] * inner[self._src_q], axis=3)
         m = c.m_q
+        ri, ci = c.row_idx, c.col_idx
+        # J[s, cell] = P(land in cell AND metric above y)
+        j = np.clip(self._p_rect - disk[:m, ri, ci], 0.0, None)
         surv = j.sum(axis=1)  # per-source survival
         s_bar = float(surv.mean())
         g_bar = float(np.mean(j[np.arange(m), np.arange(m)]))
         t_bar = float(np.mean(np.sum(self._ham * j, axis=1)))
-
-        # zero-mean (pure noise) disk-interior cell masses
-        inner0 = np.maximum(ndtr(qhi / sig) - ndtr(qlo / sig), 0.0)
-        dens0 = np.exp(-(u**2) / (2 * self.s2)) / math.sqrt(2 * math.pi * self.s2)
-        disk0 = 0.5 * span[None, :] * np.sum(wts * dens0[None, :, :] * inner0, axis=2)
-        noise_lo = disk0[c.row_idx, c.col_idx]
-        noise_hi = np.clip(self._rect0 - noise_lo, 0.0, None)
-
-        def norm(v):
-            v = np.clip(np.asarray(v, dtype=float), 0.0, None)
-            tot = v.sum()
-            return v / tot if tot > 0.0 else np.full(m, 1.0 / m)
+        noise_lo = disk[m, ri, ci]  # noise-slot cell masses inside the disk
 
         arcs = self._circle_arcs(r)
-        bp = self._bits_mat
-        bp_tx = np.stack([bp @ norm(surv), bp @ norm(1.0 - surv)])
-        q_u = self._circle_demap(arcs) if r > 0.0 else np.full(m, 1.0 / m)
-        bp_det = np.stack(
-            [
-                bp @ norm(q_u),
-                bp @ norm(noise_lo),
-                bp @ norm(j.sum(axis=0)),
-                bp @ norm((self._p_rect - j).sum(axis=0)),
-                bp @ norm(noise_hi),
-            ]
-        )
         # at-threshold signal slot: metric-density-resolved conditioning
         f_at = self._circle_density(r, arcs)
         f_tot = f_at.sum()
+        # The nine distributions that condition the Gray bits, each
+        # normalised (uniform when it has no mass).
+        dists = np.stack([
+            surv,
+            1.0 - surv,
+            self._circle_demap(arcs) if r > 0.0 else np.full(m, 1.0 / m),
+            noise_lo,
+            j.sum(axis=0),
+            (self._p_rect - j).sum(axis=0),
+            self._rect0 - noise_lo,
+            f_at.sum(axis=1),
+            f_at.sum(axis=0),
+        ])
+        np.clip(dists, 0.0, None, out=dists)
+        tot = dists.sum(axis=1, keepdims=True)
+        dists = np.divide(dists, tot, out=np.full_like(dists, 1.0 / m), where=tot > 0.0)
+        bp = np.array([self._bits_mat @ v for v in dists])  # (9, n_q)
         if f_tot > 0.0:
             rate_at = float(np.sum(self._ham * f_at)) / f_tot
-            bp_at_tx = bp @ norm(f_at.sum(axis=1))
-            bp_at_det = bp @ norm(f_at.sum(axis=0))
+            bp_at_tx, bp_at_det = bp[7], bp[8]
         else:
             rate_at = self.nb_bar
-            bp_at_tx = bp_tx[0]
-            bp_at_det = bp_det[2]
-        return s_bar, g_bar, t_bar, (bp_tx, bp_det, bp_at_tx, bp_at_det, rate_at)
+            bp_at_tx, bp_at_det = bp[0], bp[4]
+        return s_bar, g_bar, t_bar, (bp[0:2], bp[2:7], bp_at_tx, bp_at_det, rate_at)
 
     def values(self, y: float) -> tuple[float, float, float]:
         """(survival, correct-decision survival, bit-weighted survival) at y."""
@@ -455,8 +466,7 @@ class _SlotModel:
 
     def at_rate(self, y: float) -> float:
         """Expected erroneous bits of a signal slot with metric exactly y."""
-        extra = self._entry(y).extra
-        return self.nb_bar if extra is None else extra[4]
+        return self._entry(y).at_rate
 
     def signal_pdf(self, y: float) -> float:
         """Marginal metric density of a signal slot (symbol averaged)."""
@@ -477,25 +487,28 @@ class _SlotModel:
         threshold metric is a signal slot).  Cross-Hamming factorizes per
         Gray bit.
         """
-        total = float(np.sum(classes))
-        if total == 0.0:
-            return 0.0
-        extra = self._entry(y).extra
-        if extra is None:
-            return total * self.c.n_q / 2.0
-        bp_tx, bp_det, bp_at_tx, bp_at_det, _ = extra
-        bp_s = bp_tx[0] * (1.0 - at_frac) + bp_at_tx * at_frac
-        bp_rows = np.stack([bp_s, bp_tx[1]])
-        bp_u = bp_det[0] * circle_frac + bp_det[4] * (1.0 - circle_frac)
-        bp_v = bp_det[2] * (1.0 - at_frac) + bp_at_det * at_frac
-        bp_cols = np.stack([bp_u, bp_det[1], bp_v, bp_det[3]])
-        # H[t, d] = sum_bits p + q - 2 p q
-        h = (
-            bp_rows.sum(axis=1)[:, None]
-            + bp_cols.sum(axis=1)[None, :]
-            - 2.0 * bp_rows @ bp_cols.T
-        )
-        return float(np.sum(classes * h))
+        gram = self._entry(y).gram
+        if gram is None:
+            return float(np.sum(classes)) * self.c.n_q / 2.0
+        # Rows and columns are affine in at_frac/circle_frac over three word
+        # and six demap distributions, so their cross terms come from the
+        # Gram matrix.  Rows: the retained word (1 - a) W0 + a W2 and the
+        # displaced word W1.
+        gm, s_w, s_d = gram
+        a, b = at_frac, circle_frac
+
+        def cols(v):  # columns: b D0 + (1 - b) D4, D1, (1 - a) D2 + a D5, D3
+            return (b * v[0] + (1.0 - b) * v[4], v[1], (1.0 - a) * v[2] + a * v[5], v[3])
+
+        retained = [(1.0 - a) * x + a * z for x, z in zip(gm[0], gm[2])]
+        rows = (((1.0 - a) * s_w[0] + a * s_w[2], retained), (s_w[1], gm[1]))
+        s_d = cols(s_d)
+        total = 0.0
+        for counts, (s_t, cross) in zip(np.asarray(classes, dtype=float).tolist(), rows):
+            # H[t, d] = sum_bits p + q - 2 p q
+            for n, s_c, x in zip(counts, s_d, cols(cross)):
+                total += n * (s_t + s_c - 2.0 * x)
+        return total
 
 
 def _event_quantities(model: _SlotModel, code: MppmCode, tol: float,

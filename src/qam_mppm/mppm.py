@@ -269,6 +269,8 @@ class CorrectionStats:
 
 
 _STATS_CACHE: dict[tuple[int, int], CorrectionStats] = {}
+_SPECTRUM_LIMIT = 1 << 13
+_SPECTRUM_CACHE: dict[tuple[int, int], dict[int, int]] = {}
 _STATS_EXACT_EVENTS = 300_000
 _STATS_SAMPLES = 20_000
 _STATS_SEED = 0x5EED
@@ -467,9 +469,19 @@ def ne_mppm(q_mppm: int) -> float:
 
 
 def distance_spectrum(code: MppmCode) -> dict[int, int]:
-    """Ordered pair counts by squared distance over the usable set."""
-    if code.table_bits is None or code.size > (1 << 13):
-        raise ValueError("distance spectrum limited to sets of at most 8192 patterns")
+    """Ordered pair counts by squared distance over the usable set.
+
+    Computed once per (N, w).  Raises CapacityError for codes of more than
+    8192 patterns or more than 64 slots (no bit table).
+    """
+    key = (code.n_slots, code.weight)
+    if key in _SPECTRUM_CACHE:
+        return _SPECTRUM_CACHE[key]
+    if code.table_bits is None or code.size > _SPECTRUM_LIMIT:
+        raise CapacityError(
+            f"the distance spectrum is computed only for codes of at most {_SPECTRUM_LIMIT} "
+            f"patterns and 64 slots; ({code.n_slots}, {code.weight}) has {code.size} patterns"
+        )
     bits = code.table_bits
     spectrum: dict[int, int] = {}
     block = 1024
@@ -480,6 +492,7 @@ def distance_spectrum(code: MppmCode) -> dict[int, int]:
         for v, cnt in zip(vals, counts):
             spectrum[int(v)] = spectrum.get(int(v), 0) + int(cnt)
     spectrum.pop(0, None)  # self pairs
+    _SPECTRUM_CACHE[key] = spectrum
     return spectrum
 
 

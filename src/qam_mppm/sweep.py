@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
+import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 from . import analytic
 from .constellation import build_constellation
 from .link import DEFAULT_RECEIVER, LinkParams, link_from_popt, sigma_from_ebn0, total_bits
-from .mppm import CapacityError, correction_stats, make_code
+from .mppm import CapacityError, correction_stats, distance_spectrum, make_code
 from .simulate import max_workers, run_point, worker_pool
 
 CSV_COLUMNS = [
@@ -223,23 +224,24 @@ def run(spec: SweepSpec, log=None) -> Path:
     links = links_for(spec)
     grid = spec.grid()
     workers = spec.workers or max_workers()
-    stats_methods = [meth for meth in _STATS_METHODS if meth in spec.methods]
-    if stats_methods:
-        # A code too large for the events model fails before the CSV is
-        # opened; the statistics stay cached for the points.
-        try:
-            correction_stats(code)
-        except CapacityError as exc:
-            raise NumericFailure(f"methods {','.join(stats_methods)}: {exc}") from exc
+    # A code too large for a method's table fails before the CSV is opened;
+    # the tables stay cached for the points.
+    for table, table_methods in ((correction_stats, _STATS_METHODS),
+                                 (distance_spectrum, ("ub",))):
+        needed = [meth for meth in table_methods if meth in spec.methods]
+        if needed:
+            try:
+                table(code)
+            except CapacityError as exc:
+                raise NumericFailure(f"methods {','.join(needed)}: {exc}") from exc
     out_path = Path(spec.out_csv)
     # One pool for the whole sweep; its workers exit when the `with` closes.
-    with (out_path.open("w", encoding="utf-8", newline="\n") as fh,
+    with (_atomic_open(out_path) as fh,
           worker_pool(code, const, workers) if workers > 1 else nullcontext() as pool):
         fh.write("# qam-mppm sweep; x axis in dB (ebn0 mode) or dBm (popt mode)\n")
         fh.write("# zero-error simulated rates are reported as the one-sided 95% "
                  "bound 3/n instead of 0\n")
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.flush()
         for idx, (val, link) in enumerate(zip(grid, links)):
             try:
                 arow = analytic_row(code, const, link, spec.methods, spec.tol)
@@ -274,12 +276,29 @@ def run(spec: SweepSpec, log=None) -> Path:
                         if col in arow:
                             row[col] = arow[col]
                 fh.write(",".join(_fmt(row.get(col)) for col in CSV_COLUMNS) + "\n")
-                fh.flush()
             if log:
                 log(f"point {val:g}: frames={counters[spec.detectors[0]].frames}")
     if spec.out_plot:
         write_plot_script(spec, out_path)
     return out_path
+
+
+@contextmanager
+def _atomic_open(path: Path):
+    """Write a text file through a temporary file beside it.
+
+    The temporary file replaces path only when the block completes, so a
+    failed or interrupted run leaves no partial file and an existing file
+    at path untouched.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_plot_script(spec: SweepSpec, csv_path: Path) -> Path:
@@ -305,5 +324,6 @@ def write_plot_script(spec: SweepSpec, csv_path: Path) -> Path:
         for name, col in series
     ]
     lines.append("plot \\\n    " + ", \\\n    ".join(plots))
-    plot_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _atomic_open(plot_path) as fh:
+        fh.write("\n".join(lines) + "\n")
     return plot_path

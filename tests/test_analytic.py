@@ -229,7 +229,7 @@ def _values_coupled_per_source(model, y):
     return s_bar, g_bar, t_bar, (bp_tx, bp_det, bp_at_tx, bp_at_det, rate_at)
 
 
-@pytest.mark.parametrize("n_q", [2, 3, 4, 6])
+@pytest.mark.parametrize("n_q", [2, 3, 4, 6, 8])
 def test_slot_model_per_level_matches_per_source(n_q):
     """Masses computed once per constellation level give bit for bit the
     values of the per-source evaluation."""
@@ -238,12 +238,52 @@ def test_slot_model_per_level_matches_per_source(n_q):
     ref = _SlotModel(c, link, "cmd")
     ref._values_coupled = lambda y: _values_coupled_per_source(ref, y)
     classes = np.arange(1.0, 9.0).reshape(2, 4)
-    for y in (0.0, 1e-4 * model.hi, 0.3 * model.hi, 1.5 * model.hi):
+    for y in (0.0, 1e-4 * model.hi, 0.05 * model.hi, 0.3 * model.hi, 0.8 * model.hi,
+              1.5 * model.hi):
         assert model.values(y) == ref.values(y)
         assert model.aligned_rates(y) == ref.aligned_rates(y)
         assert model.at_rate(y) == ref.at_rate(y)
         assert model.mis_bits(y, classes, 0.5) == ref.mis_bits(y, classes, 0.5)
         assert model.mis_bits(y, classes, 0.0, 0.25) == ref.mis_bits(y, classes, 0.0, 0.25)
+
+
+def _mis_bits_stacked(model, y, classes, circle_frac, at_frac=0.0):
+    """Reference mis_bits: the (2, 4) expected cross-Hamming matrix of the
+    stacked word and demap distributions."""
+    total = float(np.sum(classes))
+    if total == 0.0:
+        return 0.0
+    bp_tx, bp_det, bp_at_tx, bp_at_det, _ = model._values_coupled(y)[3]
+    bp_s = bp_tx[0] * (1.0 - at_frac) + bp_at_tx * at_frac
+    bp_rows = np.stack([bp_s, bp_tx[1]])
+    bp_u = bp_det[0] * circle_frac + bp_det[4] * (1.0 - circle_frac)
+    bp_v = bp_det[2] * (1.0 - at_frac) + bp_at_det * at_frac
+    bp_cols = np.stack([bp_u, bp_det[1], bp_v, bp_det[3]])
+    h = (
+        bp_rows.sum(axis=1)[:, None]
+        + bp_cols.sum(axis=1)[None, :]
+        - 2.0 * bp_rows @ bp_cols.T
+    )
+    return float(np.sum(classes * h))
+
+
+@pytest.mark.parametrize("n_q", [2, 3, 4, 6])
+def test_mis_bits_gram_form_matches_stacked(n_q):
+    """mis_bits from the per-threshold Gram matrix agrees with the stacked
+    formula for the fractions of both event cases (l = 2 of w = 6) and a
+    mixed pair, with integer and fractional class counts."""
+    link, c = _link(8.0, n_q=n_q)
+    model = _SlotModel(c, link, "cmd")
+    w, l = 6, 2
+    fracs = [(1.0 / l, 0.0), (0.0, 1.0 / (w - l)), (0.3, 0.6)]
+    class_sets = [np.arange(1.0, 9.0).reshape(2, 4),
+                  np.array([[0.25, 1.5, 0.0, 2.75], [1.0 / 3.0, 0.0, 0.8, 0.125]])]
+    for y in (0.0, 1e-4 * model.hi, 0.3 * model.hi, 1.5 * model.hi):
+        for classes in class_sets:
+            for circle_frac, at_frac in fracs:
+                got = model.mis_bits(y, classes, circle_frac, at_frac)
+                want = _mis_bits_stacked(model, y, classes, circle_frac, at_frac)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_distributions_run_once_per_threshold(monkeypatch):

@@ -112,6 +112,37 @@ def test_sweep_capacity_limit_exit_code(tmp_path):
     assert (tmp_path / "out.csv").exists()
 
 
+def test_sweep_union_bound_capacity_exit_code(tmp_path):
+    """The union bound on a code of more than 8192 patterns: exit 3 naming
+    the limit, no traceback, no CSV."""
+    cfg = _write_cfg(tmp_path, **{"sys.N": "32", "sys.w": "6", "methods": "ub",
+                                  "sim.workers": "1"})
+    env = dict(os.environ, PYTHONPATH=str(Path(qam_mppm.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "qam_mppm", "sweep", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert "8192" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_numeric_failure_leaves_no_partial_csv(tmp_path):
+    """A point that fails its quadrature (the -30 dBm point of the bundled
+    popt_12_6_16qam config) leaves no CSV, and a CSV already at the output
+    path keeps its bytes."""
+    cfg = _write_cfg(tmp_path, **{"mode": "popt", "grid.start": "-30", "grid.stop": "-30",
+                                  "grid.step": "0.5", "sys.Rb": "50e6", "detectors": "cmd",
+                                  "methods": "ja", "sim.trials": "1000", "sim.workers": "1",
+                                  "out.plot": str(tmp_path / "out.gp")})
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg)]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+    out.write_bytes(b"previous,run\n")
+    assert main(["sweep", "--config", str(cfg)]) == 3
+    assert out.read_bytes() == b"previous,run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "sweep.cfg"]
+
+
 def test_sweep_out_relocates_plot_script(tmp_path, monkeypatch):
     """--out puts a relative out.plot beside the CSV, and the script names
     the CSV relative to itself, so it does not depend on the directory."""

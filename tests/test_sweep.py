@@ -143,6 +143,25 @@ def test_write_plot_script_popt_axis(tmp_path):
     assert "P_opt (dBm)" in (tmp_path / "p.gp").read_text(encoding="utf-8")
 
 
+def test_interrupted_sweep_leaves_outputs_untouched(tmp_path, monkeypatch):
+    """Ctrl-C during a point leaves neither a partial CSV nor a temporary
+    file, and an existing CSV keeps its bytes."""
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sweep, "run_point", interrupt)
+    spec = _spec(tmp_path, **{"methods": "", "sim.workers": "1",
+                              "out.plot": str(tmp_path / "plot.gp")})
+    with pytest.raises(KeyboardInterrupt):
+        run(spec)
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "out.csv").write_bytes(b"kept\n")
+    with pytest.raises(KeyboardInterrupt):
+        run(spec)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert (tmp_path / "out.csv").read_bytes() == b"kept\n"
+
+
 def _cmd_spec(tmp_path, methods):
     return _spec(tmp_path, **{"sys.N": "4", "sys.w": "2", "sys.nQ": "2",
                               "detectors": "cmd", "methods": methods,
