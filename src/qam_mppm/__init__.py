@@ -5,7 +5,6 @@ from .analytic import (
     CapacityError,
     QuadratureError,
     ebn0_at_target,
-    pb_cmd,
     pe_cmd_ja,
     pe_cmd_sa,
     pe_imd,
@@ -53,7 +52,6 @@ __all__ = [
     "link_from_popt",
     "make_code",
     "parse_config",
-    "pb_cmd",
     "pe_cmd_ja",
     "pe_cmd_sa",
     "pe_imd",

@@ -5,15 +5,21 @@ numerical integration for the power-metric detector (CMD/JA, CMD/SA), and
 numerical integration or union bound for the matched-filter detector
 (IMD/NI, IMD/UB).
 
-The headline SER/BER values use an event decomposition over the number of
+CMD/JA, CMD/SA and IMD/NI use an event decomposition over the number of
 noise slots entering the sorted top-w selection.  For the power-metric
 detector the slot-ordering statistic and the QAM decision share the same
 noise, so correctness probabilities and expected erroneous bits are
 evaluated jointly (decision cell intersected with the metric disk); the
 nearest-member pattern correction is accounted for through code-geometry
 averages (rescue probability, pattern-word Hamming distances, support
-alignment).  The literal textbook compositions are retained as cross-check
-modes.
+alignment).  The decision-coupled expectations factorize over the i.i.d.
+symbol draw, so CMD/JA and CMD/SA are one evaluation; JA only adds its
+combination budget.  IMD/UB composes the union bound on the pattern error
+with the separately averaged QAM error.
+
+pe_cmd_composition keeps the literal textbook compositions as a
+cross-check: there the joint and separate averages over the QAM symbols
+differ, and comparing the two is what shows that difference is negligible.
 """
 
 from __future__ import annotations
@@ -113,13 +119,19 @@ def pc_mppm_cmd_joint(omegas, n_slots: int, weight: int, sigma2: float,
     return min(max(val, 0.0), 1.0)
 
 
+def _ring_mixture(c: Constellation, link: LinkParams):
+    """The symbol-averaged signal-slot metric of the power-metric detector
+    as a mixture over energy rings: the rings' symbol indices, their
+    weights len(g)/M and their noncentralities slot_energy*m^2/2*E."""
+    energies, groups = c.energy_rings()
+    base = link.slot_energy * link.m**2 / 2.0
+    return groups, np.array([len(g) / c.m_q for g in groups]), base * energies
+
+
 def pc_mppm_cmd_sa(code: MppmCode, c: Constellation, link: LinkParams,
                    tol: float = 1e-10) -> float:
     """Separate-average correct-sorting probability (mixture distributions)."""
-    energies, groups = c.energy_rings()
-    base = link.slot_energy * link.m**2 / 2.0
-    oms = [base * e for e in energies]
-    wgt = [len(g) / c.m_q for g in groups]
+    _, wgt, oms = _ring_mixture(c, link)
     w = link.weight
     n_noise = link.n_slots - link.weight
     sigma = math.sqrt(link.sigma2)
@@ -132,50 +144,6 @@ def pc_mppm_cmd_sa(code: MppmCode, c: Constellation, link: LinkParams,
 
     val, _ = _integrate(integrand, 0.0, x_max, tol)
     return min(max(val, 0.0), 1.0)
-
-
-def pc_mppm_imd(code: MppmCode, link: LinkParams, tol: float = 1e-10,
-                mode: str = "direct") -> float:
-    """Correct-sorting probability for the matched-filter detector.
-
-    The default integrates the order-statistic product form directly; the
-    'binomial' mode evaluates the alternating expanded sum as a cross-check
-    (unstable for many noise slots, hence guarded).
-    """
-    mu = math.sqrt(link.t_s) * link.i_ph
-    s2 = link.sigma2
-    sigma = math.sqrt(s2)
-    w = link.weight
-    n_noise = link.n_slots - link.weight
-    lo = min(0.0, mu) - _DOMAIN_SIGMAS * sigma
-    hi = mu + _DOMAIN_SIGMAS * sigma
-
-    if mode == "direct":
-        def integrand(x):
-            return (
-                w
-                * dist.f_sl_imd(x, mu, s2)
-                * (1.0 - dist.F_sl_imd(x, mu, s2)) ** (w - 1)
-                * dist.F_nsl_imd(x, s2) ** n_noise
-            )
-
-        val, _ = _integrate(integrand, lo, hi, tol)
-        return min(max(val, 0.0), 1.0)
-
-    if mode != "binomial":
-        raise ValueError("mode must be 'direct' or 'binomial'")
-    if n_noise > 16:
-        raise ValueError("binomial expansion unstable beyond 16 noise slots")
-    total = 0.0
-    for k in range(n_noise + 1):
-        def term(x, k=k):
-            half_sl = 0.5 * math.erfc((x - mu) / math.sqrt(2.0 * s2))
-            half_nsl = 0.5 * math.erfc(x / math.sqrt(2.0 * s2))
-            return dist.f_sl_imd(x, mu, s2) * half_sl ** (w - 1) * half_nsl**k
-
-        val, _ = _integrate(term, lo, hi, tol)
-        total += math.comb(n_noise, k) * (-1.0) ** k * val
-    return min(max(w * total, 0.0), 1.0)
 
 
 class _Threshold(NamedTuple):
@@ -225,9 +193,7 @@ class _SlotModel:
         base = link.slot_energy * link.m**2 / 2.0
         self.lo = 0.0
         self.hi = (math.sqrt(base * float(c.energies.max())) + _DOMAIN_SIGMAS * self.sigma) ** 2
-        energies, groups = c.energy_rings()
-        self._mix_w = np.array([len(g) / c.m_q for g in groups])
-        self._mix_om = base * energies
+        _, self._mix_w, self._mix_om = _ring_mixture(c, link)
         self.coupled = c.is_grid
         if not self.coupled:
             return
@@ -668,13 +634,16 @@ def _assemble(model: _SlotModel, code: MppmCode, ev: dict,
     )
 
 
+def _events_route(model: _SlotModel, code: MppmCode, tol: float) -> AnalyticResult:
+    """SER/BER of the events model over the code's correction statistics."""
+    st = correction_stats(code)
+    return _assemble(model, code, _event_quantities(model, code, tol, st), st)
+
+
 def _ring_stats(c: Constellation, link: LinkParams):
     """Per-energy-ring occupation probabilities and symbol-error means."""
-    energies, groups = c.energy_rings()
-    base = link.slot_energy * link.m**2 / 2.0
+    groups, probs, omegas = _ring_mixture(c, link)
     pe, nb = per_symbol_errors(link, c)
-    probs = np.array([len(g) / c.m_q for g in groups])
-    omegas = np.array([base * e for e in energies])
     mean_corr = np.array([np.mean(1.0 - np.minimum(pe[g], 1.0)) for g in groups])
     mean_nb = np.array([np.mean(nb[g]) for g in groups])
     return probs, omegas, mean_corr, mean_nb
@@ -757,10 +726,7 @@ def pe_cmd_sa(code: MppmCode, c: Constellation, link: LinkParams,
     the split is kept for the composition cross-check modes where the
     distinction is real.
     """
-    model = _SlotModel(c, link, "cmd")
-    st = correction_stats(code)
-    ev = _event_quantities(model, code, tol, st)
-    return _assemble(model, code, ev, st)
+    return _events_route(_SlotModel(c, link, "cmd"), code, tol)
 
 
 def pe_cmd_composition(code: MppmCode, c: Constellation, link: LinkParams,
@@ -795,26 +761,11 @@ def pe_imd(code: MppmCode, c: Constellation, link: LinkParams,
            tol: float = 1e-10, mppm_route: str = "ni") -> AnalyticResult:
     """IMD error probabilities; pattern part via integration or union bound."""
     if mppm_route == "ni":
-        model = _SlotModel(c, link, "imd")
-        st = correction_stats(code)
-        ev = _event_quantities(model, code, tol, st)
-        return _assemble(model, code, ev, st)
+        return _events_route(_SlotModel(c, link, "imd"), code, tol)
     if mppm_route != "ub":
         raise ValueError("mppm_route must be 'ni' or 'ub'")
-    pc = 1.0 - mppm_ser_ub(code, link.slot_energy / link.sigma2, clamp=True)
+    pc = 1.0 - mppm_ser_ub(code, link.slot_energy / link.sigma2)
     return _compose_separate(code, c, link, pc, tol)
-
-
-def pb_cmd(code: MppmCode, c: Constellation, link: LinkParams,
-           tol: float = 1e-10, method: str = "ja", model: str = "events") -> float:
-    if method not in ("ja", "sa"):
-        raise ValueError("method must be 'ja' or 'sa'")
-    if model == "events":
-        fn = pe_cmd_ja if method == "ja" else pe_cmd_sa
-        return fn(code, c, link, tol).pb
-    if model == "composition":
-        return pe_cmd_composition(code, c, link, tol, method).pb
-    raise ValueError("model must be 'events' or 'composition'")
 
 
 def ebn0_at_target(ebn0_db: np.ndarray, values: np.ndarray, target: float) -> float:

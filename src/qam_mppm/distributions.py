@@ -11,7 +11,6 @@ import numpy as np
 from scipy.special import chndtr, erfc, i0e
 
 __all__ = [
-    "bessel_i0_scaled",
     "marcum_q1",
     "f_sl_cmd",
     "F_sl_cmd",
@@ -21,16 +20,7 @@ __all__ = [
     "F_sl_imd",
     "f_nsl_imd",
     "F_nsl_imd",
-    "mixture_sl_cmd",
 ]
-
-
-def bessel_i0_scaled(x):
-    """I_0(x) * exp(-x), stable for arbitrarily large x."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("bessel_i0_scaled requires x >= 0")
-    return i0e(x)
 
 
 def marcum_q1(a, b):
@@ -119,25 +109,3 @@ def f_nsl_imd(x, sigma2):
 
 def F_nsl_imd(x, sigma2):
     return F_sl_imd(x, 0.0, sigma2)
-
-
-def mixture_sl_cmd(x, constellation, link):
-    """Unconditional signal-slot (density, cdf) under uniform symbol use.
-
-    Components are the per-symbol noncentral distributions at
-    omega = T_s*I_ph^2*(m^2/2)*|s|^2, grouped by distinct symbol energy.
-    """
-    x = np.asarray(x, dtype=float)
-    energies, groups = constellation.energy_rings()
-    base = link.t_s * link.i_ph**2 * link.m**2 / 2.0
-    pdf = np.zeros_like(x, dtype=float)
-    cdf = np.zeros_like(x, dtype=float)
-    m_q = constellation.m_q
-    for e, idx in zip(energies, groups):
-        wgt = len(idx) / m_q
-        omega = base * e
-        pdf = pdf + wgt * f_sl_cmd(x, omega, link.sigma2)
-        cdf = cdf + wgt * F_sl_cmd(x, omega, link.sigma2)
-    if pdf.ndim:
-        return pdf, cdf
-    return float(pdf), float(cdf)

@@ -18,6 +18,8 @@ from scipy.special import erfc
 # Support tables above this set size are not materialized; tx generation and
 # pairwise-distance enumeration fall back per-pattern or are refused.
 _TABLE_LIMIT = 1 << 20
+# Pattern ranks are int64, so the weight-w universe must stay below this.
+_RANK_LIMIT = 1 << 63
 # Rows per vectorized single-swap candidate block.
 _CORRECTION_CHUNK = 2048
 
@@ -38,8 +40,8 @@ class MppmCode:
     """Expurgated fixed-weight pattern code over N slots.
 
     size = 2^q patterns are usable; table holds their sorted supports when
-    small enough to materialize.  rank_prefix[j][t] accumulates the
-    combinatorial prefix sums used by the (vectorizable) lex rank formula.
+    small enough to materialize.  rank_prefix[j][t] = -C(N-t, w-j), whose
+    differences are the lex rank's per-position block sums (see make_code).
     """
 
     n_slots: int
@@ -57,11 +59,18 @@ def make_code(n_slots: int, weight: int) -> MppmCode:
     q = bits_per_mppm(n_slots, weight)
     size = 1 << q
     n, w = n_slots, weight
-    # rank_prefix[j][t] = sum_{u < t} C(n-1-u, w-1-j)
+    if math.comb(n, w) >= _RANK_LIMIT:
+        raise CapacityError(
+            "pattern ranks are 64-bit integers, so codes need C(N, w) < 2^63; "
+            f"({n}, {w}) has C(N, w) >= 2^{q}"
+        )
+    # rank_prefix[j][t] = -C(n-t, w-j) for t >= j, so that
+    # rank_prefix[j][b] - rank_prefix[j][a] = sum_{a <= u < b} C(n-1-u, w-1-j),
+    # the lex rank's block sum.  No entry exceeds C(n-j, w-j) <= C(n, w) in
+    # magnitude; entries t < j are never read.
     prefix = np.zeros((w, n + 1), dtype=np.int64)
     for j in range(w):
-        terms = [math.comb(n - 1 - u, w - 1 - j) for u in range(n)]
-        prefix[j, 1:] = np.cumsum(terms)
+        prefix[j, j:] = [-math.comb(n - t, w - j) for t in range(j, n + 1)]
     table = None
     table_bits = None
     if size <= _TABLE_LIMIT:
@@ -150,28 +159,13 @@ def decode_mppm(pattern: np.ndarray, code: MppmCode) -> int:
     return r
 
 
-def correct_pattern(detected: np.ndarray, code: MppmCode, rng: np.random.Generator) -> np.ndarray:
-    """Map a weight-w pattern outside the usable set to a closest member.
-
-    Members at minimal squared Hamming distance are drawn uniformly with the
-    supplied generator; patterns already in the set pass through unchanged.
-    """
-    detected = np.asarray(detected, dtype=np.uint8)
-    support = np.flatnonzero(detected)
-    if len(support) != code.weight:
-        raise ValueError("detected pattern must have popcount w")
-    if rank_support(support, code) < code.size:
-        return detected
-    return pattern_from_support(_nearest_member(support, code, rng), code.n_slots)
-
-
 def correct_patterns(supports: np.ndarray, code: MppmCode,
                      rng: np.random.Generator) -> np.ndarray:
     """Vectorized nearest-member correction for out-of-set sorted supports.
 
     All single-swap neighbors (squared distance 2) are ranked; a uniform
-    random in-set neighbor is taken.  Rows with no in-set neighbor fall back
-    to the full nearest-member scan.
+    random in-set neighbor is taken.  Rows with no in-set neighbor take a
+    uniform random member among all the nearest ones.
     """
     out = supports.copy()
     for lo in range(0, len(supports), _CORRECTION_CHUNK):
@@ -206,9 +200,10 @@ def _nearest_members(support, code: MppmCode) -> np.ndarray:
 def _nearest_member(support, code: MppmCode, rng: np.random.Generator):
     """Sorted support of a uniform random usable pattern sharing the most
     slots with support (equivalently, at minimal Hamming distance)."""
-    if code.table_bits is not None:
+    if code.table is not None:
         return code.table[rng.choice(_nearest_members(support, code))]
-    # Large sets: scan distance shells (swap one slot, then two, ...).
+    # Sets without a support table: scan distance shells (swap one slot,
+    # then two, ...).
     inactive = np.setdiff1d(np.arange(code.n_slots), support)
     for shell in range(1, code.weight + 1):
         cands = []
@@ -263,9 +258,6 @@ class CorrectionStats:
     @property
     def max_swaps(self) -> int:
         return len(self.pat_bits)
-
-    def aligned(self, swaps: int) -> float:
-        return self.align_v[swaps - 1] + self.align_p[swaps - 1]
 
 
 _STATS_CACHE: dict[tuple[int, int], CorrectionStats] = {}
@@ -496,8 +488,8 @@ def distance_spectrum(code: MppmCode) -> dict[int, int]:
     return spectrum
 
 
-def mppm_ser_ub(code: MppmCode, scale: float, clamp: bool = False) -> float:
-    """Union bound on the pattern symbol error probability.
+def mppm_ser_ub(code: MppmCode, scale: float) -> float:
+    """Union bound on the pattern symbol error probability, clamped to 1.
 
     scale is T_s*I_ph^2 / sigma_n^2; pairwise terms erfc(sqrt(scale*d^2/8))
     are averaged over transmitted patterns of the usable set.
@@ -509,4 +501,4 @@ def mppm_ser_ub(code: MppmCode, scale: float, clamp: bool = False) -> float:
     for d2, cnt in spec.items():
         total += cnt * erfc(np.sqrt(scale * d2 / 8.0))
     val = total / (2.0 * code.size)
-    return float(min(val, 1.0)) if clamp else float(val)
+    return float(min(val, 1.0))

@@ -73,18 +73,6 @@ class TrialCounters:
         return self.qam_cond_errors / self.qam_cond_opportunities
 
 
-def assemble_bits(pattern_rank, qam_labels, n_q: int):
-    """Frame bit word: pattern bits first, then QAM words in slot order."""
-    word = np.asarray(pattern_rank, dtype=np.int64)
-    labels = np.asarray(qam_labels, dtype=np.int64)
-    if labels.ndim == 1:
-        labels = labels[None, :]
-        word = word[None] if word.ndim == 0 else word
-    for j in range(labels.shape[1]):
-        word = (word << n_q) | labels[:, j]
-    return word
-
-
 def _detect(metric: np.ndarray, r_i: np.ndarray, r_q: np.ndarray,
             code: MppmCode, rng: np.random.Generator):
     """Top-w slot selection and nearest-member correction for one metric
@@ -115,16 +103,12 @@ def _demap(yi, yq, c: Constellation, amp: float):
     return np.argmin(d2, axis=-1)
 
 
-def _popcount64(v: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(v.astype(np.uint64)).astype(np.int64)
-
-
 def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
                    detectors: tuple[str, ...], n_frames: int,
                    seed_key) -> dict[str, TrialCounters]:
     """Simulate n_frames frames and count errors for each requested detector."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_key)))
-    n, w, m_q, n_q = link.n_slots, link.weight, c.m_q, c.n_q
+    n, w, m_q = link.n_slots, link.weight, c.m_q
     tx_rank = rng.integers(0, code.size, n_frames)
     if code.table is not None:
         tx_support = code.table[tx_rank].astype(np.int64)
@@ -145,7 +129,11 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
         r_dc = rng.normal(0.0, sigma, (n_frames, n))
         r_dc[rows, tx_support] += mu
 
-    tx_bits = assemble_bits(tx_rank, c.labels[qam_idx], n_q)
+    # A frame's bits are its pattern word and one QAM word per slot in
+    # support order; errors are counted per field, since a frame can carry
+    # more than 64 bits.  Labels have at most 10 bits.
+    labels = c.labels.astype(np.uint16)
+    tx_labels = labels[qam_idx]
     tx_slot_sym = np.full((n_frames, n), -1, dtype=np.int64)
     tx_slot_sym[rows, tx_support] = qam_idx
 
@@ -154,8 +142,8 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
         metric = r_i**2 + r_q**2 if det == "cmd" else r_dc
         det_support, det_rank, yi, yq = _detect(metric, r_i, r_q, code, rng)
         det_idx = _demap(yi, yq, c, amp)
-        rx_bits = assemble_bits(det_rank, c.labels[det_idx], n_q)
-        diff = _popcount64(np.bitwise_xor(tx_bits, rx_bits))
+        diff = np.bitwise_count(tx_rank ^ det_rank).astype(np.int64)
+        diff += np.bitwise_count(tx_labels ^ labels[det_idx]).sum(axis=1, dtype=np.int64)
         mppm_err = det_rank != tx_rank
         tx_at_det = np.take_along_axis(tx_slot_sym, det_support, axis=1)
         common = tx_at_det >= 0  # detected slot that was also sent

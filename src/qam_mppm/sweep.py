@@ -108,12 +108,17 @@ def build_spec(values: dict[str, str], overrides: dict | None = None) -> SweepSp
             problems.append(f"{key}: cannot parse {merged[key]!r}")
             return None
 
+    def grid_value(key):
+        val = number(key)
+        if val is not None and not math.isfinite(val):
+            problems.append(f"{key} must be finite, got {merged[key]!r}")
+            return None
+        return val
+
     mode = merged["mode"]
     if mode not in ("ebn0", "popt"):
         problems.append(f"mode must be 'ebn0' or 'popt', got {mode!r}")
-    start = number("grid.start")
-    stop = number("grid.stop")
-    step = number("grid.step")
+    start, stop, step = (grid_value(key) for key in ("grid.start", "grid.stop", "grid.step"))
     if step is not None and step <= 0:
         problems.append("grid.step must be > 0")
     if None not in (start, stop, step) and step > 0 and stop < start:
@@ -218,7 +223,10 @@ def _fmt(val) -> str:
 
 def run(spec: SweepSpec, log=None) -> Path:
     """Execute the sweep and write the CSV (and optional plot script)."""
-    code = make_code(spec.n_slots, spec.weight)
+    try:
+        code = make_code(spec.n_slots, spec.weight)
+    except CapacityError as exc:
+        raise NumericFailure(str(exc)) from exc
     const = build_constellation(spec.n_q)
     q_total = total_bits(spec.n_slots, spec.weight, spec.n_q)
     links = links_for(spec)

@@ -14,9 +14,8 @@ from scipy.stats import chisquare, ncx2, norm
 
 from qam_mppm.analytic import (
     ebn0_at_target,
-    pb_cmd,
+    pe_cmd_composition,
     pe_cmd_ja,
-    pe_cmd_sa,
     pe_imd,
     qam_scale,
 )
@@ -135,16 +134,24 @@ def test_criterion_03_imd_gain_at_ser_1e3(analytic_curves):
 
 
 @pytest.mark.slow
-def test_criterion_04_ja_sa_negligible_difference(system, analytic_curves):
-    """Joint- and separate-average CMD results differ by less than 1%."""
+def test_criterion_04_ja_sa_negligible_difference(system):
+    """Joint- and separate-average CMD results differ by less than 1%.
+
+    The events model gives both averages from one evaluation, so the check
+    runs on the textbook compositions, where averaging the sorting
+    probability jointly with the QAM symbols or separately differs.
+    """
     code, c = system
-    grid = np.concatenate([MAIN_GRID, EXT_GRID])
-    worst = 0.0
-    for db, pe in zip(grid, analytic_curves["ja_pe"]):
-        if pe >= 0.5:
+    worst, checked = 0.0, 0
+    for db in np.concatenate([MAIN_GRID, EXT_GRID]):
+        link = _main_link(db)
+        ja = pe_cmd_composition(code, c, link, method="ja").pe
+        if ja >= 0.5:
             continue
-        sa = pe_cmd_sa(code, c, _main_link(db)).pe
-        worst = max(worst, abs(pe - sa) / pe)
+        sa = pe_cmd_composition(code, c, link, method="sa").pe
+        worst = max(worst, abs(ja - sa) / ja)
+        checked += 1
+    assert checked >= 9
     assert worst < 0.01
 
 
@@ -206,13 +213,13 @@ def test_criterion_07_link_budget_ordering(system):
         for n, w, n_q, m in FIG6_CONFIGS:
             code = make_code(n, w)
             c = build_constellation(n_q)
-            bers.append(pb_cmd(code, c, _fig6_link(n, w, n_q, m, dbm)))
+            bers.append(pe_cmd_ja(code, c, _fig6_link(n, w, n_q, m, dbm)).pb)
         assert bers[0] < bers[1] < bers[2], f"ordering broken at {dbm} dBm"
     for cfg_idx, (n, w, n_q, m) in enumerate(FIG6_CONFIGS):
         code = make_code(n, w)
         c = build_constellation(n_q)
         link = _fig6_link(n, w, n_q, m, FIG6_SIM_DBM[(n, w)])
-        pb = pb_cmd(code, c, link)
+        pb = pe_cmd_ja(code, c, link).pb
         q_total = total_bits(n, w, n_q)
         t = run_point(code, c, link, ("cmd",), 600_000, SEED, 100 + cfg_idx)["cmd"]
         ber = t.ber(q_total)

@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ndtr
 
 from qam_mppm import analytic, distributions
@@ -15,7 +16,6 @@ from qam_mppm.analytic import (
     ebn0_at_target,
     pc_mppm_cmd_joint,
     pc_mppm_cmd_sa,
-    pc_mppm_imd,
     pe_cmd_composition,
     pe_cmd_ja,
     pe_cmd_sa,
@@ -23,10 +23,11 @@ from qam_mppm.analytic import (
     per_symbol_errors,
     qam_scale,
     _SlotModel,
+    _event_quantities,
 )
 from qam_mppm.constellation import build_constellation
 from qam_mppm.link import LinkParams, sigma_from_ebn0
-from qam_mppm.mppm import make_code
+from qam_mppm.mppm import correction_stats, make_code
 
 
 def _link(db, n=12, w=6, n_q=4, m=0.5):
@@ -78,21 +79,25 @@ def test_pc_sa_equals_joint_for_single_ring():
     assert sa == pytest.approx(ja, rel=1e-9)
 
 
-def test_pc_imd_direct_matches_binomial():
-    link, _ = _link(8.0, n=8, w=2, n_q=2, m=0.9)
+def test_imd_no_noise_entry_matches_order_statistic_integral():
+    """a0, the probability that every signal slot outranks every noise slot,
+    equals the direct order-statistic integral over the weakest signal slot:
+    w f_sl (1 - F_sl)^(w-1) F_nsl^(N-w) for the matched-filter Gaussians."""
+    link, c = _link(0.0, n=8, w=2, n_q=2, m=0.9)
     code = make_code(8, 2)
-    direct = pc_mppm_imd(code, link, mode="direct")
-    binom = pc_mppm_imd(code, link, mode="binomial")
-    assert direct == pytest.approx(binom, rel=1e-8)
+    a0 = _event_quantities(_SlotModel(c, link, "imd"), code, 1e-10,
+                           correction_stats(code))["a0"]
+    mu = math.sqrt(link.t_s) * link.i_ph
+    sigma = math.sqrt(link.sigma2)
 
+    def weakest_signal(x):
+        pdf = math.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+        return 2 * pdf * ndtr((mu - x) / sigma) * ndtr(x / sigma) ** 6
 
-def test_pc_imd_binomial_guard():
-    link, _ = _link(8.0, n=32, w=6)
-    code = make_code(32, 6)
-    with pytest.raises(ValueError):
-        pc_mppm_imd(code, link, mode="binomial")
-    with pytest.raises(ValueError):
-        pc_mppm_imd(code, link, mode="bogus")
+    direct, _ = quad(weakest_signal, mu - 15.0 * sigma, mu + 15.0 * sigma,
+                     epsabs=1e-14, epsrel=1e-12, limit=400)
+    assert 0.6 < a0 < 0.8
+    assert a0 == pytest.approx(direct, rel=1e-8)
 
 
 def test_results_are_probabilities_and_ordered():

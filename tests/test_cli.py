@@ -94,6 +94,42 @@ def test_sweep_bad_workers_and_rate_reported_together(tmp_path, over, env, keys)
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_sweep_non_finite_grid_reported_together(tmp_path):
+    """Non-finite grid values plus an out-of-range nQ: exit 2 with one
+    diagnostic each, no traceback, no CSV."""
+    cfg = _write_cfg(tmp_path, **{"grid.start": "nan", "grid.stop": "inf",
+                                  "grid.step": "nan", "sys.nQ": "12"})
+    env = dict(os.environ, PYTHONPATH=str(Path(qam_mppm.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "qam_mppm", "sweep", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("config error:")]
+    assert len(errors) == 4, proc.stderr
+    for key in ("grid.start", "grid.stop", "grid.step", "sys.nQ"):
+        assert any(key in ln for ln in errors), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_rank_capacity_exit_code(tmp_path):
+    """A code whose weight-w universe reaches 2^63 cannot be ranked in
+    64-bit integers: exit 3 naming the limit, no traceback, no CSV. A code
+    just inside the limit, whose partial rank sums are larger, runs."""
+    cfg = _write_cfg(tmp_path, **{"sys.N": "100", "sys.w": "50", "detectors": "cmd",
+                                  "methods": "", "sim.workers": "1"})
+    env = dict(os.environ, PYTHONPATH=str(Path(qam_mppm.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "qam_mppm", "sweep", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert "2^63" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+    cfg = _write_cfg(tmp_path, **{"sys.N": "70", "sys.w": "67", "detectors": "cmd",
+                                  "methods": "", "sim.trials": "1000", "sim.workers": "1"})
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert (tmp_path / "out.csv").exists()
+
+
 def test_sweep_capacity_limit_exit_code(tmp_path):
     """Analytic methods on a code too large for its support table: exit 3
     naming the 2^20 limit, no traceback, no CSV. The simulation alone runs."""

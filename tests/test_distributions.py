@@ -5,19 +5,18 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ncx2
 
+from qam_mppm.analytic import _SlotModel
 from qam_mppm.constellation import build_constellation
 from qam_mppm.distributions import (
     F_nsl_cmd,
     F_nsl_imd,
     F_sl_cmd,
     F_sl_imd,
-    bessel_i0_scaled,
     f_nsl_cmd,
     f_nsl_imd,
     f_sl_cmd,
     f_sl_imd,
     marcum_q1,
-    mixture_sl_cmd,
 )
 from qam_mppm.link import LinkParams
 
@@ -80,16 +79,6 @@ def test_marcum_large_arguments_stable():
     assert marcum_q1(120.0, 100.0) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_bessel_scaled_matches_reference():
-    from scipy.special import i0
-
-    for x in (0.0, 0.5, 5.0):
-        assert bessel_i0_scaled(x) == pytest.approx(i0(x) * np.exp(-x), rel=1e-12)
-    assert np.isfinite(bessel_i0_scaled(1e6))
-    with pytest.raises(ValueError):
-        bessel_i0_scaled(-1.0)
-
-
 def test_cmd_sl_matches_noncentral_chi_square_reference():
     """The signal-slot metric is sigma2 * ncx2(2, omega/sigma2)."""
     omega, sigma2 = 4.0, 0.5
@@ -109,9 +98,11 @@ def test_negative_x_edges():
 
 
 def test_mixture_normalizes_and_saturates():
+    """The symbol-averaged signal-slot metric of the power-metric detector
+    is a density, and its survival vanishes far above the constellation."""
     c = build_constellation(4)
     link = LinkParams.from_normalized(12, 6, 0.5, 0.05)
-    val, _ = quad(lambda x: mixture_sl_cmd(np.array(x), c, link)[0], 0, np.inf, limit=300)
+    model = _SlotModel(c, link, "cmd")
+    val, _ = quad(model.signal_pdf, 0, np.inf, limit=300)
     assert val == pytest.approx(1.0, abs=1e-8)
-    _, cdf_hi = mixture_sl_cmd(50.0, c, link)
-    assert cdf_hi == pytest.approx(1.0, abs=1e-9)
+    assert model.values(50.0)[0] == pytest.approx(0.0, abs=1e-9)

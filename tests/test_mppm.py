@@ -14,8 +14,8 @@ from qam_mppm.analytic import pe_imd
 from qam_mppm.constellation import build_constellation
 from qam_mppm.link import LinkParams, sigma_from_ebn0
 from qam_mppm.mppm import (
+    CapacityError,
     bits_per_mppm,
-    correct_pattern,
     correct_patterns,
     correction_stats,
     decode_mppm,
@@ -41,7 +41,7 @@ def test_bits_per_mppm_exact_values(n, w, expected):
     assert 1 << expected <= math.comb(n, w) < 1 << (expected + 1)
 
 
-@pytest.mark.parametrize("n, w", [(12, 6), (32, 2), (10, 3), (18, 9), (8, 4)])
+@pytest.mark.parametrize("n, w", [(12, 6), (32, 2), (10, 3), (18, 9), (8, 4), (70, 67)])
 def test_rank_unrank_bijection_exhaustive(n, w):
     """Exhaustive bijection over the full weight-w pattern universe."""
     assert math.comb(n, w) <= 100_000
@@ -55,6 +55,23 @@ def test_rank_unrank_bijection_exhaustive(n, w):
         assert rank_support(sup, code) == r
         seen.add(sup)
     assert len(seen) == math.comb(n, w)
+
+
+def test_rank_supports_near_the_int64_limit():
+    """Ranks stay exact when the codec's partial sums exceed int64 but
+    C(N, w) does not; larger codes are refused."""
+    code = make_code(70, 67)
+    assert np.array_equal(rank_supports(code.table, code), np.arange(code.size))
+    code = make_code(66, 33)  # C(66, 33) = 7.2e18 < 2^63
+    rng = np.random.default_rng(8)
+    sups = np.sort(np.array([rng.choice(66, 33, replace=False) for _ in range(50)]), axis=1)
+    ranks = rank_supports(sups, code)
+    assert np.all(ranks >= 0)
+    for sup, r in zip(sups, ranks):
+        assert rank_support(sup, code) == r
+        assert unrank(int(r), code) == tuple(sup.tolist())
+    with pytest.raises(CapacityError, match="2\\^63"):
+        make_code(67, 34)
 
 
 def test_table_matches_unrank():
@@ -94,14 +111,16 @@ def test_decode_rejects_out_of_set():
 def test_correct_pattern_passthrough_and_projection():
     code = make_code(12, 6)
     rng = np.random.default_rng(11)
-    inside = encode_mppm(37, code)
-    assert np.array_equal(correct_pattern(inside, code, rng), inside)
-    outside = pattern_from_support(range(6, 12), 12)
-    fixed = correct_pattern(outside, code, rng)
-    assert fixed.sum() == 6
-    assert decode_mppm(fixed, code) >= 0  # now in the usable set
+    # an in-set detection ranks inside the set and is never corrected
+    inside = np.flatnonzero(encode_mppm(37, code))[None]
+    assert rank_supports(inside, code)[0] == 37
+    outside = np.arange(6, 12, dtype=np.int16)[None]
+    fixed = correct_patterns(outside, code, rng)
+    assert fixed.shape == (1, 6)
+    pattern = pattern_from_support(fixed[0], 12)
+    assert decode_mppm(pattern, code) >= 0  # now in the usable set
     # projection moves the minimum possible distance
-    assert int(np.sum(fixed != outside)) == 2
+    assert int(np.sum(pattern != pattern_from_support(outside[0], 12))) == 2
 
 
 def test_correct_patterns_full_scan_fallback():
@@ -157,9 +176,26 @@ def test_distance_spectrum_pair_count():
 
 def test_mppm_ser_ub_monotone_in_scale():
     code = make_code(12, 6)
-    vals = [mppm_ser_ub(code, s, clamp=True) for s in (0.5, 2.0, 8.0, 32.0)]
+    vals = [mppm_ser_ub(code, s) for s in (0.5, 2.0, 8.0, 32.0)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert 0.0 <= vals[-1] <= 1.0
+
+
+def test_correct_patterns_over_64_slots():
+    """A code over 64 slots keeps a support table but has no bit table; a
+    support without an in-set single swap goes to a uniform member at the
+    maximum overlap, drawn from the table."""
+    code = make_code(67, 65)
+    assert code.table is not None and code.table_bits is None
+    sup = np.arange(2, 67, dtype=np.int16)[None]  # slots 0 and 1 idle
+    assert rank_support(sup[0], code) >= code.size
+    slots = set(sup[0].tolist())
+    overlap = [len(set(m) & slots) for m in code.table.tolist()]
+    best = {tuple(m) for m, o in zip(code.table.tolist(), overlap) if o == max(overlap)}
+    assert max(overlap) == 63 and len(best) > 1
+    rng = np.random.default_rng(2)
+    drawn = {tuple(correct_patterns(sup, code, rng)[0].tolist()) for _ in range(40)}
+    assert drawn <= best and len(drawn) > 1
 
 
 @pytest.mark.parametrize("n, w", [(12, 6), (32, 2), (10, 4)])
@@ -170,7 +206,7 @@ def test_correction_stats_position_budget(n, w):
     assert 0.0 <= st_.rescue_prob <= 1.0
     assert st_.max_swaps == min(w, n - w)
     for l in range(1, st_.max_swaps + 1):
-        aligned = st_.aligned(l)
+        aligned = st_.align_v[l - 1] + st_.align_p[l - 1]
         mis = sum(sum(row) for row in st_.classes[l - 1])
         assert aligned + mis == pytest.approx(w, abs=1e-9)
         assert 0.0 <= st_.pat_bits[l - 1] <= code.q_mppm

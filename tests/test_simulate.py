@@ -8,12 +8,11 @@ import pytest
 
 from qam_mppm import simulate
 from qam_mppm.constellation import build_constellation, demap_ml
-from qam_mppm.link import LinkParams, sigma_from_ebn0
+from qam_mppm.link import LinkParams, sigma_from_ebn0, total_bits
 from qam_mppm.mppm import correct_patterns, make_code
 from qam_mppm.simulate import (
     TrialCounters,
     _demap,
-    assemble_bits,
     run_point,
     simulate_batch,
     waveform_crosscheck,
@@ -30,12 +29,11 @@ def _setup(db=10.0, n=12, w=6, n_q=4, m=0.5):
 
 @dataclasses.dataclass(frozen=True)
 class FrameTx:
-    """One transmitted frame: pattern rank, symbols at active slots, bits."""
+    """One transmitted frame: pattern rank and symbols at active slots."""
 
     pattern_rank: int
     support: tuple[int, ...]
     qam_indices: tuple[int, ...]
-    bits: int
 
 
 def generate_frame(rng: np.random.Generator, code, c) -> FrameTx:
@@ -43,15 +41,8 @@ def generate_frame(rng: np.random.Generator, code, c) -> FrameTx:
     rank = int(rng.integers(0, code.size))
     support = code.table[rank]
     qam = tuple(int(v) for v in rng.integers(0, c.m_q, code.weight))
-    bits = int(assemble_bits(rank, c.labels[list(qam)], c.n_q)[0])
     return FrameTx(pattern_rank=rank, support=tuple(int(s) for s in support),
-                   qam_indices=qam, bits=bits)
-
-
-def test_assemble_bits_layout():
-    # rank 0b101 followed by two 2-bit labels 0b11 and 0b01
-    word = assemble_bits(np.array(0b101), np.array([0b11, 0b01]), 2)
-    assert int(word[0]) == (0b101 << 4) | (0b11 << 2) | 0b01
+                   qam_indices=qam)
 
 
 def test_generate_frame_fields():
@@ -61,7 +52,6 @@ def test_generate_frame_fields():
     assert 0 <= fr.pattern_rank < code.size
     assert len(fr.support) == 6
     assert all(0 <= q < c.m_q for q in fr.qam_indices)
-    assert fr.bits < 1 << (code.q_mppm + 6 * c.n_q)
 
 
 def test_noiseless_detection_recovers_frame():
@@ -73,6 +63,49 @@ def test_noiseless_detection_recovers_frame():
         t = res[det]
         assert t.frames == 2000
         assert (t.sym_errors, t.bit_errors, t.mppm_errors, t.qam_cond_errors) == (0, 0, 0, 0)
+
+
+def test_bit_errors_counted_over_frames_beyond_64_bits(monkeypatch):
+    """A (40, 10) 16-QAM frame carries 29 + 10 * 4 = 69 bits.  The counters
+    equal a count over each whole frame word (pattern word, then the QAM
+    words in slot order) in Python integers."""
+    code, c, link = _setup(db=0.0, n=40, w=10)
+    assert total_bits(40, 10, c.n_q) == 69
+    seen = {"rank": [], "idx": []}
+    detect, demap = simulate._detect, simulate._demap
+
+    def spy_detect(*args):
+        out = detect(*args)
+        seen["rank"].append(out[1])
+        return out
+
+    def spy_demap(*args):
+        out = demap(*args)
+        seen["idx"].append(out)
+        return out
+
+    monkeypatch.setattr(simulate, "_detect", spy_detect)
+    monkeypatch.setattr(simulate, "_demap", spy_demap)
+    n_frames, key = 2000, [5, 0, 0]
+    got = simulate_batch(code, c, link, ("cmd", "imd"), n_frames, key)
+    # the batch's first two draws: the pattern words, then the QAM symbols
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+    tx_rank = rng.integers(0, code.size, n_frames)
+    tx_idx = rng.integers(0, c.m_q, (n_frames, code.weight))
+
+    def word(rank, idx):
+        v = int(rank)
+        for i in idx:
+            v = (v << c.n_q) | int(c.labels[i])
+        return v
+
+    for det, det_rank, det_idx in zip(("cmd", "imd"), seen["rank"], seen["idx"]):
+        diffs = [bin(word(*tx) ^ word(*rx)).count("1")
+                 for tx, rx in zip(zip(tx_rank, tx_idx), zip(det_rank, det_idx))]
+        t = got[det]
+        assert t.sym_errors == sum(d > 0 for d in diffs)
+        assert t.bit_errors == sum(diffs)
+        assert t.bit_errors_sq == sum(d * d for d in diffs)
 
 
 def test_simulate_batch_deterministic():
