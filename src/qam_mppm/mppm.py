@@ -74,17 +74,10 @@ def make_code(n_slots: int, weight: int) -> MppmCode:
     table = None
     table_bits = None
     if size <= _TABLE_LIMIT:
-        table = np.empty((size, w), dtype=np.int16)
-        support = list(range(w))
-        for r in range(size):
-            table[r] = support
-            # next combination in lex order
-            for j in range(w - 1, -1, -1):
-                if support[j] < n - (w - j):
-                    support[j] += 1
-                    for jj in range(j + 1, w):
-                        support[jj] = support[jj - 1] + 1
-                    break
+        # combinations() yields the supports in lexicographic order.
+        lex = itertools.islice(itertools.combinations(range(n), w), size)
+        table = np.fromiter(itertools.chain.from_iterable(lex), dtype=np.int16,
+                            count=size * w).reshape(size, w)
         if n <= 64:
             bits = np.zeros(size, dtype=np.uint64)
             for j in range(w):
@@ -163,19 +156,46 @@ def correct_patterns(supports: np.ndarray, code: MppmCode,
                      rng: np.random.Generator) -> np.ndarray:
     """Vectorized nearest-member correction for out-of-set sorted supports.
 
-    All single-swap neighbors (squared distance 2) are ranked; a uniform
-    random in-set neighbor is taken.  Rows with no in-set neighbor take a
-    uniform random member among all the nearest ones.
+    A uniform random usable single swap (squared distance 2) is taken; rows
+    with none take a uniform random member among all the nearest ones.
+
+    Membership is decided without building the swaps.  The usable patterns
+    are those up to the last one, L, in lexicographic order, and a pattern
+    A precedes L exactly when the smallest slot of A ^ L (symmetric
+    difference) lies in A.  So A is usable when that slot is not in L or
+    when A = L.  Swapping slot s out of S and inactive slot k in toggles s
+    and k in S ^ L, so the smallest slot of each swap's difference follows
+    from the three smallest slots of S ^ L.  Only the chosen swap is built.
     """
+    n, w = code.n_slots, code.weight
+    last = code.table[code.size - 1] if code.table is not None else unrank(code.size - 1, code)
+    in_last = np.zeros(n + 1, dtype=bool)  # slot n stands for an empty difference
+    in_last[list(last)] = True
+    slots = np.arange(n, dtype=supports.dtype)
     out = supports.copy()
     for lo in range(0, len(supports), _CORRECTION_CHUNK):
         sub = supports[lo : lo + _CORRECTION_CHUNK]
-        cands = _single_swaps(sub, code.n_slots)
-        ranks = rank_supports(cands.reshape(-1, code.weight), code).reshape(cands.shape[:2])
-        ok = ranks < code.size
+        rows = np.arange(len(sub))
+        mask = np.zeros((len(sub), n), dtype=bool)
+        mask[rows[:, None], sub] = True
+        inact = np.nonzero(~mask)[1].reshape(len(sub), n - w).astype(sub.dtype)
+        # Three smallest slots of S ^ L (n where it has fewer), then per swap
+        # (j, k) the smallest of them that the swap does not toggle away.
+        d = np.sort(np.where(mask ^ in_last[:n], slots, n), axis=1)[:, :3, None, None]
+        s = sub[:, :, None]
+        k = inact[:, None, :]
+        first = np.where((d[:, 0] != s) & (d[:, 0] != k), d[:, 0],
+                         np.where((d[:, 1] != s) & (d[:, 1] != k), d[:, 1], d[:, 2]))
+        # s enters the difference when L holds it, k when L lacks it.
+        first = np.minimum(first, np.where(in_last[s], s, n))
+        first = np.minimum(first, np.where(in_last[k], n, k))
+        ok = ~in_last[first].reshape(len(sub), w * (n - w))
         u = rng.random(ok.shape)
         u[~ok] = -1.0
-        chosen = cands[np.arange(len(sub)), np.argmax(u, axis=1)]
+        pick = np.argmax(u, axis=1)
+        chosen = sub.copy()
+        chosen[rows, pick // (n - w)] = inact[rows, pick % (n - w)]
+        chosen.sort(axis=1)
         for row in np.flatnonzero(~ok.any(axis=1)):
             chosen[row] = _nearest_member(sub[row], code, rng)
         out[lo : lo + _CORRECTION_CHUNK] = chosen

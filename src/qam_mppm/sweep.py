@@ -27,6 +27,10 @@ _DETECTOR_METHODS = {"cmd": {"ja", "sa"}, "imd": {"ni", "ub"}}
 # Methods whose events model reads the code's correction statistics.
 _STATS_METHODS = ("ja", "sa", "ni")
 
+# Sweeps evaluate every grid point, so longer grids are refused as a
+# configuration error instead of being allocated.
+MAX_GRID_POINTS = 10_000
+
 REQUIRED_KEYS = [
     "mode", "grid.start", "grid.stop", "grid.step", "sys.N", "sys.w",
     "sys.nQ", "sys.m", "detectors", "sim.trials", "sim.seed", "out.csv",
@@ -66,8 +70,14 @@ class SweepSpec:
     workers: int | None = None
 
     def grid(self) -> np.ndarray:
-        n = int(round((self.stop - self.start) / self.step)) + 1
+        n = int(_grid_points(self.start, self.stop, self.step))
         return self.start + self.step * np.arange(n)
+
+
+def _grid_points(start: float, stop: float, step: float) -> float:
+    """Number of grid points, inf when the span overflows."""
+    span = (stop - start) / step
+    return round(span) + 1 if math.isfinite(span) else math.inf
 
 
 def parse_config(path) -> dict[str, str]:
@@ -121,8 +131,12 @@ def build_spec(values: dict[str, str], overrides: dict | None = None) -> SweepSp
     start, stop, step = (grid_value(key) for key in ("grid.start", "grid.stop", "grid.step"))
     if step is not None and step <= 0:
         problems.append("grid.step must be > 0")
-    if None not in (start, stop, step) and step > 0 and stop < start:
-        problems.append("grid must be monotone: stop >= start")
+    if None not in (start, stop, step) and step > 0:
+        if stop < start:
+            problems.append("grid must be monotone: stop >= start")
+        elif (points := _grid_points(start, stop, step)) > MAX_GRID_POINTS:
+            problems.append(f"grid has {points:.6g} points, more than the "
+                            f"{MAX_GRID_POINTS} allowed")
     n_slots = number("sys.N", int)
     weight = number("sys.w", int)
     n_q = number("sys.nQ", int)

@@ -30,7 +30,13 @@ from qam_mppm.mppm import (
     rank_supports,
     unrank,
 )
-from qam_mppm.mppm import _classify_positions, _nearest_members, _single_swaps
+from qam_mppm.mppm import (
+    _CORRECTION_CHUNK,
+    _classify_positions,
+    _nearest_member,
+    _nearest_members,
+    _single_swaps,
+)
 
 
 @pytest.mark.parametrize(
@@ -75,9 +81,17 @@ def test_rank_supports_near_the_int64_limit():
 
 
 def test_table_matches_unrank():
-    code = make_code(12, 6)
-    for r in (0, 1, 100, code.size - 1):
-        assert tuple(code.table[r]) == unrank(r, code)
+    """The support table lists the first size patterns in codec order, and
+    its bit table marks the same slots."""
+    for n, w in [(12, 6), (32, 6), (67, 65), (70, 3)]:
+        code = make_code(n, w)
+        assert code.table.shape == (code.size, w) and code.table.dtype == np.int16
+        for r in (0, 1, 100, code.size - 1):
+            assert tuple(code.table[r].tolist()) == unrank(r, code)
+        assert np.array_equal(rank_supports(code.table, code), np.arange(code.size))
+        if code.table_bits is not None:
+            bits = np.bitwise_or.reduce(np.uint64(1) << code.table.astype(np.uint64), axis=1)
+            assert np.array_equal(code.table_bits, bits)
 
 
 def test_rank_supports_vectorized_matches_scalar():
@@ -142,6 +156,51 @@ def test_correct_patterns_full_scan_fallback():
     assert _nearest_members(sup[0], code).tolist() == nearest
     no_bits = dataclasses.replace(code, table_bits=None)  # the scan for more than 64 slots
     assert _nearest_members(sup[0], no_bits).tolist() == nearest
+
+
+def _correct_patterns_by_ranking(supports, code, rng):
+    """Reference correction: every single swap of every row is built, sorted
+    and ranked, and a uniform random usable one is taken."""
+    out = supports.copy()
+    for lo in range(0, len(supports), _CORRECTION_CHUNK):
+        sub = supports[lo : lo + _CORRECTION_CHUNK]
+        cands = _single_swaps(sub, code.n_slots)
+        ranks = rank_supports(cands.reshape(-1, code.weight), code).reshape(cands.shape[:2])
+        ok = ranks < code.size
+        u = rng.random(ok.shape)
+        u[~ok] = -1.0
+        chosen = cands[np.arange(len(sub)), np.argmax(u, axis=1)]
+        for row in np.flatnonzero(~ok.any(axis=1)):
+            chosen[row] = _nearest_member(sub[row], code, rng)
+        out[lo : lo + _CORRECTION_CHUNK] = chosen
+    return out
+
+
+@pytest.mark.parametrize("n, w, table, falls_back", [
+    (12, 6, True, False), (32, 6, True, False), (16, 4, True, False),
+    (20, 10, True, False), (9, 5, True, True), (9, 5, False, True),
+    (67, 65, True, True), (70, 3, True, False), (40, 10, False, False),
+])
+def test_correct_patterns_matches_ranking_every_swap(n, w, table, falls_back):
+    """The membership test picks the same supports and leaves the random
+    stream where ranking every single swap leaves it, across chunk
+    boundaries, with and without a support table, and on rows without a
+    usable single swap."""
+    code = make_code(n, w)
+    if not table:
+        code = dataclasses.replace(code, table=None, table_bits=None)
+    rng = np.random.default_rng(n * 100 + w)
+    sup = np.sort(rng.random((30_000, n)).argsort(axis=1)[:, :w], axis=1).astype(np.int16)
+    sup = np.resize(sup[rank_supports(sup, code) >= code.size], (_CORRECTION_CHUNK + 300, w))
+    swaps = _single_swaps(sup, n)
+    usable = rank_supports(swaps.reshape(-1, w), code).reshape(swaps.shape[:2]) < code.size
+    assert bool(np.any(~usable.any(axis=1))) == falls_back
+    rng_fast, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+    fixed = correct_patterns(sup, code, rng_fast)
+    assert fixed.dtype == sup.dtype
+    assert np.array_equal(fixed, _correct_patterns_by_ranking(sup, code, rng_ref))
+    assert rng_fast.random() == rng_ref.random()
+    assert np.all(rank_supports(fixed, code) < code.size)
 
 
 def test_k_l_sums_to_one_exactly():

@@ -92,6 +92,22 @@ def test_grid_endpoints():
     assert len(build_spec(vals).grid()) == 19
 
 
+def test_grid_point_limit():
+    """The longest allowed grid builds; one point more, or a span that
+    overflows, is a configuration error."""
+    vals = dict(GOOD)
+    vals.update({"grid.start": "0", "grid.stop": str(sweep.MAX_GRID_POINTS - 1),
+                 "grid.step": "1"})
+    assert len(build_spec(vals).grid()) == sweep.MAX_GRID_POINTS
+    for start, stop, step in [("0", str(sweep.MAX_GRID_POINTS), "1"),
+                              ("-1e308", "1e308", "1e-300")]:
+        vals.update({"grid.start": start, "grid.stop": stop, "grid.step": step})
+        with pytest.raises(ConfigError) as exc:
+            build_spec(vals)
+        assert len(exc.value.problems) == 1
+        assert "allowed" in exc.value.problems[0]
+
+
 def test_links_for_modes(tmp_path):
     spec = _spec(tmp_path)
     links = links_for(spec)
