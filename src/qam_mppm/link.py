@@ -165,9 +165,15 @@ class ComplexityReport:
 
 def complexity(n_slots: int, weight: int, m_q: int, n_samples: int) -> ComplexityReport:
     """Per-frame operation counts; heap comparisons use log base 2."""
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples per slot (Nyquist)")
     n, w = n_slots, weight
+    problems = [msg for bad, msg in (
+        (n < 2, f"N must be >= 2, got {n}"),
+        (n >= 2 and not 1 <= w <= n - 1, f"w must be in [1, {n - 1}], got {w}"),
+        (not 4 <= m_q <= 1024 or m_q & (m_q - 1), f"M_Q must be 2^k for k in [2, 10], got {m_q}"),
+        (n_samples < 2, "need at least 2 samples per slot (Nyquist)"),
+    ) if bad]
+    if problems:
+        raise ValueError("; ".join(problems))
     heap = n * math.log2(w) if w > 1 else 0.0
     return ComplexityReport(
         cmd_qam_metrics=2.0 * n * n_samples,

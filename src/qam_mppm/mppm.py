@@ -22,6 +22,9 @@ _TABLE_LIMIT = 1 << 20
 _RANK_LIMIT = 1 << 63
 # Rows per vectorized single-swap candidate block.
 _CORRECTION_CHUNK = 2048
+# Slot entries per block of distance-shell candidates, which bounds the
+# memory of a shell scan on codes without a support table.
+_SHELL_BLOCK = 1 << 22
 
 
 class CapacityError(RuntimeError):
@@ -152,12 +155,12 @@ def decode_mppm(pattern: np.ndarray, code: MppmCode) -> int:
     return r
 
 
-def correct_patterns(supports: np.ndarray, code: MppmCode,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Vectorized nearest-member correction for out-of-set sorted supports.
+def _usable_swaps(sup: np.ndarray, code: MppmCode):
+    """Which single swaps of sorted supports give usable patterns.
 
-    A uniform random usable single swap (squared distance 2) is taken; rows
-    with none take a uniform random member among all the nearest ones.
+    Returns (inact, ok): inact (rows, N - w) lists each row's inactive
+    slots in increasing order, and ok (rows, w*(N - w)) marks the swap of
+    sup[:, j] for inact[:, k] at column j*(N - w) + k.
 
     Membership is decided without building the swaps.  The usable patterns
     are those up to the last one, L, in lexicographic order, and a pattern
@@ -165,31 +168,41 @@ def correct_patterns(supports: np.ndarray, code: MppmCode,
     difference) lies in A.  So A is usable when that slot is not in L or
     when A = L.  Swapping slot s out of S and inactive slot k in toggles s
     and k in S ^ L, so the smallest slot of each swap's difference follows
-    from the three smallest slots of S ^ L.  Only the chosen swap is built.
+    from the three smallest slots of S ^ L.
     """
     n, w = code.n_slots, code.weight
-    last = code.table[code.size - 1] if code.table is not None else unrank(code.size - 1, code)
     in_last = np.zeros(n + 1, dtype=bool)  # slot n stands for an empty difference
-    in_last[list(last)] = True
-    slots = np.arange(n, dtype=supports.dtype)
+    in_last[list(unrank(code.size - 1, code))] = True
+    mask = np.zeros((len(sup), n), dtype=bool)
+    mask[np.arange(len(sup))[:, None], sup] = True
+    inact = np.nonzero(~mask)[1].reshape(len(sup), n - w).astype(sup.dtype)
+    # Three smallest slots of S ^ L (n where it has fewer), then per swap
+    # (j, k) the smallest of them that the swap does not toggle away.
+    d = np.sort(np.where(mask ^ in_last[:n], np.arange(n, dtype=sup.dtype), n), axis=1)[:, :3]
+    d = np.pad(d, ((0, 0), (0, 3 - d.shape[1])), constant_values=n)[:, :, None, None]
+    s = sup[:, :, None]
+    k = inact[:, None, :]
+    first = np.where((d[:, 0] != s) & (d[:, 0] != k), d[:, 0],
+                     np.where((d[:, 1] != s) & (d[:, 1] != k), d[:, 1], d[:, 2]))
+    # s enters the difference when L holds it, k when L lacks it.
+    first = np.minimum(first, np.where(in_last[s], s, n))
+    first = np.minimum(first, np.where(in_last[k], n, k))
+    return inact, ~in_last[first].reshape(len(sup), w * (n - w))
+
+
+def correct_patterns(supports: np.ndarray, code: MppmCode,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Vectorized nearest-member correction for out-of-set sorted supports.
+
+    A uniform random usable single swap (squared distance 2) is taken; rows
+    with none take a uniform random member among all the nearest ones.
+    """
+    n, w = code.n_slots, code.weight
     out = supports.copy()
     for lo in range(0, len(supports), _CORRECTION_CHUNK):
         sub = supports[lo : lo + _CORRECTION_CHUNK]
         rows = np.arange(len(sub))
-        mask = np.zeros((len(sub), n), dtype=bool)
-        mask[rows[:, None], sub] = True
-        inact = np.nonzero(~mask)[1].reshape(len(sub), n - w).astype(sub.dtype)
-        # Three smallest slots of S ^ L (n where it has fewer), then per swap
-        # (j, k) the smallest of them that the swap does not toggle away.
-        d = np.sort(np.where(mask ^ in_last[:n], slots, n), axis=1)[:, :3, None, None]
-        s = sub[:, :, None]
-        k = inact[:, None, :]
-        first = np.where((d[:, 0] != s) & (d[:, 0] != k), d[:, 0],
-                         np.where((d[:, 1] != s) & (d[:, 1] != k), d[:, 1], d[:, 2]))
-        # s enters the difference when L holds it, k when L lacks it.
-        first = np.minimum(first, np.where(in_last[s], s, n))
-        first = np.minimum(first, np.where(in_last[k], n, k))
-        ok = ~in_last[first].reshape(len(sub), w * (n - w))
+        inact, ok = _usable_swaps(sub, code)
         u = rng.random(ok.shape)
         u[~ok] = -1.0
         pick = np.argmax(u, axis=1)
@@ -197,14 +210,31 @@ def correct_patterns(supports: np.ndarray, code: MppmCode,
         chosen[rows, pick // (n - w)] = inact[rows, pick % (n - w)]
         chosen.sort(axis=1)
         for row in np.flatnonzero(~ok.any(axis=1)):
-            chosen[row] = _nearest_member(sub[row], code, rng)
+            members = _nearest_members(sub[row], code)
+            chosen[row] = members[rng.integers(len(members))]
         out[lo : lo + _CORRECTION_CHUNK] = chosen
     return out
 
 
 def _nearest_members(support, code: MppmCode) -> np.ndarray:
-    """Ranks of the usable patterns sharing the most slots with support
-    (equivalently, at minimal Hamming distance); needs the support table."""
+    """Sorted supports of the usable patterns sharing the most slots with
+    support: table rows in rank order, or without a table the first distance
+    shell (swap one slot, then two, ...) that has any, in (removed, added) order."""
+    n, w = code.n_slots, code.weight
+    if code.table is None:
+        inactive = np.setdiff1d(np.arange(n), support)
+        for shell in range(1, min(w, n - w) + 1):
+            rem = np.array(list(itertools.combinations(range(w), shell)))[:, None]
+            add = inactive[np.array(list(itertools.combinations(range(n - w), shell)))]
+            found = []
+            for part in np.array_split(rem, 1 + len(rem) * len(add) * w // _SHELL_BLOCK):
+                cands = np.broadcast_to(support, (len(part), len(add), w)).copy()
+                cands[np.arange(len(part))[:, None, None], np.arange(len(add))[:, None], part] = add
+                cands = np.sort(cands.reshape(-1, w), axis=1)
+                found.append(cands[rank_supports(cands, code) < code.size])
+            if len(found := np.concatenate(found)):
+                return found
+        raise RuntimeError("empty expurgated set")  # unreachable for valid codes
     if code.table_bits is not None:
         bits = np.uint64(0)
         for c in support:
@@ -214,28 +244,7 @@ def _nearest_members(support, code: MppmCode) -> np.ndarray:
         hit = np.zeros(code.n_slots, dtype=bool)
         hit[np.asarray(support)] = True
         overlap = hit[code.table].sum(axis=1)
-    return np.flatnonzero(overlap == overlap.max())
-
-
-def _nearest_member(support, code: MppmCode, rng: np.random.Generator):
-    """Sorted support of a uniform random usable pattern sharing the most
-    slots with support (equivalently, at minimal Hamming distance)."""
-    if code.table is not None:
-        return code.table[rng.choice(_nearest_members(support, code))]
-    # Sets without a support table: scan distance shells (swap one slot,
-    # then two, ...).
-    inactive = np.setdiff1d(np.arange(code.n_slots), support)
-    for shell in range(1, code.weight + 1):
-        cands = []
-        for rem in itertools.combinations(support, shell):
-            keep = [c for c in support if c not in rem]
-            for add in itertools.combinations(inactive, shell):
-                cand = tuple(sorted(keep + list(add)))
-                if rank_support(cand, code) < code.size:
-                    cands.append(cand)
-        if cands:
-            return cands[rng.integers(len(cands))]
-    raise RuntimeError("empty expurgated set")  # unreachable for valid codes
+    return code.table[overlap == overlap.max()]
 
 
 @dataclass(frozen=True)
@@ -288,19 +297,6 @@ _STATS_SAMPLES = 20_000
 _STATS_SEED = 0x5EED
 
 
-def _single_swaps(sup: np.ndarray, n_slots: int) -> np.ndarray:
-    """All sorted single-swap neighbors: (n, w*(N-w), w)."""
-    n, w = sup.shape
-    mask = np.zeros((n, n_slots), dtype=bool)
-    mask[np.arange(n)[:, None], sup] = True
-    inact = np.nonzero(~mask)[1].reshape(n, n_slots - w)
-    cands = np.repeat(sup[:, None, :], w * (n_slots - w), axis=1)
-    cands = cands.reshape(n, w, n_slots - w, w)
-    for j in range(w):
-        cands[:, j, :, j] = inact
-    return np.sort(cands.reshape(n, w * (n_slots - w), w), axis=2)
-
-
 def _classify_positions(tx_sup, det, mask_tx, mask_w):
     """Position classes of decoded supports against the transmitted ones.
 
@@ -333,7 +329,7 @@ def _decode_swap_rows(tx_sup, tx_rank, cands, code):
     (the correction rule).
     """
     n_rows = len(cands)
-    w = code.weight
+    n, w = code.n_slots, code.weight
     r = rank_supports(cands, code)
     rows_all = np.arange(n_rows)[:, None]
     mask_tx = np.zeros((n_rows, code.n_slots), dtype=bool)
@@ -352,22 +348,21 @@ def _decode_swap_rows(tx_sup, tx_rank, cands, code):
         rows = order[lo : lo + _CORRECTION_CHUNK]
         pats, first, which = np.unique(r[rows], return_index=True, return_inverse=True)
         sup = cands[rows[first]]
-        nb = _single_swaps(sup, code.n_slots)
-        rk = rank_supports(nb.reshape(-1, w), code).reshape(len(first), -1)
-        inset = pats < code.size
-        mem_ok = np.concatenate([inset[:, None], (rk < code.size) & ~inset[:, None]], axis=1)
-        owner, m = np.nonzero(mem_ok)
-        mem_sup = np.concatenate([sup[:, None, :], nb], axis=1)[owner, m]
-        mem_rank = np.concatenate([pats[:, None], rk], axis=1)[owner, m]
-        # Without an in-set single swap, the correction draws from all
+        inset, outside = np.flatnonzero(pats < code.size), np.flatnonzero(pats >= code.size)
+        inact, ok = _usable_swaps(sup[outside], code)
+        swap_of, jk = np.nonzero(ok)
+        swaps = sup[outside[swap_of]]
+        swaps[np.arange(len(jk)), jk // (n - w)] = inact[swap_of, jk % (n - w)]
+        # Without a usable single swap, the correction draws from all
         # nearest members. Such patterns need w > N/2: otherwise moving the
         # first slot to slot 0 gives a usable pattern.
-        lone = np.flatnonzero(~mem_ok.any(axis=1))
+        lone = outside[~ok.any(axis=1)]
         near = [_nearest_members(sup[p], code) for p in lone]
-        owner = np.concatenate([owner, *(np.full(len(v), p) for p, v in zip(lone, near))])
+        # Members per pattern in (self, j, k) order, then the nearest ones.
+        owner = np.concatenate([inset, outside[swap_of], np.repeat(lone, [len(v) for v in near])])
         by_owner = np.argsort(owner, kind="stable")
-        mem_rank = np.concatenate([mem_rank, *near])[by_owner]
-        mem_sup = np.concatenate([mem_sup, *(code.table[v] for v in near)])[by_owner]
+        mem_sup = np.concatenate([sup[inset], np.sort(swaps, axis=1), *near])[by_owner]
+        mem_rank = rank_supports(mem_sup, code)
         # Row-major (row, member) pairs over the members of each row's pattern.
         n_of = np.bincount(owner, minlength=len(pats))
         n_mem = n_of[which]

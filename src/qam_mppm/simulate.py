@@ -83,9 +83,7 @@ def _detect(metric: np.ndarray, r_i: np.ndarray, r_q: np.ndarray,
     det_rank = rank_supports(det_support, code)
     bad = det_rank >= code.size
     if np.any(bad):
-        det_support = det_support.copy()
         det_support[bad] = correct_patterns(det_support[bad], code, rng)
-        det_rank = det_rank.copy()
         det_rank[bad] = rank_supports(det_support[bad], code)
     yi = np.take_along_axis(r_i, det_support, axis=1)
     yq = np.take_along_axis(r_q, det_support, axis=1)

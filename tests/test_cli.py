@@ -228,6 +228,25 @@ def test_complexity_bad_args(capsys):
     assert main(["complexity", "--N", "12", "--w", "6", "--MQ", "16", "--Ns", "1"]) == 2
 
 
+@pytest.mark.parametrize("args, problems", [
+    (("4", "9", "16", "8"), ["w must be in [1, 3]"]),
+    (("-5", "2", "16", "8"), ["N must be >= 2"]),
+    (("12", "6", "0", "8"), ["M_Q must be 2^k"]),
+    (("12", "0", "12", "1"), ["w must be in [1, 11]", "M_Q must be 2^k", "Nyquist"]),
+])
+def test_complexity_invalid_code_reported_together(capsys, args, problems):
+    """Impossible codes and constellation sizes print no counts; every
+    problem is reported at once with exit 2."""
+    argv = ["complexity"]
+    for flag, val in zip(("--N", "--w", "--MQ", "--Ns"), args):
+        argv += [flag, val]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert all(p in out.err for p in problems)
+    assert "Traceback" not in out.err
+
+
 def test_complexity_report_table():
     text = complexity_report(12, 6, 16, 8)
     assert "input filter" in text

@@ -102,6 +102,9 @@ def test_complexity_counts():
     assert rep.gain < 1.0  # the matched-filter detector does less work
     with pytest.raises(ValueError):
         complexity(12, 6, 16, 1)
+    for bad in [(1, 1, 16, 8), (12, 12, 16, 8), (12, 6, 2, 8), (12, 6, 24, 8), (12, 6, 2048, 8)]:
+        with pytest.raises(ValueError):
+            complexity(*bad)
 
 
 def test_complexity_single_pulse_heap_free():

@@ -33,9 +33,7 @@ from qam_mppm.mppm import (
 from qam_mppm.mppm import (
     _CORRECTION_CHUNK,
     _classify_positions,
-    _nearest_member,
     _nearest_members,
-    _single_swaps,
 )
 
 
@@ -137,6 +135,56 @@ def test_correct_pattern_passthrough_and_projection():
     assert int(np.sum(pattern != pattern_from_support(outside[0], 12))) == 2
 
 
+def _single_swaps(sup, n_slots):
+    """All sorted single-swap neighbors: (rows, w*(N-w), w) in (j, k) order."""
+    n, w = sup.shape
+    mask = np.zeros((n, n_slots), dtype=bool)
+    mask[np.arange(n)[:, None], sup] = True
+    inact = np.nonzero(~mask)[1].reshape(n, n_slots - w)
+    cands = np.repeat(sup[:, None, :], w * (n_slots - w), axis=1)
+    cands = cands.reshape(n, w, n_slots - w, w)
+    for j in range(w):
+        cands[:, j, :, j] = inact
+    return np.sort(cands.reshape(n, w * (n_slots - w), w), axis=2)
+
+
+def _shell_scan(support, code):
+    """Usable patterns of the first distance shell that has any, found by
+    swapping one slot, then two, ..., each candidate ranked on its own; in
+    (removed, added) order."""
+    n, w = code.n_slots, code.weight
+    support = [int(c) for c in support]
+    inactive = [s for s in range(n) if s not in support]
+    for shell in range(1, min(w, n - w) + 1):
+        cands = []
+        for rem in itertools.combinations(support, shell):
+            keep = [c for c in support if c not in rem]
+            for add in itertools.combinations(inactive, shell):
+                cand = tuple(sorted(keep + list(add)))
+                if rank_support(cand, code) < code.size:
+                    cands.append(cand)
+        if cands:
+            return cands
+    raise AssertionError("no usable pattern")
+
+
+def _nearest_member_by_scan(support, code, rng):
+    """Reference fallback: a uniform draw over the ranks of the nearest
+    table rows, or over the shell scan without a table."""
+    if code.table is not None:
+        overlap = [len(set(m) & set(support.tolist())) for m in code.table.tolist()]
+        return code.table[rng.choice(np.flatnonzero(np.array(overlap) == max(overlap)))]
+    cands = _shell_scan(support, code)
+    return cands[rng.integers(len(cands))]
+
+
+def _falls_back(sup, code):
+    """Rows of sorted supports without a usable single swap."""
+    swaps = _single_swaps(sup, code.n_slots)
+    usable = rank_supports(swaps.reshape(-1, code.weight), code) < code.size
+    return ~usable.reshape(swaps.shape[:2]).any(axis=1)
+
+
 def test_correct_patterns_full_scan_fallback():
     """A support with no in-set single-swap neighbor goes to a member at the
     maximum overlap, found by the full scan."""
@@ -152,10 +200,34 @@ def test_correct_patterns_full_scan_fallback():
         assert tuple(int(v) for v in fixed[0]) in members
         assert len(set(fixed[0].tolist()) & set(sup[0].tolist())) == 3
     detected = set(sup[0].tolist())
-    nearest = [r for r, m in enumerate(code.table) if len(set(m.tolist()) & detected) == 3]
+    nearest = [m.tolist() for m in code.table if len(set(m.tolist()) & detected) == 3]
     assert _nearest_members(sup[0], code).tolist() == nearest
     no_bits = dataclasses.replace(code, table_bits=None)  # the scan for more than 64 slots
     assert _nearest_members(sup[0], no_bits).tolist() == nearest
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("n, w, n_lone", [(9, 5, 1), (12, 8, 18)])
+def test_nearest_members_without_table(n, w, n_lone, block, monkeypatch):
+    """Without a support table the shell scan finds the same nearest
+    members as the table, for every support that has no usable single
+    swap, listed in the shell scan's (removed, added) order, also when a
+    shell is built in many blocks."""
+    if block:
+        monkeypatch.setattr("qam_mppm.mppm._SHELL_BLOCK", block)
+    code = make_code(n, w)
+    tableless = dataclasses.replace(code, table=None, table_bits=None)
+    sups = np.array(list(itertools.combinations(range(n), w)), dtype=np.int16)
+    sups = sups[rank_supports(sups, code) >= code.size]
+    lone = sups[_falls_back(sups, code)]
+    assert len(lone) == n_lone
+    for sup in lone:
+        tabled = _nearest_members(sup, code)
+        scanned = _nearest_members(sup, tableless)
+        assert np.array_equal(rank_supports(tabled, code), np.sort(rank_supports(scanned, code)))
+        assert scanned.tolist() == [list(c) for c in _shell_scan(sup, code)]
+        overlap = (code.table[:, :, None] == sup).any(axis=2).sum(axis=1)
+        assert np.array_equal(tabled, code.table[overlap == overlap.max()])
 
 
 def _correct_patterns_by_ranking(supports, code, rng):
@@ -171,15 +243,33 @@ def _correct_patterns_by_ranking(supports, code, rng):
         u[~ok] = -1.0
         chosen = cands[np.arange(len(sub)), np.argmax(u, axis=1)]
         for row in np.flatnonzero(~ok.any(axis=1)):
-            chosen[row] = _nearest_member(sub[row], code, rng)
+            chosen[row] = _nearest_member_by_scan(sub[row], code, rng)
         out[lo : lo + _CORRECTION_CHUNK] = chosen
     return out
+
+
+def _out_of_set(code, rows, seed):
+    """rows sorted out-of-set supports, drawn uniformly and repeated."""
+    n, w = code.n_slots, code.weight
+    rng = np.random.default_rng(seed)
+    sup = np.sort(rng.random((30_000, n)).argsort(axis=1)[:, :w], axis=1).astype(np.int16)
+    return np.resize(sup[rank_supports(sup, code) >= code.size], (rows, w))
+
+
+def _assert_matches_ranking(sup, code):
+    rng_fast, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+    fixed = correct_patterns(sup, code, rng_fast)
+    assert fixed.dtype == sup.dtype
+    assert np.array_equal(fixed, _correct_patterns_by_ranking(sup, code, rng_ref))
+    assert rng_fast.random() == rng_ref.random()
+    assert np.all(rank_supports(fixed, code) < code.size)
 
 
 @pytest.mark.parametrize("n, w, table, falls_back", [
     (12, 6, True, False), (32, 6, True, False), (16, 4, True, False),
     (20, 10, True, False), (9, 5, True, True), (9, 5, False, True),
     (67, 65, True, True), (70, 3, True, False), (40, 10, False, False),
+    (12, 8, False, True),
 ])
 def test_correct_patterns_matches_ranking_every_swap(n, w, table, falls_back):
     """The membership test picks the same supports and leaves the random
@@ -189,18 +279,19 @@ def test_correct_patterns_matches_ranking_every_swap(n, w, table, falls_back):
     code = make_code(n, w)
     if not table:
         code = dataclasses.replace(code, table=None, table_bits=None)
-    rng = np.random.default_rng(n * 100 + w)
-    sup = np.sort(rng.random((30_000, n)).argsort(axis=1)[:, :w], axis=1).astype(np.int16)
-    sup = np.resize(sup[rank_supports(sup, code) >= code.size], (_CORRECTION_CHUNK + 300, w))
-    swaps = _single_swaps(sup, n)
-    usable = rank_supports(swaps.reshape(-1, w), code).reshape(swaps.shape[:2]) < code.size
-    assert bool(np.any(~usable.any(axis=1))) == falls_back
-    rng_fast, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
-    fixed = correct_patterns(sup, code, rng_fast)
-    assert fixed.dtype == sup.dtype
-    assert np.array_equal(fixed, _correct_patterns_by_ranking(sup, code, rng_ref))
-    assert rng_fast.random() == rng_ref.random()
-    assert np.all(rank_supports(fixed, code) < code.size)
+    sup = _out_of_set(code, _CORRECTION_CHUNK + 300, n * 100 + w)
+    assert bool(np.any(_falls_back(sup, code))) == falls_back
+    _assert_matches_ranking(sup, code)
+
+
+def test_correct_patterns_tableless_shell_scan():
+    """(40, 30) has no support table, and some of its out-of-set supports
+    need two swaps to reach a usable pattern."""
+    code = make_code(40, 30)
+    assert code.table is None
+    sup = _out_of_set(code, 40, 4030)
+    assert 0 < np.count_nonzero(_falls_back(sup, code)) < len(sup)
+    _assert_matches_ranking(sup, code)
 
 
 def test_k_l_sums_to_one_exactly():
@@ -257,7 +348,7 @@ def test_correct_patterns_over_64_slots():
     assert drawn <= best and len(drawn) > 1
 
 
-@pytest.mark.parametrize("n, w", [(12, 6), (32, 2), (10, 4)])
+@pytest.mark.parametrize("n, w", [(12, 6), (32, 2), (10, 4), (2, 1)])
 def test_correction_stats_position_budget(n, w):
     """Aligned plus misaligned positions account for every decoded slot."""
     code = make_code(n, w)
