@@ -43,6 +43,15 @@ _COMBINATION_BUDGET = 10**7
 _DOMAIN_SIGMAS = 12.0
 _GL_NODES = np.polynomial.legendre.leggauss(96)
 _GL_ARC = np.polynomial.legendre.leggauss(16)
+# The 21 nodes of QUADPACK's Gauss-Kronrod rule qk21 on [-1, 1] (xgk and
+# its mirror images); quad evaluates centr + hlgth * x on each panel.
+_XGK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+                 0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+                 0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+                 0.14887433898163122])
+_GK21 = np.concatenate(([0.0], -_XGK, _XGK))
+# Elements of the slot model's largest per-call temporary (8 MB of floats).
+_CHUNK_ELEMENTS = 2**20
 
 
 class QuadratureError(RuntimeError):
@@ -159,6 +168,18 @@ class _Threshold(NamedTuple):
     signal_pdf: float
 
 
+def _crossings(fn, bounds: np.ndarray, radius: np.ndarray):
+    """fn(b / r) for every bound b that the circle of radius r crosses, 0
+    elsewhere, and the (circles, bounds) mask of crossings.  fn is libm's
+    acos/asin from ``math``: numpy's vector arccos/arcsin round differently
+    in the last bit, and the arc angles keep libm's values."""
+    hit = np.abs(bounds) < radius[:, None]
+    rows, k = np.nonzero(hit)
+    out = np.zeros(hit.shape)
+    out[hit] = list(map(fn, (bounds[k] / radius[rows]).tolist()))
+    return out, hit
+
+
 class _SlotModel:
     """Slot-metric survival/decision functions for one detector and link.
 
@@ -169,6 +190,10 @@ class _SlotModel:
     through the joint distribution of the I/Q statistics; for the
     matched-filter detector the metric is independent of the decision so
     both factorize exactly.
+
+    Every quantity is computed for a vector of thresholds, one Gauss-Kronrod
+    panel of ``quad`` at a time (see _entry), and kept as one record per
+    threshold.
     """
 
     def __init__(self, c: Constellation, link: LinkParams, detector: str):
@@ -181,7 +206,8 @@ class _SlotModel:
         self.pe_bar = float(np.mean(np.minimum(pe_sym, 1.0)))
         self.nb_bar = float(np.mean(nb_sym))
         self.pbar = 1.0 - self.pe_bar
-        self._cache: dict[float, tuple] = {}
+        self._cache: dict[float, _Threshold] = {}
+        self._panels: set[tuple[float, float]] = set()  # (a, b) computed by _panel
         if detector == "imd":
             self.mu = math.sqrt(link.t_s) * link.i_ph
             self.lo = -_DOMAIN_SIGMAS * self.sigma
@@ -239,41 +265,89 @@ class _SlotModel:
         r0_i = ndtr(self._col_hi / self.sigma) - ndtr(self._col_lo / self.sigma)
         r0_q = ndtr(self._row_hi / self.sigma) - ndtr(self._row_lo / self.sigma)
         self._rect0 = r0_i[ci] * r0_q[ri]  # zero-mean cell masses
+        # Thresholds per _values_coupled call: its largest temporary, the
+        # disk-clipped masses per (source, row, column, chord node), holds
+        # this many thresholds within _CHUNK_ELEMENTS.
+        per_y = (c.m_q + 1) * len(self._row_lo) * len(self._col_lo) * len(_GL_NODES[0])
+        self._chunk = max(1, _CHUNK_ELEMENTS // per_y)
 
-    # -- one record per threshold -------------------------------------------
+    # -- one record per threshold, made one quadrature panel at a time -------
     def _entry(self, y: float) -> _Threshold:
         """Everything the event integrands read at threshold y.
 
-        quad revisits the same nodes across the event integrals, so each
-        distinct y is evaluated once.  The distribution functions are looked
-        up through ``dist`` at call time.
+        Every event integral is a ``quad`` over [lo, hi], and QUADPACK's QAGS
+        applies the 21-point Gauss-Kronrod rule to pieces of it found by
+        repeated bisection, evaluating each piece's centre first.  So a miss
+        at the centre of such a panel computes the records of all 21 of its
+        nodes in one vector call; any other threshold is computed alone
+        through the same code, and a record is the same bit for bit either
+        way.  The records are cached, so each distinct y is evaluated once.
+        The nodes are computed with QUADPACK's own arithmetic, so they are
+        the very floats quad visits and quad returns what it would with one
+        threshold at a time: integrating on other nodes would move the
+        results by far more than the 1e-9 relative agreement the analytic
+        values are held to.
         """
         got = self._cache.get(y)
         if got is None:
-            s, g, t, extra = (self._values_coupled(y) if self.coupled
-                              else self._values_uncoupled(y))
-            at_rate, gram = self.nb_bar, None
-            if extra is not None:
-                # Bit-one probabilities of the transmitted words
-                # W = (bp_tx[0], bp_tx[1], bp_at_tx) and the demaps
-                # D = (bp_det[0..4], bp_at_det), as for mis_bits: the Gram
-                # matrix W D^T and the row sums of W and D.
-                bp_tx, bp_det, bp_at_tx, bp_at_det, at_rate = extra
-                words = np.vstack((bp_tx, bp_at_tx))
-                demaps = np.vstack((bp_det, bp_at_det))
-                gram = ((words @ demaps.T).tolist(), words.sum(axis=1).tolist(),
-                        demaps.sum(axis=1).tolist())
-            if self.detector == "cmd":
-                nsl = dist.f_nsl_cmd(y, self.s2), dist.F_nsl_cmd(y, self.s2)
-                pdf = sum(
-                    a * dist.f_sl_cmd(y, o, self.s2)
-                    for a, o in zip(self._mix_w, self._mix_om)
-                )
-            else:
-                nsl = dist.f_nsl_imd(y, self.s2), dist.F_nsl_imd(y, self.s2)
-                pdf = dist.f_sl_imd(y, self.mu, self.s2)
-            got = self._cache[y] = _Threshold(s, g, t, at_rate, gram, *nsl, pdf)
+            self._records(self._panel(y))
+            got = self._cache[y]
         return got
+
+    def _panel(self, y: float) -> np.ndarray:
+        """The 21 Gauss-Kronrod nodes of the panel centred at y, or y alone.
+
+        QAGS evaluates [lo, hi] first and then only halves of panels it has
+        evaluated, so the candidate panels are [lo, hi] and the halves of
+        panels already computed.
+        """
+        a, b = self.lo, self.hi
+        while True:
+            centr = 0.5 * (a + b)
+            if y == centr:
+                self._panels.add((a, b))
+                return centr + 0.5 * (b - a) * _GK21
+            if (a, b) not in self._panels:
+                return np.array([y], dtype=float)
+            a, b = (a, centr) if y < centr else (centr, b)
+
+    def _records(self, ys: np.ndarray) -> None:
+        """Compute the records of the thresholds ys and cache them.
+
+        The distribution functions are looked up through ``dist`` at call
+        time, once per call with all of ys.
+        """
+        if self.coupled:
+            n = self._chunk
+            s, g, t, bp_tx, bp_det, bp_at_tx, bp_at_det, at_rate = (
+                np.concatenate(part) for part in zip(*(
+                    self._values_coupled(ys[i:i + n]) for i in range(0, len(ys), n)
+                ))
+            )
+            # Bit-one probabilities of the transmitted words
+            # W = (bp_tx[0], bp_tx[1], bp_at_tx) and the demaps
+            # D = (bp_det[0..4], bp_at_det), as for mis_bits: per threshold,
+            # the Gram matrix W D^T and the row sums of W and D.
+            words = np.concatenate((bp_tx, bp_at_tx[:, None]), axis=1)
+            demaps = np.concatenate((bp_det, bp_at_det[:, None]), axis=1)
+            grams = zip((words @ demaps.swapaxes(1, 2)).tolist(),
+                        words.sum(axis=2).tolist(), demaps.sum(axis=2).tolist())
+            at_rate = at_rate.tolist()
+        else:
+            s, g, t = self._values_uncoupled(ys)
+            at_rate, grams = itertools.repeat(self.nb_bar), itertools.repeat(None)
+        if self.detector == "cmd":
+            f, cdf = dist.f_nsl_cmd(ys, self.s2), dist.F_nsl_cmd(ys, self.s2)
+            pdf = sum(
+                a * dist.f_sl_cmd(ys, o, self.s2)
+                for a, o in zip(self._mix_w, self._mix_om)
+            )
+        else:
+            f, cdf = dist.f_nsl_imd(ys, self.s2), dist.F_nsl_imd(ys, self.s2)
+            pdf = dist.f_sl_imd(ys, self.mu, self.s2)
+        for y, *rec in zip(ys.tolist(), s.tolist(), g.tolist(), t.tolist(), at_rate, grams,
+                           f.tolist(), cdf.tolist(), pdf.tolist()):
+            self._cache[y] = _Threshold(*rec)
 
     # -- non-signal slot metric --------------------------------------------
     def f_nsl(self, y: float) -> float:
@@ -282,8 +356,8 @@ class _SlotModel:
     def F_nsl(self, y: float) -> float:
         return self._entry(y).F_nsl
 
-    # -- signal slot metric/decision ---------------------------------------
-    def _values_uncoupled(self, y: float):
+    # -- signal slot metric/decision, per vector of thresholds ---------------
+    def _values_uncoupled(self, y: np.ndarray):
         if self.detector == "imd":
             s = 1.0 - dist.F_sl_imd(y, self.mu, self.s2)
         else:
@@ -291,122 +365,145 @@ class _SlotModel:
                 a * (1.0 - dist.F_sl_cmd(y, o, self.s2))
                 for a, o in zip(self._mix_w, self._mix_om)
             )
-        return s, self.pbar * s, self.nb_bar * s, None
+        return s, self.pbar * s, self.nb_bar * s
 
-    def _circle_arcs(self, radius: float):
-        """Arc partition of the circle into constant-decision segments.
+    def _circle_arcs(self, radius: np.ndarray):
+        """Arc partition of each circle into constant-decision segments.
 
-        Decision boundaries are axis-aligned lines, so the circle splits
-        into arcs; returns (start angles, spans, decision symbol per arc).
+        Decision boundaries are axis-aligned lines, so a circle splits into
+        arcs; returns (start angles, spans, decision symbol per arc), each
+        (circles, arcs).  Every boundary line gives its arc starts whether
+        or not the circle crosses it: a line it misses gives empty arcs at
+        angle 0, which add nothing.
         """
-        angles = [0.0]
-        for b in self._cells.i_bounds:
-            if abs(b) < radius:
-                t = math.acos(b / radius)
-                angles.extend((t, 2 * math.pi - t))
-        for b in self._cells.q_bounds:
-            if abs(b) < radius:
-                t = math.asin(b / radius)
-                angles.extend((t % (2 * math.pi), (math.pi - t) % (2 * math.pi)))
-        angles = np.sort(np.array(angles))
-        spans = np.diff(np.append(angles, angles[0] + 2 * math.pi))
+        two_pi = 2 * math.pi
+        t_i, hit_i = _crossings(math.acos, self._cells.i_bounds, radius)
+        t_q, hit_q = _crossings(math.asin, self._cells.q_bounds, radius)
+        angles = np.sort(np.concatenate([
+            np.zeros((len(radius), 1)),
+            t_i,
+            np.where(hit_i, two_pi - t_i, 0.0),
+            t_q % two_pi,
+            np.where(hit_q, (math.pi - t_q) % two_pi, 0.0),
+        ], axis=1), axis=1)
+        spans = np.diff(np.concatenate([angles, angles[:, :1] + two_pi], axis=1), axis=1)
         mid = angles + spans / 2.0
-        return angles, spans, self._cells.decide(radius * np.cos(mid), radius * np.sin(mid))
+        r = radius[:, None]
+        return angles, spans, self._cells.decide(r * np.cos(mid), r * np.sin(mid))
 
     def _circle_demap(self, arcs) -> np.ndarray:
-        """Decision-cell distribution of a point uniform on a circle, from
-        the circle's arc partition."""
+        """Decision-cell distribution of a point uniform on each circle, from
+        the circles' arc partition: (circles, M)."""
         _, spans, syms = arcs
-        q = np.zeros(self.c.m_q)
-        np.add.at(q, syms, spans / (2 * math.pi))
+        q = np.zeros((len(spans), self.c.m_q))
+        np.add.at(q, (np.arange(len(spans))[:, None], syms), spans / (2 * math.pi))
         return q
 
-    def _circle_density(self, r: float, arcs):
-        """Joint density of (decision cell, metric) at metric value r**2.
+    def _circle_density(self, r: np.ndarray, arcs):
+        """Joint density of (decision cell, metric) at metric values r**2.
 
-        Returns the (M sources, M cells) matrix of d/dy P(decide cell,
-        X <= y | source): the line integral of each source Gaussian along
-        the threshold circle of radius r, split by the decision arcs of its
-        partition.  In polar form the metric density at angle theta is
-        phi(r cos t, r sin t) / 2.
+        Returns per radius the (M sources, M cells) matrix of d/dy P(decide
+        cell, X <= y | source): the line integral of each source Gaussian
+        along the threshold circle of radius r, split by the decision arcs
+        of its partition.  In polar form the metric density at angle theta
+        is phi(r cos t, r sin t) / 2.
         """
         angles, spans, syms = arcs
         nodes, wts = _GL_ARC
-        theta = angles[:, None] + spans[:, None] * (nodes[None, :] + 1.0) / 2.0
-        px = r * np.cos(theta)
-        py = r * np.sin(theta)
-        # (M, arcs, K)
-        d2 = (px[None] - self._m_i[:, None, None]) ** 2 + (
-            py[None] - self._m_q[:, None, None]
+        theta = angles[..., None] + spans[..., None] * (nodes + 1.0) / 2.0
+        px = r[:, None, None] * np.cos(theta)
+        py = r[:, None, None] * np.sin(theta)
+        # (radii, M, arcs, K)
+        d2 = (px[:, None] - self._m_i[:, None, None]) ** 2 + (
+            py[:, None] - self._m_q[:, None, None]
         ) ** 2
         phi = np.exp(-d2 / (2 * self.s2)) / (2 * math.pi * self.s2)
-        arc_int = 0.5 * (spans / 2.0)[None, :] * np.sum(wts * phi, axis=2)
-        f = np.zeros((self.c.m_q, self.c.m_q))
-        np.add.at(f.swapaxes(0, 1), syms, arc_int.T)
+        arc_int = 0.5 * (spans / 2.0)[:, None, :] * np.sum(wts * phi, axis=3)
+        m = self.c.m_q
+        f = np.zeros((len(r), m, m))
+        np.add.at(f, (np.arange(len(r))[:, None, None], np.arange(m)[:, None], syms[:, None, :]),
+                  arc_int)
         return f
 
-    def _values_coupled(self, y: float):
+    def _values_coupled(self, y: np.ndarray):
+        """Survival, decision and Gray-bit quantities of the thresholds y.
+
+        Returns (s, g, t, bp_tx, bp_det, bp_at_tx, bp_at_det, at_rate), each
+        with a leading axis over y: bp_tx (2, n_q) and bp_det (5, n_q) are
+        the bit-one probabilities of the words and demaps that mis_bits
+        reads, bp_at_* those of a signal slot pinned at the threshold.
+        """
         c = self.c
         sig = self.sigma
-        r = math.sqrt(max(y, 0.0))
+        n_y = len(y)
+        r = np.sqrt(np.maximum(y, 0.0))
         nodes, wts = _GL_NODES
-        lo_u = np.maximum(self._col_lo, -r)
-        hi_u = np.minimum(self._col_hi, r)
-        span = np.maximum(hi_u - lo_u, 0.0)  # (cols,)
-        u = 0.5 * span[:, None] * nodes[None, :] + 0.5 * (lo_u + hi_u)[:, None]
-        g = np.sqrt(np.maximum(r * r - u * u, 0.0))  # (cols, K)
+        lo_u = np.maximum(self._col_lo, -r[:, None])
+        hi_u = np.minimum(self._col_hi, r[:, None])
+        span = np.maximum(hi_u - lo_u, 0.0)  # (y, cols)
+        u = 0.5 * span[..., None] * nodes + 0.5 * (lo_u + hi_u)[..., None]
+        rr = r[:, None, None]
+        g = np.sqrt(np.maximum(rr * rr - u * u, 0.0))[:, None, None]  # (y, 1, 1, cols, K)
         # A disk-clipped row extent stops at its row bound or at the chord
         # +-g, so its normal CDF per Q level comes from the row-bound table
-        # or from one ndtr per level and chord node: (levels, rows, cols, K).
-        lv = self._lv_q0[:, None, None]
+        # or from one ndtr per level and chord node: (y, levels, rows, cols, K).
+        lv = self._lv_q0[:, None, None, None]
         cdf_hi = np.where(self._row_hi[:, None, None] < g, self._cdf_row_hi[:, :, None, None],
-                          ndtr((g - lv) / sig)[:, None])
+                          ndtr((g - lv) / sig))
         cdf_lo = np.where(self._row_lo[:, None, None] > -g, self._cdf_row_lo[:, :, None, None],
-                          ndtr((-g - lv) / sig)[:, None])
+                          ndtr((-g - lv) / sig))
         inner = np.maximum(cdf_hi - cdf_lo, 0.0)
-        dens = np.exp(-((u[None, :, :] - self._lv_i0[:, None, None]) ** 2) / (2 * self.s2))
+        dens = np.exp(-((u[:, None] - self._lv_i0[:, None, None]) ** 2) / (2 * self.s2))
         dens /= math.sqrt(2 * math.pi * self.s2)
-        # A source's disk-clipped masses are its levels': (M + 1, rows, cols),
-        # the zero-mean (pure noise) slot last.
-        disk = 0.5 * span * np.sum(wts * dens[self._src_i][:, None] * inner[self._src_q], axis=3)
+        # A source's disk-clipped masses are its levels': (y, M + 1, rows,
+        # cols), the zero-mean (pure noise) slot last.  The product is formed
+        # in place, so one array of _CHUNK_ELEMENTS scale is alive at a time.
+        prod = inner[:, self._src_q]
+        prod *= wts * dens[:, self._src_i][:, :, None]
+        disk = 0.5 * span[:, None, None] * np.sum(prod, axis=4)
         m = c.m_q
         ri, ci = c.row_idx, c.col_idx
-        # J[s, cell] = P(land in cell AND metric above y)
-        j = np.clip(self._p_rect - disk[:m, ri, ci], 0.0, None)
-        surv = j.sum(axis=1)  # per-source survival
-        s_bar = float(surv.mean())
-        g_bar = float(np.mean(j[np.arange(m), np.arange(m)]))
-        t_bar = float(np.mean(np.sum(self._ham * j, axis=1)))
-        noise_lo = disk[m, ri, ci]  # noise-slot cell masses inside the disk
+        # J[y, s, cell] = P(land in cell AND metric above y), stored per y
+        # with the sources contiguous (jt is its transpose, in C order):
+        # numpy's sums add pairwise along a contiguous axis and one by one
+        # along a strided one, and every sum below runs in the same order
+        # for every y and in every vector length.
+        jt = np.clip(self._p_rect.T - np.ascontiguousarray(disk[:, :m, ri, ci].swapaxes(1, 2)),
+                     0.0, None)
+        j = jt.swapaxes(1, 2)
+        surv = jt.sum(axis=1)  # per-source survival
+        s_bar = surv.mean(axis=1)
+        g_bar = jt.diagonal(axis1=1, axis2=2).mean(axis=1)
+        t_bar = np.multiply(self._ham, j, order="C").sum(axis=2).mean(axis=1)
+        noise_lo = disk[:, m, ri, ci]  # noise-slot cell masses inside the disk
 
         arcs = self._circle_arcs(r)
         # at-threshold signal slot: metric-density-resolved conditioning
         f_at = self._circle_density(r, arcs)
-        f_tot = f_at.sum()
+        f_tot = f_at.reshape(n_y, -1).sum(axis=1)
         # The nine distributions that condition the Gray bits, each
         # normalised (uniform when it has no mass).
         dists = np.stack([
             surv,
             1.0 - surv,
-            self._circle_demap(arcs) if r > 0.0 else np.full(m, 1.0 / m),
+            np.where(r[:, None] > 0.0, self._circle_demap(arcs), 1.0 / m),
             noise_lo,
-            j.sum(axis=0),
-            (self._p_rect - j).sum(axis=0),
+            jt.sum(axis=2),
+            (self._p_rect.T - jt).sum(axis=2),
             self._rect0 - noise_lo,
+            f_at.sum(axis=2),
             f_at.sum(axis=1),
-            f_at.sum(axis=0),
-        ])
+        ], axis=1)
         np.clip(dists, 0.0, None, out=dists)
-        tot = dists.sum(axis=1, keepdims=True)
+        tot = dists.sum(axis=2, keepdims=True)
         dists = np.divide(dists, tot, out=np.full_like(dists, 1.0 / m), where=tot > 0.0)
-        bp = np.array([self._bits_mat @ v for v in dists])  # (9, n_q)
-        if f_tot > 0.0:
-            rate_at = float(np.sum(self._ham * f_at)) / f_tot
-            bp_at_tx, bp_at_det = bp[7], bp[8]
-        else:
-            rate_at = self.nb_bar
-            bp_at_tx, bp_at_det = bp[0], bp[4]
-        return s_bar, g_bar, t_bar, (bp[0:2], bp[2:7], bp_at_tx, bp_at_det, rate_at)
+        bp = (self._bits_mat @ dists[..., None])[..., 0]  # (y, 9, n_q)
+        has_f = f_tot > 0.0
+        rate_at = np.divide((self._ham * f_at).reshape(n_y, -1).sum(axis=1), f_tot,
+                            out=np.full(n_y, self.nb_bar), where=has_f)
+        bp_at_tx = np.where(has_f[:, None], bp[:, 7], bp[:, 0])
+        bp_at_det = np.where(has_f[:, None], bp[:, 8], bp[:, 4])
+        return s_bar, g_bar, t_bar, bp[:, 0:2], bp[:, 2:7], bp_at_tx, bp_at_det, rate_at
 
     def values(self, y: float) -> tuple[float, float, float]:
         """(survival, correct-decision survival, bit-weighted survival) at y."""
