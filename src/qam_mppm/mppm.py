@@ -15,16 +15,13 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import erfc
 
-# Support tables above this set size are not materialized; tx generation and
-# pairwise-distance enumeration fall back per-pattern or are refused.
-_TABLE_LIMIT = 1 << 20
 # Pattern ranks are int64, so the weight-w universe must stay below this.
 _RANK_LIMIT = 1 << 63
 # Rows per vectorized single-swap candidate block.
 _CORRECTION_CHUNK = 2048
-# Slot entries per block of distance-shell candidates, which bounds the
-# memory of a shell scan on codes without a support table.
-_SHELL_BLOCK = 1 << 22
+# Slot entries per block of a nearest-member scan: bounds its memory, and
+# blocks that fit in cache rank faster than larger ones.
+_SHELL_BLOCK = 1 << 18
 
 
 class CapacityError(RuntimeError):
@@ -42,8 +39,7 @@ def bits_per_mppm(n_slots: int, weight: int) -> int:
 class MppmCode:
     """Expurgated fixed-weight pattern code over N slots.
 
-    size = 2^q patterns are usable; table holds their sorted supports when
-    small enough to materialize.  rank_prefix[j][t] = -C(N-t, w-j), whose
+    size = 2^q patterns are usable.  rank_prefix[j][t] = -C(N-t, w-j), whose
     differences are the lex rank's per-position block sums (see make_code).
     """
 
@@ -52,8 +48,6 @@ class MppmCode:
     q_mppm: int
     size: int
     rank_prefix: np.ndarray = field(repr=False)
-    table: np.ndarray | None = field(default=None, repr=False)
-    table_bits: np.ndarray | None = field(default=None, repr=False)
 
 
 def make_code(n_slots: int, weight: int) -> MppmCode:
@@ -74,22 +68,7 @@ def make_code(n_slots: int, weight: int) -> MppmCode:
     prefix = np.zeros((w, n + 1), dtype=np.int64)
     for j in range(w):
         prefix[j, j:] = [-math.comb(n - t, w - j) for t in range(j, n + 1)]
-    table = None
-    table_bits = None
-    if size <= _TABLE_LIMIT:
-        # combinations() yields the supports in lexicographic order.
-        lex = itertools.islice(itertools.combinations(range(n), w), size)
-        table = np.fromiter(itertools.chain.from_iterable(lex), dtype=np.int16,
-                            count=size * w).reshape(size, w)
-        if n <= 64:
-            bits = np.zeros(size, dtype=np.uint64)
-            for j in range(w):
-                bits |= np.uint64(1) << table[:, j].astype(np.uint64)
-            table_bits = bits
-    return MppmCode(
-        n_slots=n, weight=w, q_mppm=q, size=size, rank_prefix=prefix,
-        table=table, table_bits=table_bits,
-    )
+    return MppmCode(n_slots=n, weight=w, q_mppm=q, size=size, rank_prefix=prefix)
 
 
 def rank_support(support, code: MppmCode) -> int:
@@ -129,6 +108,25 @@ def unrank(r: int, code: MppmCode) -> tuple[int, ...]:
     return tuple(support)
 
 
+def unrank_supports(ranks, code: MppmCode) -> np.ndarray:
+    """Vectorized unrank: (n, w) int16 sorted supports of the given ranks.
+
+    The combinatorial number system, one column at a time: column j takes
+    the last slot c of j .. N - w + j, over which prefix[j] increases, whose
+    block sum from the previous slot + 1 fits in the rank left over.
+    """
+    n, w = code.n_slots, code.weight
+    left = np.asarray(ranks, dtype=np.int64)
+    out = np.empty((len(left), w), dtype=np.int16)
+    start = np.zeros(len(left), dtype=np.int64)
+    for j, prefix in enumerate(code.rank_prefix):
+        target = left + prefix[start]
+        c = np.searchsorted(prefix[j : n - w + j + 1], target, side="right") + (j - 1)
+        out[:, j] = c
+        left, start = target - prefix[c], c + 1
+    return out
+
+
 def pattern_from_support(support, n_slots: int) -> np.ndarray:
     p = np.zeros(n_slots, dtype=np.uint8)
     p[list(support)] = 1
@@ -137,18 +135,18 @@ def pattern_from_support(support, n_slots: int) -> np.ndarray:
 
 def encode_mppm(word: int, code: MppmCode) -> np.ndarray:
     """Pattern carrying the given q_mppm-bit word (unrank of the word)."""
-    if not (0 <= word < code.size):
-        raise ValueError(f"word out of range [0, {code.size})")
-    if code.table is not None:
-        support = code.table[word]
-    else:
-        support = unrank(word, code)
-    return pattern_from_support(support, code.n_slots)
+    if not isinstance(word, (int, np.integer)) or not 0 <= word < code.size:
+        raise ValueError(f"word must be an integer in [0, {code.size}), got {word!r}")
+    return pattern_from_support(unrank_supports([word], code)[0], code.n_slots)
 
 
 def decode_mppm(pattern: np.ndarray, code: MppmCode) -> int:
     """Rank of an expurgated-set pattern, i.e. its bit word."""
+    pattern = np.asarray(pattern)
     support = np.flatnonzero(pattern)
+    if (pattern.shape != (code.n_slots,) or len(support) != code.weight
+            or not np.isin(pattern, (0, 1)).all()):
+        raise ValueError(f"pattern must be {code.n_slots} slots of 0/1 with {code.weight} ones")
     r = rank_support(support, code)
     if r >= code.size:
         raise ValueError("pattern not in the expurgated set")
@@ -172,7 +170,7 @@ def _usable_swaps(sup: np.ndarray, code: MppmCode):
     """
     n, w = code.n_slots, code.weight
     in_last = np.zeros(n + 1, dtype=bool)  # slot n stands for an empty difference
-    in_last[list(unrank(code.size - 1, code))] = True
+    in_last[unrank_supports([code.size - 1], code)[0]] = True
     mask = np.zeros((len(sup), n), dtype=bool)
     mask[np.arange(len(sup))[:, None], sup] = True
     inact = np.nonzero(~mask)[1].reshape(len(sup), n - w).astype(sup.dtype)
@@ -209,42 +207,45 @@ def correct_patterns(supports: np.ndarray, code: MppmCode,
         chosen = sub.copy()
         chosen[rows, pick // (n - w)] = inact[rows, pick % (n - w)]
         chosen.sort(axis=1)
-        for row in np.flatnonzero(~ok.any(axis=1)):
-            members = _nearest_members(sub[row], code)
-            chosen[row] = members[rng.integers(len(members))]
+        lone = np.flatnonzero(~ok.any(axis=1))
+        members, counts = _nearest_members(sub[lone], inact[lone], code)
+        for row, first, count in zip(lone, np.cumsum(counts) - counts, counts):
+            chosen[row] = members[first + rng.integers(count)]
         out[lo : lo + _CORRECTION_CHUNK] = chosen
     return out
 
 
-def _nearest_members(support, code: MppmCode) -> np.ndarray:
-    """Sorted supports of the usable patterns sharing the most slots with
-    support: table rows in rank order, or without a table the first distance
-    shell (swap one slot, then two, ...) that has any, in (removed, added) order."""
+def _nearest_members(sup: np.ndarray, inact: np.ndarray, code: MppmCode):
+    """Usable patterns sharing the most slots with each row of sorted
+    supports sup (inactive slots inact): those of the first distance shell
+    (swap one slot, then two, ...) that has any, scanned for all rows still
+    without members at once, in blocks of about _SHELL_BLOCK slot entries.
+    Returns (members, counts): row i's counts[i] members follow those of the
+    rows before it, in rank order."""
     n, w = code.n_slots, code.weight
-    if code.table is None:
-        inactive = np.setdiff1d(np.arange(n), support)
-        for shell in range(1, min(w, n - w) + 1):
-            rem = np.array(list(itertools.combinations(range(w), shell)))[:, None]
-            add = inactive[np.array(list(itertools.combinations(range(n - w), shell)))]
-            found = []
-            for part in np.array_split(rem, 1 + len(rem) * len(add) * w // _SHELL_BLOCK):
-                cands = np.broadcast_to(support, (len(part), len(add), w)).copy()
-                cands[np.arange(len(part))[:, None, None], np.arange(len(add))[:, None], part] = add
-                cands = np.sort(cands.reshape(-1, w), axis=1)
-                found.append(cands[rank_supports(cands, code) < code.size])
-            if len(found := np.concatenate(found)):
-                return found
-        raise RuntimeError("empty expurgated set")  # unreachable for valid codes
-    if code.table_bits is not None:
-        bits = np.uint64(0)
-        for c in support:
-            bits |= np.uint64(1) << np.uint64(c)
-        overlap = np.bitwise_count(code.table_bits & bits)
-    else:  # more than 64 slots
-        hit = np.zeros(code.n_slots, dtype=bool)
-        hit[np.asarray(support)] = True
-        overlap = hit[code.table].sum(axis=1)
-    return code.table[overlap == overlap.max()]
+    found, owner, rank = [sup[:0]], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
+    pending = np.arange(len(sup))
+    for shell in range(1, min(w, n - w) + 1):
+        if not len(pending):
+            break
+        rem = np.array(list(itertools.combinations(range(w), shell)))
+        add = np.array(list(itertools.combinations(range(n - w), shell)))
+        pairs = np.arange(len(pending) * len(rem))  # (row, removed slots)
+        for pair in np.array_split(pairs, 1 + len(pairs) * len(add) * w // _SHELL_BLOCK):
+            row, part = pending[pair // len(rem)], rem[pair % len(rem)]
+            cands = np.repeat(sup[row, None], len(add), axis=1)
+            cands[np.arange(len(pair))[:, None, None], np.arange(len(add))[:, None],
+                  part[:, None]] = inact[row][:, add]
+            cands = np.sort(cands.reshape(-1, w), axis=1)
+            r = rank_supports(cands, code)
+            usable = r < code.size
+            found.append(cands[usable])
+            owner.append(np.repeat(row, len(add))[usable])
+            rank.append(r[usable])
+        pending = np.setdiff1d(pending, np.concatenate(owner))
+    owner = np.concatenate(owner)
+    members = np.concatenate(found)[np.lexsort((np.concatenate(rank), owner))]
+    return members, np.bincount(owner, minlength=len(sup))
 
 
 @dataclass(frozen=True)
@@ -357,11 +358,11 @@ def _decode_swap_rows(tx_sup, tx_rank, cands, code):
         # nearest members. Such patterns need w > N/2: otherwise moving the
         # first slot to slot 0 gives a usable pattern.
         lone = outside[~ok.any(axis=1)]
-        near = [_nearest_members(sup[p], code) for p in lone]
+        near, n_near = _nearest_members(sup[lone], inact[~ok.any(axis=1)], code)
         # Members per pattern in (self, j, k) order, then the nearest ones.
-        owner = np.concatenate([inset, outside[swap_of], np.repeat(lone, [len(v) for v in near])])
+        owner = np.concatenate([inset, outside[swap_of], np.repeat(lone, n_near)])
         by_owner = np.argsort(owner, kind="stable")
-        mem_sup = np.concatenate([sup[inset], np.sort(swaps, axis=1), *near])[by_owner]
+        mem_sup = np.concatenate([sup[inset], np.sort(swaps, axis=1), near])[by_owner]
         mem_rank = rank_supports(mem_sup, code)
         # Row-major (row, member) pairs over the members of each row's pattern.
         n_of = np.bincount(owner, minlength=len(pats))
@@ -400,7 +401,7 @@ def _swap_events(code: MppmCode, l: int, rng: np.random.Generator):
         tx_l = rng.integers(0, size, _STATS_SAMPLES)
         jj = jp[rng.integers(0, len(jp), _STATS_SAMPLES)]
         kk = kp[rng.integers(0, len(kp), _STATS_SAMPLES)]
-    sup = code.table[tx_l].astype(np.int64)
+    sup = unrank_supports(tx_l, code).astype(np.int64)
     mask = np.zeros((len(sup), n), dtype=bool)
     rows = np.arange(len(sup))
     mask[rows[:, None], sup] = True
@@ -419,10 +420,9 @@ def correction_stats(code: MppmCode) -> CorrectionStats:
     key = (code.n_slots, code.weight)
     if key in _STATS_CACHE:
         return _STATS_CACHE[key]
-    if code.table is None:
+    if code.q_mppm > 20:
         raise CapacityError(
-            "correction statistics need the support table, which is built only for codes "
-            f"of at most 2^{_TABLE_LIMIT.bit_length() - 1} patterns; "
+            "correction statistics are computed only for codes of at most 2^20 patterns; "
             f"({code.n_slots}, {code.weight}) has 2^{code.q_mppm}"
         )
     n, w = code.n_slots, code.weight
@@ -479,17 +479,18 @@ def distance_spectrum(code: MppmCode) -> dict[int, int]:
     """Ordered pair counts by squared distance over the usable set.
 
     Computed once per (N, w).  Raises CapacityError for codes of more than
-    8192 patterns or more than 64 slots (no bit table).
+    8192 patterns or more than 64 slots (a pattern's slots are one uint64).
     """
     key = (code.n_slots, code.weight)
     if key in _SPECTRUM_CACHE:
         return _SPECTRUM_CACHE[key]
-    if code.table_bits is None or code.size > _SPECTRUM_LIMIT:
+    if code.n_slots > 64 or code.size > _SPECTRUM_LIMIT:
         raise CapacityError(
             f"the distance spectrum is computed only for codes of at most {_SPECTRUM_LIMIT} "
             f"patterns and 64 slots; ({code.n_slots}, {code.weight}) has {code.size} patterns"
         )
-    bits = code.table_bits
+    sup = unrank_supports(np.arange(code.size), code).astype(np.uint64)
+    bits = np.bitwise_or.reduce(np.uint64(1) << sup, axis=1)
     spectrum: dict[int, int] = {}
     block = 1024
     for lo in range(0, code.size, block):

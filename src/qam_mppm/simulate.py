@@ -19,7 +19,7 @@ import numpy as np
 
 from .constellation import Constellation
 from .link import LinkParams
-from .mppm import MppmCode, correct_patterns, rank_supports, unrank
+from .mppm import MppmCode, correct_patterns, rank_supports, unrank_supports
 
 BATCH_FRAMES = 50_000
 MIN_ERRORS = 100
@@ -108,10 +108,7 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_key)))
     n, w, m_q = link.n_slots, link.weight, c.m_q
     tx_rank = rng.integers(0, code.size, n_frames)
-    if code.table is not None:
-        tx_support = code.table[tx_rank].astype(np.int64)
-    else:
-        tx_support = np.array([unrank(int(r), code) for r in tx_rank], dtype=np.int64)
+    tx_support = unrank_supports(tx_rank, code)
     qam_idx = rng.integers(0, m_q, (n_frames, w))
     amp = math.sqrt(link.t_s / 2.0) * link.i_ph * link.m
     mu = math.sqrt(link.t_s) * link.i_ph

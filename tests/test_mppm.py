@@ -1,6 +1,5 @@
 """Unit tests for the MPPM pattern codec, correction rule and code geometry."""
 
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -29,12 +28,27 @@ from qam_mppm.mppm import (
     rank_support,
     rank_supports,
     unrank,
+    unrank_supports,
 )
 from qam_mppm.mppm import (
     _CORRECTION_CHUNK,
     _classify_positions,
     _nearest_members,
+    _usable_swaps,
 )
+
+
+def _lex_supports(code):
+    """The usable supports in rank order: the first size weight-w
+    combinations, which itertools lists in lexicographic order."""
+    lex = itertools.islice(itertools.combinations(range(code.n_slots), code.weight), code.size)
+    return np.array(list(lex), dtype=np.int16)
+
+
+def _max_overlap(support, members):
+    """The rows of members (in rank order) sharing the most slots with support."""
+    overlap = np.isin(members, support).sum(axis=1)
+    return members[overlap == overlap.max()]
 
 
 @pytest.mark.parametrize(
@@ -65,7 +79,7 @@ def test_rank_supports_near_the_int64_limit():
     """Ranks stay exact when the codec's partial sums exceed int64 but
     C(N, w) does not; larger codes are refused."""
     code = make_code(70, 67)
-    assert np.array_equal(rank_supports(code.table, code), np.arange(code.size))
+    assert np.array_equal(rank_supports(_lex_supports(code), code), np.arange(code.size))
     code = make_code(66, 33)  # C(66, 33) = 7.2e18 < 2^63
     rng = np.random.default_rng(8)
     sups = np.sort(np.array([rng.choice(66, 33, replace=False) for _ in range(50)]), axis=1)
@@ -78,18 +92,23 @@ def test_rank_supports_near_the_int64_limit():
         make_code(67, 34)
 
 
-def test_table_matches_unrank():
-    """The support table lists the first size patterns in codec order, and
-    its bit table marks the same slots."""
-    for n, w in [(12, 6), (32, 6), (67, 65), (70, 3)]:
+def test_unrank_supports_matches_enumeration_and_scalar_unrank():
+    """The vector unrank gives every usable support in lexicographic order
+    where the code is small enough to enumerate, and agrees with the scalar
+    unrank and with rank_supports on sampled ranks of every code."""
+    for n, w in [(12, 6), (32, 6), (32, 2), (9, 5), (67, 65), (70, 3), (40, 10),
+                 (40, 30), (66, 33), (2, 1)]:
         code = make_code(n, w)
-        assert code.table.shape == (code.size, w) and code.table.dtype == np.int16
-        for r in (0, 1, 100, code.size - 1):
-            assert tuple(code.table[r].tolist()) == unrank(r, code)
-        assert np.array_equal(rank_supports(code.table, code), np.arange(code.size))
-        if code.table_bits is not None:
-            bits = np.bitwise_or.reduce(np.uint64(1) << code.table.astype(np.uint64), axis=1)
-            assert np.array_equal(code.table_bits, bits)
+        if code.size <= 1 << 20:
+            sups = unrank_supports(np.arange(code.size), code)
+            assert sups.shape == (code.size, w) and sups.dtype == np.int16
+            assert np.array_equal(sups, _lex_supports(code))
+        ranks = np.random.default_rng(n * 100 + w).integers(0, code.size, 300)
+        ranks = np.concatenate([[0, 1, code.size - 1], ranks])
+        sups = unrank_supports(ranks, code)
+        assert np.array_equal(rank_supports(sups, code), ranks)
+        for r, sup in zip(ranks, sups):
+            assert tuple(sup.tolist()) == unrank(int(r), code)
 
 
 def test_rank_supports_vectorized_matches_scalar():
@@ -118,6 +137,25 @@ def test_decode_rejects_out_of_set():
     pattern = pattern_from_support(range(6, 12), 12)
     with pytest.raises(ValueError):
         decode_mppm(pattern, code)
+
+
+@pytest.mark.parametrize("pattern", [
+    pattern_from_support(range(5), 12),  # weight 5
+    pattern_from_support(range(7), 12),  # weight 7
+    pattern_from_support(range(6), 14),  # 14 slots
+    np.array([2, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0]),
+    np.array([-1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0]),
+    pattern_from_support(range(6), 12)[None],  # one pattern as a (1, 12) array
+], ids=["weight-5", "weight-7", "14-slots", "entry-2", "entry-minus-1", "2-d"])
+def test_decode_rejects_malformed_patterns(pattern):
+    with pytest.raises(ValueError, match="pattern must be"):
+        decode_mppm(pattern, make_code(12, 6))
+
+
+@pytest.mark.parametrize("word", [3.7, 3.0, "3", -1, 512])
+def test_encode_rejects_bad_words(word):
+    with pytest.raises(ValueError, match="word must be"):
+        encode_mppm(word, make_code(12, 6))
 
 
 def test_correct_pattern_passthrough_and_projection():
@@ -168,14 +206,14 @@ def _shell_scan(support, code):
     raise AssertionError("no usable pattern")
 
 
-def _nearest_member_by_scan(support, code, rng):
-    """Reference fallback: a uniform draw over the ranks of the nearest
-    table rows, or over the shell scan without a table."""
-    if code.table is not None:
-        overlap = [len(set(m) & set(support.tolist())) for m in code.table.tolist()]
-        return code.table[rng.choice(np.flatnonzero(np.array(overlap) == max(overlap)))]
-    cands = _shell_scan(support, code)
-    return cands[rng.integers(len(cands))]
+def _nearest_member_by_scan(support, code, rng, enumerate_members):
+    """Reference fallback: a uniform draw over the nearest usable patterns
+    in rank order, found by enumerating the usable set or by the shell scan."""
+    if enumerate_members:
+        members = _max_overlap(support, _lex_supports(code))
+    else:
+        members = sorted(_shell_scan(support, code), key=lambda m: rank_support(m, code))
+    return members[rng.integers(len(members))]
 
 
 def _falls_back(sup, code):
@@ -191,7 +229,7 @@ def test_correct_patterns_full_scan_fallback():
     code = make_code(9, 5)
     sup = np.array([[4, 5, 6, 7, 8]], dtype=np.int16)
     assert rank_support(sup[0], code) >= code.size
-    members = {tuple(int(v) for v in row) for row in code.table}
+    members = {tuple(int(v) for v in row) for row in _lex_supports(code)}
     assert max(len(set(m) & set(sup[0].tolist())) for m in members) == 3
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -200,37 +238,34 @@ def test_correct_patterns_full_scan_fallback():
         assert tuple(int(v) for v in fixed[0]) in members
         assert len(set(fixed[0].tolist()) & set(sup[0].tolist())) == 3
     detected = set(sup[0].tolist())
-    nearest = [m.tolist() for m in code.table if len(set(m.tolist()) & detected) == 3]
-    assert _nearest_members(sup[0], code).tolist() == nearest
-    no_bits = dataclasses.replace(code, table_bits=None)  # the scan for more than 64 slots
-    assert _nearest_members(sup[0], no_bits).tolist() == nearest
+    nearest = [m.tolist() for m in _lex_supports(code) if len(set(m.tolist()) & detected) == 3]
+    members, counts = _nearest_members(sup, _usable_swaps(sup, code)[0], code)
+    assert members.tolist() == nearest and counts.tolist() == [len(nearest)]
 
 
 @pytest.mark.parametrize("block", [None, 64])
 @pytest.mark.parametrize("n, w, n_lone", [(9, 5, 1), (12, 8, 18)])
 def test_nearest_members_without_table(n, w, n_lone, block, monkeypatch):
-    """Without a support table the shell scan finds the same nearest
-    members as the table, for every support that has no usable single
-    swap, listed in the shell scan's (removed, added) order, also when a
-    shell is built in many blocks."""
+    """One batched shell scan over every support that has no usable single
+    swap finds, row by row, the members at the maximum overlap of the
+    enumerated usable set, in rank order, and the shell scan's candidates;
+    also when a shell is built in many blocks."""
     if block:
         monkeypatch.setattr("qam_mppm.mppm._SHELL_BLOCK", block)
     code = make_code(n, w)
-    tableless = dataclasses.replace(code, table=None, table_bits=None)
     sups = np.array(list(itertools.combinations(range(n), w)), dtype=np.int16)
     sups = sups[rank_supports(sups, code) >= code.size]
     lone = sups[_falls_back(sups, code)]
     assert len(lone) == n_lone
-    for sup in lone:
-        tabled = _nearest_members(sup, code)
-        scanned = _nearest_members(sup, tableless)
-        assert np.array_equal(rank_supports(tabled, code), np.sort(rank_supports(scanned, code)))
-        assert scanned.tolist() == [list(c) for c in _shell_scan(sup, code)]
-        overlap = (code.table[:, :, None] == sup).any(axis=2).sum(axis=1)
-        assert np.array_equal(tabled, code.table[overlap == overlap.max()])
+    members, counts = _nearest_members(lone, _usable_swaps(lone, code)[0], code)
+    assert counts.sum() == len(members)
+    for sup, near in zip(lone, np.split(members, np.cumsum(counts)[:-1])):
+        assert np.array_equal(near, _max_overlap(sup, _lex_supports(code)))
+        scanned = sorted(_shell_scan(sup, code), key=lambda m: rank_support(m, code))
+        assert near.tolist() == [list(c) for c in scanned]
 
 
-def _correct_patterns_by_ranking(supports, code, rng):
+def _correct_patterns_by_ranking(supports, code, rng, enumerate_members):
     """Reference correction: every single swap of every row is built, sorted
     and ranked, and a uniform random usable one is taken."""
     out = supports.copy()
@@ -243,7 +278,7 @@ def _correct_patterns_by_ranking(supports, code, rng):
         u[~ok] = -1.0
         chosen = cands[np.arange(len(sub)), np.argmax(u, axis=1)]
         for row in np.flatnonzero(~ok.any(axis=1)):
-            chosen[row] = _nearest_member_by_scan(sub[row], code, rng)
+            chosen[row] = _nearest_member_by_scan(sub[row], code, rng, enumerate_members)
         out[lo : lo + _CORRECTION_CHUNK] = chosen
     return out
 
@@ -256,42 +291,42 @@ def _out_of_set(code, rows, seed):
     return np.resize(sup[rank_supports(sup, code) >= code.size], (rows, w))
 
 
-def _assert_matches_ranking(sup, code):
+def _assert_matches_ranking(sup, code, enumerate_members):
     rng_fast, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
     fixed = correct_patterns(sup, code, rng_fast)
     assert fixed.dtype == sup.dtype
-    assert np.array_equal(fixed, _correct_patterns_by_ranking(sup, code, rng_ref))
+    assert np.array_equal(fixed, _correct_patterns_by_ranking(sup, code, rng_ref,
+                                                              enumerate_members))
     assert rng_fast.random() == rng_ref.random()
     assert np.all(rank_supports(fixed, code) < code.size)
 
 
-@pytest.mark.parametrize("n, w, table, falls_back", [
+@pytest.mark.parametrize("n, w, enumerate_members, falls_back", [
     (12, 6, True, False), (32, 6, True, False), (16, 4, True, False),
     (20, 10, True, False), (9, 5, True, True), (9, 5, False, True),
     (67, 65, True, True), (70, 3, True, False), (40, 10, False, False),
     (12, 8, False, True),
 ])
-def test_correct_patterns_matches_ranking_every_swap(n, w, table, falls_back):
+def test_correct_patterns_matches_ranking_every_swap(n, w, enumerate_members, falls_back):
     """The membership test picks the same supports and leaves the random
     stream where ranking every single swap leaves it, across chunk
-    boundaries, with and without a support table, and on rows without a
-    usable single swap."""
+    boundaries, and on rows without a usable single swap, whose nearest
+    members the reference finds by enumerating the usable set or by the
+    shell scan."""
     code = make_code(n, w)
-    if not table:
-        code = dataclasses.replace(code, table=None, table_bits=None)
     sup = _out_of_set(code, _CORRECTION_CHUNK + 300, n * 100 + w)
     assert bool(np.any(_falls_back(sup, code))) == falls_back
-    _assert_matches_ranking(sup, code)
+    _assert_matches_ranking(sup, code, enumerate_members)
 
 
 def test_correct_patterns_tableless_shell_scan():
-    """(40, 30) has no support table, and some of its out-of-set supports
-    need two swaps to reach a usable pattern."""
+    """(40, 30) is too large to enumerate, and some of its out-of-set
+    supports need two swaps to reach a usable pattern."""
     code = make_code(40, 30)
-    assert code.table is None
+    assert code.size > 1 << 20
     sup = _out_of_set(code, 40, 4030)
     assert 0 < np.count_nonzero(_falls_back(sup, code)) < len(sup)
-    _assert_matches_ranking(sup, code)
+    _assert_matches_ranking(sup, code, enumerate_members=False)
 
 
 def test_k_l_sums_to_one_exactly():
@@ -322,6 +357,12 @@ def test_distance_spectrum_pair_count():
     spec = distance_spectrum(code)
     assert sum(spec.values()) == code.size * (code.size - 1)
     assert all(d2 >= 2 and d2 % 2 == 0 for d2 in spec)
+    sups = _lex_supports(code)
+    mask = np.zeros((code.size, code.n_slots), dtype=np.int64)
+    mask[np.arange(code.size)[:, None], sups] = 1
+    overlap = mask @ mask.T
+    d2, count = np.unique(2 * (code.weight - overlap), return_counts=True)
+    assert spec == {int(d): int(c) for d, c in zip(d2, count) if d}
 
 
 def test_mppm_ser_ub_monotone_in_scale():
@@ -332,16 +373,15 @@ def test_mppm_ser_ub_monotone_in_scale():
 
 
 def test_correct_patterns_over_64_slots():
-    """A code over 64 slots keeps a support table but has no bit table; a
-    support without an in-set single swap goes to a uniform member at the
-    maximum overlap, drawn from the table."""
+    """On a code over 64 slots a support without an in-set single swap goes
+    to a uniform member at the maximum overlap of the usable set."""
     code = make_code(67, 65)
-    assert code.table is not None and code.table_bits is None
     sup = np.arange(2, 67, dtype=np.int16)[None]  # slots 0 and 1 idle
     assert rank_support(sup[0], code) >= code.size
     slots = set(sup[0].tolist())
-    overlap = [len(set(m) & slots) for m in code.table.tolist()]
-    best = {tuple(m) for m, o in zip(code.table.tolist(), overlap) if o == max(overlap)}
+    members = _lex_supports(code).tolist()
+    overlap = [len(set(m) & slots) for m in members]
+    best = {tuple(m) for m, o in zip(members, overlap) if o == max(overlap)}
     assert max(overlap) == 63 and len(best) > 1
     rng = np.random.default_rng(2)
     drawn = {tuple(correct_patterns(sup, code, rng)[0].tolist()) for _ in range(40)}
@@ -366,7 +406,7 @@ def test_classify_positions_matches_per_position_count():
     """Vectorized position classes equal a direct count, slot by slot."""
     code = make_code(12, 6)
     rng = np.random.default_rng(3)
-    tx = code.table[rng.integers(0, code.size, 200)].astype(np.int64)
+    tx = _lex_supports(code)[rng.integers(0, code.size, 200)].astype(np.int64)
     raw = np.sort(np.array([rng.choice(12, 6, replace=False) for _ in tx]), axis=1)
     # decoded supports: the raw selection itself or one of its single swaps
     swaps = _single_swaps(raw, 12)
@@ -402,7 +442,7 @@ def test_correction_stats_matches_event_by_event_enumeration():
     """
     for n, w in [(6, 3), (9, 5)]:
         code = make_code(n, w)
-        members = [tuple(int(v) for v in row) for row in code.table]
+        members = [tuple(int(v) for v in row) for row in _lex_supports(code)]
         rank = {m: i for i, m in enumerate(members)}
         st_ = correction_stats(code)
         for l in range(1, min(w, n - w) + 1):

@@ -1,6 +1,7 @@
 """Unit tests for the Monte-Carlo simulator and its determinism guarantees."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -39,7 +40,8 @@ class FrameTx:
 def generate_frame(rng: np.random.Generator, code, c) -> FrameTx:
     """Draw one uniform frame (pattern word and QAM symbols)."""
     rank = int(rng.integers(0, code.size))
-    support = code.table[rank]
+    support = next(itertools.islice(itertools.combinations(range(code.n_slots), code.weight),
+                                    rank, None))
     qam = tuple(int(v) for v in rng.integers(0, c.m_q, code.weight))
     return FrameTx(pattern_rank=rank, support=tuple(int(s) for s in support),
                    qam_indices=qam)

@@ -1,5 +1,8 @@
 """Unit tests for config parsing, sweep orchestration and CSV emission."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -249,3 +252,30 @@ def test_pooled_sweep_workers_never_rebuild_code(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "make_code", build_once)
     lines = run(_pooled_spec(tmp_path, 2)).read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3 + 2
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# sha256 of simulation-only sweep CSVs (20k frames a point, one worker).
+# They pin the random stream: the transmitted supports, the detections and
+# the correction's draws, including the fallback to the nearest members,
+# which (12, 8) takes at low SNR. A change to the stream must say so and
+# re-baseline these digests.
+CSV_SHA256 = {
+    "popt_32_6_16qam": "f95e62ce5b3194815f58853ee9d91d1e2ddc16c14f769fce07d502bd8b3ef1c2",
+    "popt_32_2_4qam": "1a558ac6fe342a075e27bb2a24b62f9f6bffd8ca188dd9a0f7c5c8a097e54c81",
+    "ebn0_12_6_16qam": "4d527c6bea0b515d7c10ac912dd0a552ff93ae10b777c05de246f29936702f81",
+    "ebn0_12_8_16qam": "50538e45b2c66d8cbb4b58ff089cf1c724951ce9f57ba0f11c30b7c43b6c08bc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_SHA256))
+def test_simulation_csv_bytes_are_pinned(tmp_path, name):
+    overrides = {"methods": "", "sim.trials": 20_000, "sim.workers": 1,
+                 "out.csv": tmp_path / "out.csv", "out.plot": ""}
+    if name == "ebn0_12_8_16qam":
+        values = parse_config(SCRIPTS / "ebn0_12_6_16qam.cfg")
+        overrides.update({"sys.w": 8, "grid.stop": 8})
+    else:
+        values = parse_config(SCRIPTS / f"{name}.cfg")
+    data = run(build_spec(values, overrides)).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CSV_SHA256[name]
