@@ -20,6 +20,10 @@ with the separately averaged QAM error.
 pe_cmd_composition keeps the literal textbook compositions as a
 cross-check: there the joint and separate averages over the QAM symbols
 differ, and comparing the two is what shows that difference is negligible.
+Both read their correct-sorting probabilities from one vector quadrature
+(_sorting_pc) over a matrix of signal-slot counts per energy ring: the
+joint average as one row per ring-count vector, the separate average as
+one row drawn from the ring mixture.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, quad, quad_vec
 from scipy.special import ndtr
 
 from . import distributions as dist
@@ -78,54 +82,20 @@ def per_symbol_errors(link: LinkParams, c: Constellation) -> tuple[np.ndarray, n
     return qam_ser_exact(s, c), qam_bit_errors_exact(s, c)
 
 
+def _check_residual(val, err: float, tol: float) -> None:
+    """The quadrature rule of every integral: a finite value whose error
+    estimate is at most max(100 * tol, 1e-7)."""
+    if not np.all(np.isfinite(val)) or err > max(100 * tol, 1e-7):
+        raise QuadratureError(f"integral residual {err:.2e} exceeds tolerance")
+
+
 def _integrate(fn, lo, hi, tol):
     # roundoff warnings are redundant with the explicit residual check below
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         val, err = quad(fn, lo, hi, epsabs=tol, epsrel=1e-9, limit=400)
-    if not np.isfinite(val) or err > max(100 * tol, 1e-7):
-        raise QuadratureError(f"integral residual {err:.2e} exceeds tolerance")
+    _check_residual(val, err, tol)
     return val, err
-
-
-def pc_mppm_cmd_joint(omegas, n_slots: int, weight: int, sigma2: float,
-                      tol: float = 1e-10) -> float:
-    """Correct-sorting probability for a fixed set of signal-slot offsets.
-
-    Integrates the density of the weakest signal-slot metric against the
-    probability that all non-signal metrics stay below it.  Invariant under
-    permutations of the offsets.
-    """
-    omegas = [float(o) for o in omegas]
-    if len(omegas) != weight:
-        raise ValueError("need exactly w noncentrality values")
-    if any(o < 0 for o in omegas):
-        raise ValueError("noncentralities must be >= 0")
-    uniq: dict[float, int] = {}
-    for o in omegas:
-        key = round(o, 14)
-        uniq[key] = uniq.get(key, 0) + 1
-    oms = list(uniq.keys())
-    cnts = list(uniq.values())
-    n_noise = n_slots - weight
-    sigma = math.sqrt(sigma2)
-    x_max = (max(math.sqrt(max(oms)), 0.0) + _DOMAIN_SIGMAS * sigma) ** 2
-
-    def integrand(x):
-        q = [1.0 - dist.F_sl_cmd(x, o, sigma2) for o in oms]
-        f = [dist.f_sl_cmd(x, o, sigma2) for o in oms]
-        total = 0.0
-        for r in range(len(oms)):
-            prod = f[r] * cnts[r]
-            for r2 in range(len(oms)):
-                p = cnts[r2] - 1 if r2 == r else cnts[r2]
-                if p:
-                    prod *= q[r2] ** p
-            total += prod
-        return total * dist.F_nsl_cmd(x, sigma2) ** n_noise
-
-    val, _ = _integrate(integrand, 0.0, x_max, tol)
-    return min(max(val, 0.0), 1.0)
 
 
 def _ring_mixture(c: Constellation, link: LinkParams):
@@ -137,22 +107,37 @@ def _ring_mixture(c: Constellation, link: LinkParams):
     return groups, np.array([len(g) / c.m_q for g in groups]), base * energies
 
 
-def pc_mppm_cmd_sa(code: MppmCode, c: Constellation, link: LinkParams,
-                   tol: float = 1e-10) -> float:
-    """Separate-average correct-sorting probability (mixture distributions)."""
+def _sorting_pc(counts, c: Constellation, link: LinkParams, tol: float):
+    """Correct-sorting probability of each row of a count matrix.
+
+    Column r of counts is the number of signal slots whose metric has the
+    distribution of energy ring r of _ring_mixture, and its last column the
+    number drawn from the mixture of the rings.  A row integrates the
+    density of its weakest signal-slot metric against all its other signal
+    metrics above it and all N - w noise metrics below it:
+    sum_r c_r f_r q_r^(c_r - 1) prod_{r' != r} q_r'^c_r' F_nsl^(N - w),
+    with q the survival functions.  One vector quadrature (scipy quad_vec,
+    max norm) serves every row.  Returns (probabilities, error estimate).
+    """
     _, wgt, oms = _ring_mixture(c, link)
-    w = link.weight
+    s2 = link.sigma2
     n_noise = link.n_slots - link.weight
-    sigma = math.sqrt(link.sigma2)
-    x_max = (math.sqrt(max(oms)) + _DOMAIN_SIGMAS * sigma) ** 2
+    counts = np.asarray(counts, dtype=float)
+    # less[r]: the rows with one slot of distribution r taken out (at 0 where
+    # a row has none, whose term has the factor c_r = 0)
+    less = np.maximum(counts - np.eye(counts.shape[1])[:, None], 0.0)
+    x_max = (math.sqrt(oms.max()) + _DOMAIN_SIGMAS * math.sqrt(s2)) ** 2
 
     def integrand(x):
-        fbar = sum(a * dist.f_sl_cmd(x, o, link.sigma2) for a, o in zip(wgt, oms))
-        qbar = sum(a * (1.0 - dist.F_sl_cmd(x, o, link.sigma2)) for a, o in zip(wgt, oms))
-        return w * fbar * qbar ** (w - 1) * dist.F_nsl_cmd(x, link.sigma2) ** n_noise
+        f = np.array([dist.f_sl_cmd(x, o, s2) for o in oms])
+        q = np.array([1.0 - dist.F_sl_cmd(x, o, s2) for o in oms])
+        f, q = np.append(f, wgt @ f), np.append(q, wgt @ q)
+        terms = counts * f * np.prod(q**less, axis=2).T
+        return terms.sum(axis=1) * dist.F_nsl_cmd(x, s2) ** n_noise
 
-    val, _ = _integrate(integrand, 0.0, x_max, tol)
-    return min(max(val, 0.0), 1.0)
+    pc, err = quad_vec(integrand, 0.0, x_max, epsabs=tol, epsrel=1e-9, norm="max", limit=400)
+    _check_residual(pc, err, tol)
+    return np.clip(pc, 0.0, 1.0), float(err)
 
 
 class _Threshold(NamedTuple):
@@ -737,43 +722,25 @@ def _events_route(model: _SlotModel, code: MppmCode, tol: float) -> AnalyticResu
     return _assemble(model, code, _event_quantities(model, code, tol, st), st)
 
 
-def _ring_stats(c: Constellation, link: LinkParams):
-    """Per-energy-ring occupation probabilities and symbol-error means."""
-    groups, probs, omegas = _ring_mixture(c, link)
+def _ring_occupations(c: Constellation, link: LinkParams):
+    """The joint average over the per-frame QAM symbol draw, ring-grouped.
+
+    Conditioned on how many of the w symbols fall in each energy ring, the
+    symbols are independent and uniform inside their rings, so products and
+    sums factorize per ring.  Returns, one row per ring-count vector: the
+    counts, their multinomial probability, the probability that all w QAM
+    decisions are correct and the expected number of erroneous QAM bits.
+    """
+    groups, probs, _ = _ring_mixture(c, link)
     pe, nb = per_symbol_errors(link, c)
     mean_corr = np.array([np.mean(1.0 - np.minimum(pe[g], 1.0)) for g in groups])
     mean_nb = np.array([np.mean(nb[g]) for g in groups])
-    return probs, omegas, mean_corr, mean_nb
-
-
-def _joint_expectations(code: MppmCode, c: Constellation, link: LinkParams, tol: float):
-    """Expectations over the per-frame QAM symbol draw, ring-grouped.
-
-    Conditioned on the ring occupation counts, symbols are independent and
-    uniform inside their rings, so products and sums factorize per ring and
-    only one sorting integral per distinct count vector is needed.
-    """
-    _check_ja_budget(c, link)
-    probs, omegas, mean_corr, mean_nb = _ring_stats(c, link)
     w = link.weight
-    n_rings = len(probs)
-    acc = {"pc_joint": 0.0, "pcm": 0.0, "pcm_nb": 0.0, "em_nb": 0.0, "em": 0.0}
-    for combo in itertools.combinations_with_replacement(range(n_rings), w):
-        counts = np.bincount(combo, minlength=n_rings)
-        weight = math.factorial(w)
-        for cnt in counts:
-            weight //= math.factorial(int(cnt))
-        p = weight * np.prod(probs**counts)
-        om_list = [omegas[r] for r in combo]
-        pcm = pc_mppm_cmd_joint(om_list, link.n_slots, link.weight, link.sigma2, tol)
-        corr = float(np.prod(mean_corr**counts))
-        nb_sum = float(np.dot(counts, mean_nb))
-        acc["pc_joint"] += p * pcm * corr
-        acc["pcm"] += p * pcm
-        acc["pcm_nb"] += p * pcm * nb_sum
-        acc["em_nb"] += p * (1.0 - pcm) * nb_sum
-        acc["em"] += p * (1.0 - pcm)
-    return acc
+    counts = np.array([np.bincount(combo, minlength=len(groups)) for combo in
+                       itertools.combinations_with_replacement(range(len(groups)), w)])
+    orders = [math.factorial(w) // math.prod(map(math.factorial, row)) for row in counts.tolist()]
+    p = np.array(orders) * np.prod(probs**counts, axis=1)
+    return counts, p, np.prod(mean_corr**counts, axis=1), counts @ mean_nb
 
 
 def _check_ja_budget(c: Constellation, link: LinkParams) -> None:
@@ -828,30 +795,41 @@ def pe_cmd_sa(code: MppmCode, c: Constellation, link: LinkParams,
 
 def pe_cmd_composition(code: MppmCode, c: Constellation, link: LinkParams,
                        tol: float = 1e-10, method: str = "ja") -> AnalyticResult:
-    """Uncoupled composition P_e = 1 - E[Pc_sort*Pc_QAM] (cross-check mode)."""
+    """Uncoupled composition P_e = 1 - E[Pc_sort*Pc_QAM] (cross-check mode).
+
+    The joint average (ja) takes one sorting probability per ring-count
+    vector of the w signal slots, the separate average (sa) one for w slots
+    drawn from the ring mixture: rows of the same _sorting_pc count matrix.
+    """
     if method == "sa":
-        return _compose_separate(code, c, link, pc_mppm_cmd_sa(code, c, link, tol), tol)
+        mixture = np.zeros((1, len(c.energy_rings()[0]) + 1))
+        mixture[0, -1] = link.weight
+        pc, err = _sorting_pc(mixture, c, link, tol)
+        return _compose_separate(code, c, link, float(pc[0]), err)
     if method != "ja":
         raise ValueError("method must be 'ja' or 'sa'")
-    acc = _joint_expectations(code, c, link, tol)
-    pe = 1.0 - acc["pc_joint"]
-    pb = _pb_from_terms(code, c, link, acc["pcm_nb"], acc["em_nb"], acc["em"])
+    _check_ja_budget(c, link)
+    counts, p, corr, nb = _ring_occupations(c, link)
+    pc, err = _sorting_pc(np.column_stack((counts, np.zeros(len(counts)))), c, link, tol)
+    pe = 1.0 - p @ (pc * corr)
+    pb = _pb_from_terms(code, c, link, p @ (pc * nb), p @ ((1.0 - pc) * nb), p @ (1.0 - pc))
     pe_avg = float(np.mean(np.minimum(per_symbol_errors(link, c)[0], 1.0)))
-    return AnalyticResult(pe=min(max(pe, 0.0), 1.0), pb=pb, pc_mppm=acc["pcm"],
-                          pe_qam=pe_avg, quad_error=tol)
+    return AnalyticResult(pe=min(max(pe, 0.0), 1.0), pb=pb, pc_mppm=float(p @ pc),
+                          pe_qam=pe_avg, quad_error=err)
 
 
 def _compose_separate(code: MppmCode, c: Constellation, link: LinkParams,
-                      pc: float, tol: float) -> AnalyticResult:
+                      pc: float, quad_error: float) -> AnalyticResult:
     """Textbook composition from a correct-pattern probability pc, with the
-    QAM symbols averaged separately: P_e = 1 - pc * (1 - P_e,QAM)^w."""
+    QAM symbols averaged separately: P_e = 1 - pc * (1 - P_e,QAM)^w.
+    quad_error is the error estimate of pc (0 when it was not integrated)."""
     pe_sym, nb_sym = per_symbol_errors(link, c)
     pe_avg = float(np.mean(np.minimum(pe_sym, 1.0)))
     nb_avg = float(np.mean(nb_sym))
     w = link.weight
     pe = min(max(1.0 - pc * (1.0 - pe_avg) ** w, 0.0), 1.0)
     pb = _pb_from_terms(code, c, link, pc * w * nb_avg, (1.0 - pc) * w * nb_avg, 1.0 - pc)
-    return AnalyticResult(pe=pe, pb=pb, pc_mppm=pc, pe_qam=pe_avg, quad_error=tol)
+    return AnalyticResult(pe=pe, pb=pb, pc_mppm=pc, pe_qam=pe_avg, quad_error=quad_error)
 
 
 def pe_imd(code: MppmCode, c: Constellation, link: LinkParams,
@@ -862,7 +840,7 @@ def pe_imd(code: MppmCode, c: Constellation, link: LinkParams,
     if mppm_route != "ub":
         raise ValueError("mppm_route must be 'ni' or 'ub'")
     pc = 1.0 - mppm_ser_ub(code, link.slot_energy / link.sigma2)
-    return _compose_separate(code, c, link, pc, tol)
+    return _compose_separate(code, c, link, pc, 0.0)
 
 
 def ebn0_at_target(ebn0_db: np.ndarray, values: np.ndarray, target: float) -> float:

@@ -394,14 +394,16 @@ def _swap_events(code: MppmCode, l: int, rng: np.random.Generator):
     kp = np.array(list(itertools.combinations(range(n - w), l)))
     exact = size * len(jp) * len(kp) <= _STATS_EXACT_EVENTS
     if exact:
-        tx_l = np.repeat(np.arange(size, dtype=np.int64), len(jp) * len(kp))
+        per = len(jp) * len(kp)
+        tx_l = np.repeat(np.arange(size, dtype=np.int64), per)
+        sup = np.repeat(unrank_supports(np.arange(size), code).astype(np.int64), per, axis=0)
         jj = np.tile(np.repeat(jp, len(kp), axis=0), (size, 1))
         kk = np.tile(np.tile(kp, (len(jp), 1)), (size, 1))
     else:
         tx_l = rng.integers(0, size, _STATS_SAMPLES)
         jj = jp[rng.integers(0, len(jp), _STATS_SAMPLES)]
         kk = kp[rng.integers(0, len(kp), _STATS_SAMPLES)]
-    sup = unrank_supports(tx_l, code).astype(np.int64)
+        sup = unrank_supports(tx_l, code).astype(np.int64)
     mask = np.zeros((len(sup), n), dtype=bool)
     rows = np.arange(len(sup))
     mask[rows[:, None], sup] = True

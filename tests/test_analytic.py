@@ -1,6 +1,7 @@
 """Unit tests for the analytic SER/BER machinery."""
 
 import inspect
+import itertools
 import math
 import types
 from collections import Counter
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.special import ndtr
 
 from qam_mppm import analytic, distributions, sweep
@@ -16,8 +17,6 @@ from qam_mppm.analytic import (
     CapacityError,
     QuadratureError,
     ebn0_at_target,
-    pc_mppm_cmd_joint,
-    pc_mppm_cmd_sa,
     pe_cmd_composition,
     pe_cmd_ja,
     pe_cmd_sa,
@@ -51,34 +50,107 @@ def test_per_symbol_errors_shapes_and_ranges():
     assert np.all(nb >= pe - 1e-12)
 
 
-def test_pc_joint_permutation_invariance():
-    oms = [0.5, 1.5, 3.0]
-    a = pc_mppm_cmd_joint(oms, 10, 3, 0.1)
-    b = pc_mppm_cmd_joint(oms[::-1], 10, 3, 0.1)
-    assert a == pytest.approx(b, rel=1e-10)
+def _pc_per_vector(omegas, n_slots, weight, sigma2):
+    """Reference correct-sorting probability of one set of signal-slot
+    noncentralities: a scalar quad of the density of the weakest signal-slot
+    metric against the other signal metrics above it and the noise metrics
+    below it, with equal noncentralities grouped."""
+    grouped = Counter(float(o) for o in omegas)
+    oms, cnts = list(grouped), list(grouped.values())
+    x_max = (math.sqrt(max(oms)) + 12.0 * math.sqrt(sigma2)) ** 2
+
+    def integrand(x):
+        q = [1.0 - distributions.F_sl_cmd(x, o, sigma2) for o in oms]
+        f = [distributions.f_sl_cmd(x, o, sigma2) for o in oms]
+        total = 0.0
+        for r in range(len(oms)):
+            prod = f[r] * cnts[r]
+            for r2 in range(len(oms)):
+                p = cnts[r2] - 1 if r2 == r else cnts[r2]
+                if p:
+                    prod *= q[r2] ** p
+            total += prod
+        return total * distributions.F_nsl_cmd(x, sigma2) ** (n_slots - weight)
+
+    return quad(integrand, 0.0, x_max, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
+
+
+def _ring_rows(c, link):
+    """Every ring-count vector of the w signal slots as a row of the
+    sorting count matrix (mixture column 0), with the noncentralities of
+    its slots and its multinomial probability."""
+    _, probs, oms = analytic._ring_mixture(c, link)
+    w = link.weight
+    combos = list(itertools.combinations_with_replacement(range(len(probs)), w))
+    counts = np.array([np.bincount(combo, minlength=len(probs) + 1) for combo in combos])
+    p = np.array([math.factorial(w) / math.prod(map(math.factorial, row))
+                  * math.prod(probs**row[:-1]) for row in counts])
+    return counts, [oms[list(combo)] for combo in combos], p
+
+
+def _mixture_row(c, w):
+    row = np.zeros((1, len(c.energy_rings()[0]) + 1))
+    row[0, -1] = w
+    return row
+
+
+@pytest.mark.parametrize("db", [0.0, 12.0, 24.0])
+def test_sorting_pc_matches_per_vector_oracle(db):
+    """One vector quadrature gives every ring-count row of (12, 6) 16-QAM
+    as a scalar quad of that row's own integrand does."""
+    link, c = _link(db)
+    counts, omegas, _ = _ring_rows(c, link)
+    assert len(counts) == 28
+    pc, _ = analytic._sorting_pc(counts, c, link, 1e-10)
+    want = [_pc_per_vector(oms, 12, 6, link.sigma2) for oms in omegas]
+    assert pc == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_pc_joint_snr_limits():
-    assert pc_mppm_cmd_joint([4.0, 4.0], 8, 2, 1e-3) == pytest.approx(1.0, abs=1e-8)
-    low = pc_mppm_cmd_joint([4.0, 4.0], 8, 2, 50.0)
-    assert low < 0.1
-
-
-def test_pc_joint_validation():
-    with pytest.raises(ValueError):
-        pc_mppm_cmd_joint([1.0], 8, 2, 0.1)
-    with pytest.raises(ValueError):
-        pc_mppm_cmd_joint([-1.0, 1.0], 8, 2, 0.1)
+    for db, n_q in ((40.0, 2), (-20.0, 2), (40.0, 4), (-20.0, 4)):
+        link, c = _link(db, n=8, w=2, n_q=n_q)
+        counts, _, _ = _ring_rows(c, link)
+        pc, _ = analytic._sorting_pc(np.vstack([counts, _mixture_row(c, 2)]), c, link, 1e-10)
+        if db > 0.0:
+            assert pc == pytest.approx(1.0, abs=1e-8)
+        else:
+            assert np.all(pc < 0.1)
 
 
 def test_pc_sa_equals_joint_for_single_ring():
-    """All 4-QAM symbols share one energy, so SA and JA coincide exactly."""
-    link, c = _link(8.0, n_q=2)
+    """The separate average's mixture row is the joint average's rows
+    weighted by their probabilities.  All 4-QAM symbols share one energy,
+    so there the one joint row equals the mixture row by itself."""
+    for n_q in (2, 4):
+        link, c = _link(8.0, n_q=n_q)
+        counts, _, p = _ring_rows(c, link)
+        ja, _ = analytic._sorting_pc(counts, c, link, 1e-10)
+        sa, _ = analytic._sorting_pc(_mixture_row(c, 6), c, link, 1e-10)
+        assert p.sum() == pytest.approx(1.0, rel=1e-14)
+        assert sa[0] == pytest.approx(p @ ja, rel=1e-9)
+    assert len(ja) == 28  # 16-QAM: three rings
+
+
+@pytest.mark.parametrize("method", ["ja", "sa"])
+def test_sorting_pc_residual_rule(monkeypatch, method):
+    """The vector quadrature fails a composition under the rule of every
+    other integral: an error estimate above max(100 tol, 1e-7)."""
     code = make_code(12, 6)
-    omega = link.slot_energy * link.m**2 / 2.0
-    ja = pc_mppm_cmd_joint([omega] * 6, 12, 6, link.sigma2)
-    sa = pc_mppm_cmd_sa(code, c, link)
-    assert sa == pytest.approx(ja, rel=1e-9)
+    link, c = _link(12.0)
+    real = analytic.quad_vec
+
+    def reporting(err):
+        def fake(*args, **kwargs):
+            return real(*args, **kwargs)[0], err
+        return fake
+
+    monkeypatch.setattr(analytic, "quad_vec", reporting(0.9e-7))
+    assert pe_cmd_composition(code, c, link, method=method).quad_error == 0.9e-7
+    monkeypatch.setattr(analytic, "quad_vec", reporting(1.1e-7))
+    for tol in (1e-10, 1e-9):
+        with pytest.raises(QuadratureError, match="residual 1.10e-07"):
+            pe_cmd_composition(code, c, link, tol=tol, method=method)
+    assert pe_cmd_composition(code, c, link, tol=1e-8, method=method).quad_error == 1.1e-7
 
 
 def test_imd_no_noise_entry_matches_order_statistic_integral():
@@ -137,18 +209,29 @@ def test_imd_union_bound_route_dominates_at_high_snr():
     ni = pe_imd(code, c, link, mppm_route="ni")
     ub = pe_imd(code, c, link, mppm_route="ub")
     assert ub.pc_mppm <= ni.pc_mppm + 1e-12  # bound understates Pc
+    assert ub.quad_error == 0.0  # the bound integrates nothing
     with pytest.raises(ValueError):
         pe_imd(code, c, link, mppm_route="nope")
 
 
-def test_composition_mode_runs_and_brackets():
-    """The uncoupled composition cross-check stays a valid probability."""
+def test_composition_mode_runs_and_brackets(monkeypatch):
+    """The uncoupled composition cross-check stays a valid probability and
+    reports the error estimate of its vector quadrature."""
     code = make_code(12, 6)
     link, c = _link(12.0)
+    estimates = []
+
+    def recording(*args, **kwargs):
+        out = quad_vec(*args, **kwargs)
+        estimates.append(out[1])
+        return out
+
+    monkeypatch.setattr(analytic, "quad_vec", recording)
     for method in ("ja", "sa"):
         res = pe_cmd_composition(code, c, link, method=method)
         assert 0.0 <= res.pe <= 1.0
         assert 0.0 <= res.pb <= 1.0
+        assert res.quad_error == estimates[-1] != 1e-10
 
 
 def test_ja_budget_guard():
