@@ -13,9 +13,11 @@ evaluated jointly (decision cell intersected with the metric disk); the
 nearest-member pattern correction is accounted for through code-geometry
 averages (rescue probability, pattern-word Hamming distances, support
 alignment).  The decision-coupled expectations factorize over the i.i.d.
-symbol draw, so CMD/JA and CMD/SA are one evaluation; JA only adds its
-combination budget.  IMD/UB composes the union bound on the pattern error
-with the separately averaged QAM error.
+symbol draw, so CMD/JA and CMD/SA are one evaluation.  Every event
+integrand is a function of one threshold record (_SlotModel.record), which
+holds the slot metrics' densities and survival, decision and Gray-bit
+quantities at that threshold.  IMD/UB composes the union bound on the
+pattern error with the separately averaged QAM error.
 
 pe_cmd_composition keeps the literal textbook compositions as a
 cross-check: there the joint and separate averages over the QAM symbols
@@ -54,8 +56,12 @@ _XGK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
                  0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
                  0.14887433898163122])
 _GK21 = np.concatenate(([0.0], -_XGK, _XGK))
-# Elements of the slot model's largest per-call temporary (8 MB of floats).
+# The coupled slot model's largest temporary, the disk-clipped masses per
+# (source, row, column, chord node), holds as many thresholds per call as fit
+# in _CHUNK_ELEMENTS (8 MB of floats), and at least one.  A model whose one
+# threshold needs more than _THRESHOLD_ELEMENTS (128 MB) is refused.
 _CHUNK_ELEMENTS = 2**20
+_THRESHOLD_ELEMENTS = 2**24
 
 
 class QuadratureError(RuntimeError):
@@ -141,16 +147,23 @@ def _sorting_pc(counts, c: Constellation, link: LinkParams, tol: float):
 
 
 class _Threshold(NamedTuple):
-    """Slot-model quantities at one threshold y (see _SlotModel._entry)."""
+    """Slot-model quantities at one threshold y (see _SlotModel.record)."""
 
     s: float  # survival
     g: float  # correct-decision survival
     t: float  # bit-weighted survival
     at_rate: float  # expected erroneous bits of a signal slot with metric y
     gram: tuple | None  # Gray-bit conditioning of the coupled model (mis_bits)
-    f_nsl: float
-    F_nsl: float
-    signal_pdf: float
+    f_nsl: float  # non-signal slot metric density
+    F_nsl: float  # and its CDF
+    signal_pdf: float  # marginal signal-slot metric density (symbol averaged)
+    # Expected erroneous bits of an aligned slot, split by slot fate: its
+    # metric above y (retained in the sorted selection) or below y
+    # (displaced, re-included by the correction).  An uncoupled model does
+    # not condition the decision on the metric, so there both equal the
+    # unconditional mean.
+    rate_v: float
+    rate_p: float
 
 
 def _crossings(fn, bounds: np.ndarray, radius: np.ndarray):
@@ -176,9 +189,10 @@ class _SlotModel:
     matched-filter detector the metric is independent of the decision so
     both factorize exactly.
 
-    Every quantity is computed for a vector of thresholds, one Gauss-Kronrod
-    panel of ``quad`` at a time (see _entry), and kept as one record per
-    threshold.
+    record(y) is the only way in: it returns the threshold's _Threshold
+    record, and every event integrand is a function of that record.  Every
+    quantity is computed for a vector of thresholds, one Gauss-Kronrod panel
+    of ``quad`` at a time, and kept as one record per threshold.
     """
 
     def __init__(self, c: Constellation, link: LinkParams, detector: str):
@@ -192,20 +206,23 @@ class _SlotModel:
         self.nb_bar = float(np.mean(nb_sym))
         self.pbar = 1.0 - self.pe_bar
         self._cache: dict[float, _Threshold] = {}
-        self._panels: set[tuple[float, float]] = set()  # (a, b) computed by _panel
         if detector == "imd":
             self.mu = math.sqrt(link.t_s) * link.i_ph
             self.lo = -_DOMAIN_SIGMAS * self.sigma
             self.hi = self.mu + _DOMAIN_SIGMAS * self.sigma
             self.coupled = False
-            return
-        if detector != "cmd":
+        elif detector == "cmd":
+            base = link.slot_energy * link.m**2 / 2.0
+            self.lo = 0.0
+            self.hi = (math.sqrt(base * float(c.energies.max()))
+                       + _DOMAIN_SIGMAS * self.sigma) ** 2
+            _, self._mix_w, self._mix_om = _ring_mixture(c, link)
+            self.coupled = c.is_grid
+        else:
             raise ValueError("detector must be 'cmd' or 'imd'")
-        base = link.slot_energy * link.m**2 / 2.0
-        self.lo = 0.0
-        self.hi = (math.sqrt(base * float(c.energies.max())) + _DOMAIN_SIGMAS * self.sigma) ** 2
-        _, self._mix_w, self._mix_om = _ring_mixture(c, link)
-        self.coupled = c.is_grid
+        # Panels quad may evaluate next, by their centres: [lo, hi], then the
+        # halves of every panel computed (see record).
+        self._halves = {0.5 * (self.lo + self.hi): (self.lo, self.hi)}
         if not self.coupled:
             return
         amp = math.sqrt(link.t_s / 2.0) * link.i_ph * link.m
@@ -222,6 +239,12 @@ class _SlotModel:
 
         self._col_lo, self._col_hi = cell_bounds(self._cells.i_bounds)
         self._row_lo, self._row_hi = cell_bounds(self._cells.q_bounds)
+        # Thresholds per _values_coupled call (see _CHUNK_ELEMENTS).
+        per_y = (c.m_q + 1) * len(self._row_lo) * len(self._col_lo) * len(_GL_NODES[0])
+        if per_y > _THRESHOLD_ELEMENTS:
+            raise CapacityError(f"the {c.m_q}-QAM slot model needs {per_y} floats per "
+                                f"threshold, more than its limit of {_THRESHOLD_ELEMENTS}")
+        self._chunk = max(1, _CHUNK_ELEMENTS // per_y)
         # Levels with the zero mean of a noise slot appended as one more
         # level, and each source's level (the noise slot last).
         self._lv_i0 = np.append(self._lv_i, 0.0)
@@ -250,51 +273,36 @@ class _SlotModel:
         r0_i = ndtr(self._col_hi / self.sigma) - ndtr(self._col_lo / self.sigma)
         r0_q = ndtr(self._row_hi / self.sigma) - ndtr(self._row_lo / self.sigma)
         self._rect0 = r0_i[ci] * r0_q[ri]  # zero-mean cell masses
-        # Thresholds per _values_coupled call: its largest temporary, the
-        # disk-clipped masses per (source, row, column, chord node), holds
-        # this many thresholds within _CHUNK_ELEMENTS.
-        per_y = (c.m_q + 1) * len(self._row_lo) * len(self._col_lo) * len(_GL_NODES[0])
-        self._chunk = max(1, _CHUNK_ELEMENTS // per_y)
 
     # -- one record per threshold, made one quadrature panel at a time -------
-    def _entry(self, y: float) -> _Threshold:
+    def record(self, y: float) -> _Threshold:
         """Everything the event integrands read at threshold y.
 
         Every event integral is a ``quad`` over [lo, hi], and QUADPACK's QAGS
         applies the 21-point Gauss-Kronrod rule to pieces of it found by
-        repeated bisection, evaluating each piece's centre first.  So a miss
-        at the centre of such a panel computes the records of all 21 of its
-        nodes in one vector call; any other threshold is computed alone
-        through the same code, and a record is the same bit for bit either
-        way.  The records are cached, so each distinct y is evaluated once.
-        The nodes are computed with QUADPACK's own arithmetic, so they are
-        the very floats quad visits and quad returns what it would with one
-        threshold at a time: integrating on other nodes would move the
-        results by far more than the 1e-9 relative agreement the analytic
-        values are held to.
+        repeated bisection, evaluating each piece's centre first: [lo, hi]
+        first, then only halves of pieces it has evaluated.  So a miss at the
+        centre of [lo, hi] or of a half of a computed panel computes the
+        records of all 21 of the panel's nodes in one vector call; any other
+        threshold is computed alone through the same code, and a record is
+        the same bit for bit either way.  The records are cached, so each
+        distinct y is evaluated once.  The nodes are computed with QUADPACK's
+        own arithmetic, so they are the very floats quad visits and quad
+        returns what it would with one threshold at a time: integrating on
+        other nodes would move the results by far more than the 1e-9
+        relative agreement the analytic values are held to.
         """
         got = self._cache.get(y)
         if got is None:
-            self._records(self._panel(y))
+            panel = self._halves.pop(y, None)
+            if panel is None:
+                self._records(np.array([y], dtype=float))
+            else:
+                a, b = panel
+                self._halves.update({0.5 * (a + y): (a, y), 0.5 * (y + b): (y, b)})
+                self._records(y + 0.5 * (b - a) * _GK21)
             got = self._cache[y]
         return got
-
-    def _panel(self, y: float) -> np.ndarray:
-        """The 21 Gauss-Kronrod nodes of the panel centred at y, or y alone.
-
-        QAGS evaluates [lo, hi] first and then only halves of panels it has
-        evaluated, so the candidate panels are [lo, hi] and the halves of
-        panels already computed.
-        """
-        a, b = self.lo, self.hi
-        while True:
-            centr = 0.5 * (a + b)
-            if y == centr:
-                self._panels.add((a, b))
-                return centr + 0.5 * (b - a) * _GK21
-            if (a, b) not in self._panels:
-                return np.array([y], dtype=float)
-            a, b = (a, centr) if y < centr else (centr, b)
 
     def _records(self, ys: np.ndarray) -> None:
         """Compute the records of the thresholds ys and cache them.
@@ -330,16 +338,16 @@ class _SlotModel:
         else:
             f, cdf = dist.f_nsl_imd(ys, self.s2), dist.F_nsl_imd(ys, self.s2)
             pdf = dist.f_sl_imd(ys, self.mu, self.s2)
-        for y, *rec in zip(ys.tolist(), s.tolist(), g.tolist(), t.tolist(), at_rate, grams,
-                           f.tolist(), cdf.tolist(), pdf.tolist()):
-            self._cache[y] = _Threshold(*rec)
-
-    # -- non-signal slot metric --------------------------------------------
-    def f_nsl(self, y: float) -> float:
-        return self._entry(y).f_nsl
-
-    def F_nsl(self, y: float) -> float:
-        return self._entry(y).F_nsl
+        nb, n_q = self.nb_bar, float(self.c.n_q)
+        for y, s_y, g_y, t_y, *rest in zip(ys.tolist(), s.tolist(), g.tolist(), t.tolist(),
+                                           at_rate, grams, f.tolist(), cdf.tolist(),
+                                           pdf.tolist()):
+            rate_v = rate_p = nb
+            if self.coupled:
+                rate_v = t_y / s_y if s_y > 1e-300 else nb
+                rate_p = (nb - t_y) / (1.0 - s_y) if s_y < 1.0 - 1e-12 else nb
+                rate_v, rate_p = min(max(rate_v, 0.0), n_q), min(max(rate_p, 0.0), n_q)
+            self._cache[y] = _Threshold(s_y, g_y, t_y, *rest, rate_v, rate_p)
 
     # -- signal slot metric/decision, per vector of thresholds ---------------
     def _values_uncoupled(self, y: np.ndarray):
@@ -490,39 +498,10 @@ class _SlotModel:
         bp_at_det = np.where(has_f[:, None], bp[:, 8], bp[:, 4])
         return s_bar, g_bar, t_bar, bp[:, 0:2], bp[:, 2:7], bp_at_tx, bp_at_det, rate_at
 
-    def values(self, y: float) -> tuple[float, float, float]:
-        """(survival, correct-decision survival, bit-weighted survival) at y."""
-        return self._entry(y)[:3]
-
-    def aligned_rates(self, y: float) -> tuple[float, float]:
-        """Expected erroneous bits of an aligned slot, split by slot fate.
-
-        First value conditions the slot metric above y (retained in the
-        sorted selection), second below y (displaced, re-included by the
-        correction).  For the matched-filter detector the metric carries no
-        information about the decision, so both equal the unconditional
-        mean.
-        """
-        if not self.coupled:
-            return self.nb_bar, self.nb_bar
-        e = self._entry(y)
-        s, t = e.s, e.t
-        rate_v = t / s if s > 1e-300 else self.nb_bar
-        rate_p = (self.nb_bar - t) / (1.0 - s) if s < 1.0 - 1e-12 else self.nb_bar
-        return min(max(rate_v, 0.0), float(self.c.n_q)), min(max(rate_p, 0.0),
-                                                             float(self.c.n_q))
-
-    def at_rate(self, y: float) -> float:
-        """Expected erroneous bits of a signal slot with metric exactly y."""
-        return self._entry(y).at_rate
-
-    def signal_pdf(self, y: float) -> float:
-        """Marginal metric density of a signal slot (symbol averaged)."""
-        return self._entry(y).signal_pdf
-
-    def mis_bits(self, y: float, classes: np.ndarray, circle_frac: float,
+    def mis_bits(self, rec: _Threshold, classes: np.ndarray, circle_frac: float,
                  at_frac: float = 0.0) -> float:
-        """Expected erroneous bits over misaligned positions at threshold y.
+        """Expected erroneous bits over misaligned positions at the threshold
+        of record rec.
 
         classes is the (2, 4) count matrix from the code-geometry averages
         for an l-swap event; each class pairs a transmitted-side word
@@ -535,7 +514,7 @@ class _SlotModel:
         threshold metric is a signal slot).  Cross-Hamming factorizes per
         Gray bit.
         """
-        gram = self._entry(y).gram
+        gram = rec.gram
         if gram is None:
             return float(np.sum(classes)) * self.c.n_q / 2.0
         # Rows and columns are affine in at_frac/circle_frac over three word
@@ -575,44 +554,34 @@ def _event_quantities(model: _SlotModel, code: MppmCode, tol: float,
     errs = []
 
     def integral(fn):
-        val, err = _integrate(fn, lo, hi, tol)
+        """Integral over the threshold of fn of its record."""
+        val, err = _integrate(lambda y: fn(model.record(y)), lo, hi, tol)
         errs.append(err)
         return val
 
-    def s_(y):
-        return model.values(y)[0]
-
     # P(no noise slot in the selection), plain and decision-coupled, and the
     # expected erroneous QAM bits accumulated in that event.
-    a0 = nn * integral(lambda y: model.f_nsl(y) * model.F_nsl(y) ** (nn - 1) * s_(y) ** w)
-    a_dec = nn * integral(
-        lambda y: model.f_nsl(y) * model.F_nsl(y) ** (nn - 1) * model.values(y)[1] ** w
-    )
+    a0 = nn * integral(lambda e: e.f_nsl * e.F_nsl ** (nn - 1) * e.s ** w)
+    a_dec = nn * integral(lambda e: e.f_nsl * e.F_nsl ** (nn - 1) * e.g ** w)
     e0_bits = w * nn * integral(
-        lambda y: model.f_nsl(y)
-        * model.F_nsl(y) ** (nn - 1)
-        * model.values(y)[2]
-        * s_(y) ** (w - 1)
+        lambda e: e.f_nsl * e.F_nsl ** (nn - 1) * e.t * e.s ** (w - 1)
     )
 
     # decision-coupled analogues of P(>=1), P(>=2) for the rescue term
     pbar = model.pbar
 
-    def dec_ge1(y):
-        return max(pbar**w - model.values(y)[1] ** w, 0.0)
+    def dec_ge1(e):
+        return max(pbar**w - e.g ** w, 0.0)
 
-    def dec_ge2(y):
-        s, g, _ = model.values(y)
+    def dec_ge2(e):
+        g = e.g
         return max(pbar**w - g**w - w * (pbar - g) * g ** (w - 1), 0.0)
 
-    g1d = nn * integral(lambda y: model.f_nsl(y) * model.F_nsl(y) ** (nn - 1) * dec_ge1(y))
+    g1d = nn * integral(lambda e: e.f_nsl * e.F_nsl ** (nn - 1) * dec_ge1(e))
     g2d = 0.0
     if nn >= 2 and w >= 2:
         g2d = nn * (nn - 1) * integral(
-            lambda y: model.f_nsl(y)
-            * model.F_nsl(y) ** (nn - 2)
-            * (1.0 - model.F_nsl(y))
-            * dec_ge2(y)
+            lambda e: e.f_nsl * e.F_nsl ** (nn - 2) * (1.0 - e.F_nsl) * dec_ge2(e)
         )
 
     # Exact event-l decomposition over the threshold metric (the w-th
@@ -621,39 +590,36 @@ def _event_quantities(model: _SlotModel, code: MppmCode, tol: float,
     # entered noise slot does, with the rest of the entered noise above
     # (case B).  Event probabilities and per-event QAM bit expectations are
     # single integrals over the threshold in this decomposition.
+    def dens_a(e, l, c_a):
+        s, fy = e.s, e.F_nsl
+        return (c_a * e.signal_pdf * s ** (w - l - 1) * (1.0 - s) ** l
+                * (1.0 - fy) ** l * fy ** (nn - l))
+
+    def dens_b(e, l, c_b):
+        s, fy = e.s, e.F_nsl
+        return (c_b * e.f_nsl * fy ** (nn - l) * (1.0 - fy) ** (l - 1)
+                * (1.0 - s) ** l * s ** (w - l))
+
+    def bits_at(e, l, c_a, c_b, cls, av, ap):
+        rv, rp = e.rate_v, e.rate_p
+        bits_b = av * rv + ap * rp + model.mis_bits(e, cls, 1.0 / l)
+        out = dens_b(e, l, c_b) * bits_b
+        if c_a:
+            # one retained signal slot is pinned at the threshold
+            at = 1.0 / (w - l)
+            rv_a = (1.0 - at) * rv + at * e.at_rate
+            bits_a = av * rv_a + ap * rp + model.mis_bits(e, cls, 0.0, at)
+            out += dens_a(e, l, c_a) * bits_a
+        return out
+
     l_max = min(w, nn)
     p1 = 0.0
     swap_bits_total = 0.0
     for l in range(1, l_max + 1):
         c_a = w * math.comb(w - 1, l) * math.comb(nn, l) if l <= w - 1 else 0.0
         c_b = nn * math.comb(nn - 1, l - 1) * math.comb(w, l)
-
-        def dens_a(y, l=l, c_a=c_a):
-            s = s_(y)
-            fy = model.F_nsl(y)
-            return (
-                c_a
-                * model.signal_pdf(y)
-                * s ** (w - l - 1)
-                * (1.0 - s) ** l
-                * (1.0 - fy) ** l
-                * fy ** (nn - l)
-            )
-
-        def dens_b(y, l=l, c_b=c_b):
-            s = s_(y)
-            fy = model.F_nsl(y)
-            return (
-                c_b
-                * model.f_nsl(y)
-                * fy ** (nn - l)
-                * (1.0 - fy) ** (l - 1)
-                * (1.0 - s) ** l
-                * s ** (w - l)
-            )
-
-        p_a = integral(dens_a) if c_a else 0.0
-        p_b = integral(dens_b)
+        p_a = integral(lambda e: dens_a(e, l, c_a)) if c_a else 0.0
+        p_b = integral(lambda e: dens_b(e, l, c_b))
         p_l = p_a + p_b
         if l == 1:
             p1 = p_l
@@ -666,22 +632,7 @@ def _event_quantities(model: _SlotModel, code: MppmCode, tol: float,
             if p_l == 0.0:
                 break
             continue
-
-        # Bound per l: a closure reading the loop's names would see the last
-        # l's densities if it ran after the loop moved on.
-        def bits_at(y, cls=cls, av=av, ap=ap, l=l, c_a=c_a, dens_a=dens_a, dens_b=dens_b):
-            rv, rp = model.aligned_rates(y)
-            bits_b = av * rv + ap * rp + model.mis_bits(y, cls, 1.0 / l)
-            out = dens_b(y) * bits_b
-            if c_a:
-                # one retained signal slot is pinned at the threshold
-                at = 1.0 / (w - l)
-                rv_a = (1.0 - at) * rv + at * model.at_rate(y)
-                bits_a = av * rv_a + ap * rp + model.mis_bits(y, cls, 0.0, at)
-                out += dens_a(y) * bits_a
-            return out
-
-        qam_l = integral(bits_at) / p_l
+        qam_l = integral(lambda e: bits_at(e, l, c_a, c_b, cls, av, ap)) / p_l
         swap_bits_total += p_l * (stats.pat_bits[li] + qam_l)
 
     return {
@@ -774,10 +725,9 @@ def pe_cmd_ja(code: MppmCode, c: Constellation, link: LinkParams,
               tol: float = 1e-10) -> AnalyticResult:
     """CMD error probabilities, joint-average route.
 
-    The events model is the separate-average one (see pe_cmd_sa); only the
-    joint-average combination budget is enforced on top of it.
+    The events model enumerates no ring-count vector, so this is the
+    separate-average evaluation (see pe_cmd_sa).
     """
-    _check_ja_budget(c, link)
     return pe_cmd_sa(code, c, link, tol)
 
 

@@ -221,8 +221,14 @@ def _nearest_members(sup: np.ndarray, inact: np.ndarray, code: MppmCode):
     (swap one slot, then two, ...) that has any, scanned for all rows still
     without members at once, in blocks of about _SHELL_BLOCK slot entries.
     Returns (members, counts): row i's counts[i] members follow those of the
-    rows before it, in rank order."""
+    rows before it, in rank order.
+
+    A sorted candidate is usable when it equals the last usable pattern L
+    or precedes it lexicographically, as in _usable_swaps: at the first
+    column where they differ it holds the smaller slot.  Only the usable
+    candidates are ranked, to order them."""
     n, w = code.n_slots, code.weight
+    last = unrank_supports([code.size - 1], code)[0]
     found, owner, rank = [sup[:0]], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
     pending = np.arange(len(sup))
     for shell in range(1, min(w, n - w) + 1):
@@ -237,11 +243,11 @@ def _nearest_members(sup: np.ndarray, inact: np.ndarray, code: MppmCode):
             cands[np.arange(len(pair))[:, None, None], np.arange(len(add))[:, None],
                   part[:, None]] = inact[row][:, add]
             cands = np.sort(cands.reshape(-1, w), axis=1)
-            r = rank_supports(cands, code)
-            usable = r < code.size
+            col = (cands != last).argmax(axis=1)  # 0 where a candidate is L
+            usable = cands[np.arange(len(cands)), col] <= last[col]
             found.append(cands[usable])
             owner.append(np.repeat(row, len(add))[usable])
-            rank.append(r[usable])
+            rank.append(rank_supports(found[-1], code))
         pending = np.setdiff1d(pending, np.concatenate(owner))
     owner = np.concatenate(owner)
     members = np.concatenate(found)[np.lexsort((np.concatenate(rank), owner))]

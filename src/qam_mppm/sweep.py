@@ -209,7 +209,7 @@ def links_for(spec: SweepSpec) -> list[LinkParams]:
 def analytic_row(code, const, link, methods, tol) -> dict[str, float]:
     out = {}
     try:
-        # ja and sa share one events model; ja only adds its budget check.
+        # ja and sa are one events evaluation.
         cmd = [meth for meth in ("ja", "sa") if meth in methods]
         if cmd:
             fn = analytic.pe_cmd_ja if "ja" in cmd else analytic.pe_cmd_sa

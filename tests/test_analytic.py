@@ -1,5 +1,6 @@
 """Unit tests for the analytic SER/BER machinery."""
 
+import dataclasses
 import inspect
 import itertools
 import math
@@ -241,6 +242,72 @@ def test_ja_budget_guard():
     link = base.with_sigma2(sigma_from_ebn0(10.0, base, c))
     with pytest.raises(CapacityError):
         pe_cmd_ja(code, c, link)
+    # The events route refuses 1024-QAM for its slot model's per-threshold
+    # size, (M + 1) x rows x cols x 96 floats, whichever average is asked for.
+    for route in (pe_cmd_ja, pe_cmd_sa):
+        with pytest.raises(CapacityError, match="needs 100761600 floats per threshold"):
+            route(code, c, link)
+
+
+def test_ja_events_route_has_no_combination_budget(monkeypatch):
+    """The events route enumerates no ring-count vector, so the combination
+    budget binds only the joint-average composition."""
+    link, c = _link(24.0)
+    code = make_code(12, 6)
+    monkeypatch.setattr(analytic, "_COMBINATION_BUDGET", 0)
+    assert pe_cmd_ja(code, c, link) == pe_cmd_sa(code, c, link)
+    with pytest.raises(CapacityError, match="combination budget"):
+        pe_cmd_composition(code, c, link, method="ja")
+
+
+# float.hex of (pe, pb, pc_mppm, pe_qam, quad_error) from pe_cmd_sa and
+# pe_imd(mppm_route="ni"), per (N, w, log2 M, Eb/N0 dB): 16-QAM over the
+# range, 4-QAM, rectangular 8-QAM (coupled) and cross 32-QAM (uncoupled).
+_PINNED = {
+    (12, 6, 4, 0.0): (
+        ("0x1.ffffa15340d92p-1", "0x1.c6e76ff974a2cp-2", "0x1.3fcc301511190p-7",
+         "0x1.95fe235ea2633p-1", "0x1.51233fa1fb130p-27"),
+        ("0x1.fff83282761e4p-1", "0x1.23dd87f32ebc8p-2", "0x1.82e9193c33b4ap-1",
+         "0x1.95fe235ea2633p-1", "0x1.80513a626ef28p-34")),
+    (12, 6, 4, 12.0): (
+        ("0x1.c9d3a4387e34ep-1", "0x1.5f602045903f2p-3", "0x1.f17c041f01c41p-2",
+         "0x1.d8c85126086b7p-3", "0x1.18d9b4f61c706p-29"),
+        ("0x1.95fe46ff7f1dfp-1", "0x1.6e6a75ef1db88p-5", "0x1.0000000000000p+0",
+         "0x1.d8c85126086b7p-3", "0x1.fadfb8c92ee20p-34")),
+    (12, 6, 4, 24.0): (
+        ("0x1.449a6bb16f795p-20", "0x1.08ab2154fec60p-22", "0x1.ffffe08357a38p-1",
+         "0x1.83e1a4b800000p-25", "0x1.3f7a7dc8aef00p-34"),
+        ("0x1.22e9391200000p-22", "0x1.1a1878000af07p-27", "0x1.0000000000000p+0",
+         "0x1.83e1a4b800000p-25", "0x1.6b052206a5bccp-33")),
+    (12, 6, 2, 12.0): (
+        ("0x1.888dfe937cfcep-2", "0x1.b83ccabe9fd32p-4", "0x1.4ed0aebae3313p-1",
+         "0x1.a9f33b6c89d80p-7", "0x1.94724c0be0000p-34"),
+        ("0x1.354252c9f2d60p-4", "0x1.e86479f4970aep-9", "0x1.ffffffffab592p-1",
+         "0x1.a9f33b6c89d80p-7", "0x1.ad5afe15a6654p-36")),
+    (9, 5, 3, 12.0): (
+        ("0x1.83978df0c6c5ap-1", "0x1.54711d9f576dbp-3", "0x1.ede78cab29c97p-2",
+         "0x1.1f872e667d080p-3", "0x1.801df109a06a8p-30"),
+        ("0x1.0fb180f36edb8p-1", "0x1.1bbec1ee31733p-5", "0x1.ffffffffffb26p-1",
+         "0x1.1f872e667d080p-3", "0x1.5524d1d7ad200p-43")),
+    (12, 6, 5, 12.0): (
+        ("0x1.ffe5da445395ap-1", "0x1.af6ce25b14dc7p-3", "0x1.17bc51f6042f2p-1",
+         "0x1.771e71db077a8p-1", "0x1.7a40444da0000p-29"),
+        ("0x1.ffd024768bfcfp-1", "0x1.cdaf510d930d9p-4", "0x1.0000000000000p+0",
+         "0x1.771e71db077a8p-1", "0x1.4d771d02b7a60p-36")),
+}
+
+
+def test_events_model_values_are_pinned():
+    """The events model's CMD and IMD results, every field bit for bit."""
+    got = {}
+    for n, w, n_q, db in _PINNED:
+        link, c = _link(db, n=n, w=w, n_q=n_q)
+        code = make_code(n, w)
+        got[n, w, n_q, db] = tuple(
+            tuple(float(v).hex() for v in dataclasses.astuple(res))
+            for res in (pe_cmd_sa(code, c, link), pe_imd(code, c, link, mppm_route="ni"))
+        )
+    assert got == _PINNED
 
 
 def test_ebn0_at_target_interpolation():
@@ -354,18 +421,19 @@ def test_slot_model_per_level_matches_per_source(n_q):
     singles = [0.0, 1e-4 * model.hi, 0.3 * model.hi, 1.5 * model.hi]
     classes = np.arange(1.0, 9.0).reshape(2, 4)
     for y in panel + singles:
-        assert model.values(y) == ref.values(y)
-        assert model.aligned_rates(y) == ref.aligned_rates(y)
-        assert model.at_rate(y) == ref.at_rate(y)
-        assert model.mis_bits(y, classes, 0.5) == ref.mis_bits(y, classes, 0.5)
-        assert model.mis_bits(y, classes, 0.0, 0.25) == ref.mis_bits(y, classes, 0.0, 0.25)
+        got, want = model.record(y), ref.record(y)
+        assert (got.s, got.g, got.t) == (want.s, want.g, want.t)
+        assert (got.rate_v, got.rate_p) == (want.rate_v, want.rate_p)
+        assert got.at_rate == want.at_rate
+        assert model.mis_bits(got, classes, 0.5) == ref.mis_bits(want, classes, 0.5)
+        assert model.mis_bits(got, classes, 0.0, 0.25) == ref.mis_bits(want, classes, 0.0, 0.25)
     # The panel's records were made at its centre, each single alone, and
     # the patched reference made every one of the reference's records.
     assert sorted(model._cache) == sorted(panel + singles)
     assert sum(lengths) == len(ref._cache) == len(panel) + len(singles)
     alone = _SlotModel(c, link, "cmd")
     for y in panel[1::4]:
-        assert alone._entry(y) == model._entry(y)
+        assert alone.record(y) == model.record(y)
     assert len(alone._cache) == len(panel[1::4])
 
 
@@ -404,7 +472,7 @@ def test_mis_bits_gram_form_matches_stacked(n_q):
     for y in (0.0, 1e-4 * model.hi, 0.3 * model.hi, 1.5 * model.hi):
         for classes in class_sets:
             for circle_frac, at_frac in fracs:
-                got = model.mis_bits(y, classes, circle_frac, at_frac)
+                got = model.mis_bits(model.record(y), classes, circle_frac, at_frac)
                 want = _mis_bits_stacked(model, y, classes, circle_frac, at_frac)
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 

@@ -208,14 +208,15 @@ def test_ja_sa_share_one_events_evaluation(tmp_path, monkeypatch):
         assert cells[col("pb_cmd_ja")] == cells[col("pb_cmd_sa")] != ""
 
 
-def test_ja_budget_guard_only_when_ja_requested(tmp_path, monkeypatch):
-    def over_budget(c, link):
-        raise analytic.CapacityError("budget exceeded")
-
-    monkeypatch.setattr(analytic, "_check_ja_budget", over_budget)
-    run(_cmd_spec(tmp_path, "sa"))
-    with pytest.raises(NumericFailure):
-        run(_cmd_spec(tmp_path, "ja,sa"))
+def test_slot_model_capacity_fails_ja_and_sa_alike(tmp_path, monkeypatch):
+    """ja and sa are one events evaluation, so the slot model's size limit
+    fails both, and leaves no CSV."""
+    monkeypatch.setattr(analytic, "_THRESHOLD_ELEMENTS", 1919)  # 4-QAM needs 5*2*2*96
+    for methods in ("ja", "sa"):
+        spec = _cmd_spec(tmp_path, methods)
+        with pytest.raises(NumericFailure, match="needs 1920 floats per threshold"):
+            run(spec)
+        assert not Path(spec.out_csv).exists()
 
 
 def _pooled_spec(tmp_path, workers):
