@@ -16,16 +16,17 @@ alignment).  The decision-coupled expectations factorize over the i.i.d.
 symbol draw, so CMD/JA and CMD/SA are one evaluation.  Every event
 integrand is a function of one threshold record (_SlotModel.record), which
 holds the slot metrics' densities and survival, decision and Gray-bit
-quantities at that threshold.  IMD/UB composes the union bound on the
-pattern error with the separately averaged QAM error.
+quantities at that threshold.
 
 pe_cmd_composition keeps the literal textbook compositions as a
 cross-check: there the joint and separate averages over the QAM symbols
 differ, and comparing the two is what shows that difference is negligible.
-Both read their correct-sorting probabilities from one vector quadrature
-(_sorting_pc) over a matrix of signal-slot counts per energy ring: the
-joint average as one row per ring-count vector, the separate average as
-one row drawn from the ring mixture.
+They and IMD/UB are one composition (_compose) over occupation rows of the
+w signal slots (_occupations): the joint average has one row per
+ring-count vector, the separate average and the union bound the one row
+drawn from the ring mixture.  The compositions read their correct-sorting
+probabilities from one vector quadrature (_sorting_pc) over the rows' count
+matrix; the union bound takes its bound on the pattern error instead.
 """
 
 from __future__ import annotations
@@ -254,25 +255,21 @@ class _SlotModel:
         # Normal CDF of each row bound per Q level, (levels, rows).
         self._cdf_row_hi = ndtr((self._row_hi[None, :] - self._lv_q0[:, None]) / self.sigma)
         self._cdf_row_lo = ndtr((self._row_lo[None, :] - self._lv_q0[:, None]) / self.sigma)
-        # Rectangle probabilities per (source symbol, decision cell) and the
-        # Gray-label Hamming weights between them.
-        pc_i = ndtr((self._col_hi[None, :] - self._m_i[:, None]) / self.sigma) - ndtr(
-            (self._col_lo[None, :] - self._m_i[:, None]) / self.sigma
-        )
-        pc_q = ndtr((self._row_hi[None, :] - self._m_q[:, None]) / self.sigma) - ndtr(
-            (self._row_lo[None, :] - self._m_q[:, None]) / self.sigma
-        )
-        self._p_rect = pc_i[:, ci] * pc_q[:, ri]  # (M, M)
-        ham = np.bitwise_count(
+        # Cell probabilities per level, (levels, rows) and (levels, cols), and
+        # from them the rectangle probabilities per (source symbol, decision
+        # cell) and the zero-mean (noise slot) cell masses.
+        row_mass = self._cdf_row_hi - self._cdf_row_lo
+        col_mass = (ndtr((self._col_hi[None, :] - self._lv_i0[:, None]) / self.sigma)
+                    - ndtr((self._col_lo[None, :] - self._lv_i0[:, None]) / self.sigma))
+        self._p_rect = col_mass[ci][:, ci] * row_mass[ri][:, ri]  # (M, M)
+        self._rect0 = col_mass[-1, ci] * row_mass[-1, ri]
+        # Gray-label Hamming weights between source symbols and cells.
+        self._ham = np.bitwise_count(
             (c.labels[:, None] ^ c.labels[None, :]).astype(np.uint64)
         ).astype(float)
-        self._ham = ham
         self._bits_mat = (
             (c.labels[None, :] >> np.arange(c.n_q)[:, None]) & 1
         ).astype(float)  # (n_q, M)
-        r0_i = ndtr(self._col_hi / self.sigma) - ndtr(self._col_lo / self.sigma)
-        r0_q = ndtr(self._row_hi / self.sigma) - ndtr(self._row_lo / self.sigma)
-        self._rect0 = r0_i[ci] * r0_q[ri]  # zero-mean cell masses
 
     # -- one record per threshold, made one quadrature panel at a time -------
     def record(self, y: float) -> _Threshold:
@@ -673,52 +670,64 @@ def _events_route(model: _SlotModel, code: MppmCode, tol: float) -> AnalyticResu
     return _assemble(model, code, _event_quantities(model, code, tol, st), st)
 
 
-def _ring_occupations(c: Constellation, link: LinkParams):
-    """The joint average over the per-frame QAM symbol draw, ring-grouped.
+def _occupations(c: Constellation, link: LinkParams, method: str):
+    """Occupation rows of the w signal slots of the textbook composition.
 
-    Conditioned on how many of the w symbols fall in each energy ring, the
-    symbols are independent and uniform inside their rings, so products and
-    sums factorize per ring.  Returns, one row per ring-count vector: the
-    counts, their multinomial probability, the probability that all w QAM
-    decisions are correct and the expected number of erroneous QAM bits.
+    Returns the _sorting_pc count matrix (ring columns, then the mixture
+    column) and, per row, its probability p, the probability corr that all
+    w QAM decisions are correct and the expected number nb of erroneous QAM
+    bits.  The joint average (ja) has one row per ring-count vector:
+    conditioned on it, the symbols are independent and uniform inside their
+    rings, so products and sums factorize per ring.  The separate average
+    (sa) has the single row of w slots drawn from the ring mixture.
     """
     groups, probs, _ = _ring_mixture(c, link)
     pe, nb = per_symbol_errors(link, c)
-    mean_corr = np.array([np.mean(1.0 - np.minimum(pe[g], 1.0)) for g in groups])
-    mean_nb = np.array([np.mean(nb[g]) for g in groups])
+    pe = np.minimum(pe, 1.0)
     w = link.weight
+    if method == "sa":
+        counts = np.zeros((1, len(groups) + 1))
+        counts[0, -1] = w
+        corr = (1.0 - float(np.mean(pe))) ** w
+        return counts, np.ones(1), np.array([corr]), np.array([w * float(np.mean(nb))])
+    if method != "ja":
+        raise ValueError("method must be 'ja' or 'sa'")
+    if math.comb(len(groups) + w - 1, w) > _COMBINATION_BUDGET:
+        raise CapacityError(
+            "joint-average combination budget exceeded; use the separate-average route"
+        )
+    mean_corr = np.array([np.mean(1.0 - pe[g]) for g in groups])
+    mean_nb = np.array([np.mean(nb[g]) for g in groups])
     counts = np.array([np.bincount(combo, minlength=len(groups)) for combo in
                        itertools.combinations_with_replacement(range(len(groups)), w)])
     orders = [math.factorial(w) // math.prod(map(math.factorial, row)) for row in counts.tolist()]
     p = np.array(orders) * np.prod(probs**counts, axis=1)
-    return counts, p, np.prod(mean_corr**counts, axis=1), counts @ mean_nb
+    return (np.column_stack((counts, np.zeros(len(counts)))), p,
+            np.prod(mean_corr**counts, axis=1), counts @ mean_nb)
 
 
-def _check_ja_budget(c: Constellation, link: LinkParams) -> None:
-    if math.comb(c.m_q + link.weight - 1, link.weight) > _COMBINATION_BUDGET:
-        raise CapacityError(
-            "joint-average combination budget exceeded; use the separate-average route"
-        )
+def _compose(code: MppmCode, c: Constellation, link: LinkParams, p, pc, corr, nb,
+             quad_error: float) -> AnalyticResult:
+    """Textbook composition P_e = 1 - E[Pc_sort * Pc_QAM] over occupation rows.
 
-
-def _pb_from_terms(code: MppmCode, c: Constellation, link: LinkParams,
-                   term_correct: float, term_wrong_nb: float, term_wrong: float) -> float:
-    """Textbook bit accounting from the three composition terms.
-
-    term_correct: E[Pc_mppm * (expected QAM bit errors)],
-    term_wrong_nb: E[(1 - Pc_mppm) * (expected QAM bit errors)],
-    term_wrong: E[1 - Pc_mppm].  Wrong patterns are treated as uniform over
-    the remaining set (the K_l weights), which overstates the scrambling of
-    real sorting errors; kept as the composition cross-check mode.
+    Row i occurs with probability p[i], sorts correctly with probability
+    pc[i], decides all w QAM symbols correctly with probability corr[i] and
+    has nb[i] erroneous QAM bits on average (see _occupations).  Wrong
+    patterns are treated as uniform over the remaining set (the K_l
+    weights), which overstates the scrambling of real sorting errors.
+    quad_error is the error estimate of pc (0 when it was not integrated).
     """
-    q_total = total_bits(link.n_slots, link.weight, c.n_q)
     w, n = link.weight, link.n_slots
+    wrong_nb, wrong = p @ ((1.0 - pc) * nb), p @ (1.0 - pc)
     miss = 0.0
     for l in range(1, min(w, n - w) + 1):
         kl = float(k_l(n, w, l))
-        miss += kl * ((w - l) / w * term_wrong_nb + c.n_q / 2.0 * l * term_wrong)
-    pb = (term_correct + ne_mppm(code.q_mppm) * term_wrong + miss) / q_total
-    return min(max(pb, 0.0), 1.0)
+        miss += kl * ((w - l) / w * wrong_nb + c.n_q / 2.0 * l * wrong)
+    pb = (p @ (pc * nb) + ne_mppm(code.q_mppm) * wrong + miss) / total_bits(n, w, c.n_q)
+    pe = 1.0 - p @ (pc * corr)
+    pe_qam = float(np.mean(np.minimum(per_symbol_errors(link, c)[0], 1.0)))
+    return AnalyticResult(pe=min(max(float(pe), 0.0), 1.0), pb=min(max(float(pb), 0.0), 1.0),
+                          pc_mppm=float(p @ pc), pe_qam=pe_qam, quad_error=quad_error)
 
 
 def pe_cmd_ja(code: MppmCode, c: Constellation, link: LinkParams,
@@ -751,46 +760,25 @@ def pe_cmd_composition(code: MppmCode, c: Constellation, link: LinkParams,
     vector of the w signal slots, the separate average (sa) one for w slots
     drawn from the ring mixture: rows of the same _sorting_pc count matrix.
     """
-    if method == "sa":
-        mixture = np.zeros((1, len(c.energy_rings()[0]) + 1))
-        mixture[0, -1] = link.weight
-        pc, err = _sorting_pc(mixture, c, link, tol)
-        return _compose_separate(code, c, link, float(pc[0]), err)
-    if method != "ja":
-        raise ValueError("method must be 'ja' or 'sa'")
-    _check_ja_budget(c, link)
-    counts, p, corr, nb = _ring_occupations(c, link)
-    pc, err = _sorting_pc(np.column_stack((counts, np.zeros(len(counts)))), c, link, tol)
-    pe = 1.0 - p @ (pc * corr)
-    pb = _pb_from_terms(code, c, link, p @ (pc * nb), p @ ((1.0 - pc) * nb), p @ (1.0 - pc))
-    pe_avg = float(np.mean(np.minimum(per_symbol_errors(link, c)[0], 1.0)))
-    return AnalyticResult(pe=min(max(pe, 0.0), 1.0), pb=pb, pc_mppm=float(p @ pc),
-                          pe_qam=pe_avg, quad_error=err)
-
-
-def _compose_separate(code: MppmCode, c: Constellation, link: LinkParams,
-                      pc: float, quad_error: float) -> AnalyticResult:
-    """Textbook composition from a correct-pattern probability pc, with the
-    QAM symbols averaged separately: P_e = 1 - pc * (1 - P_e,QAM)^w.
-    quad_error is the error estimate of pc (0 when it was not integrated)."""
-    pe_sym, nb_sym = per_symbol_errors(link, c)
-    pe_avg = float(np.mean(np.minimum(pe_sym, 1.0)))
-    nb_avg = float(np.mean(nb_sym))
-    w = link.weight
-    pe = min(max(1.0 - pc * (1.0 - pe_avg) ** w, 0.0), 1.0)
-    pb = _pb_from_terms(code, c, link, pc * w * nb_avg, (1.0 - pc) * w * nb_avg, 1.0 - pc)
-    return AnalyticResult(pe=pe, pb=pb, pc_mppm=pc, pe_qam=pe_avg, quad_error=quad_error)
+    counts, p, corr, nb = _occupations(c, link, method)
+    pc, err = _sorting_pc(counts, c, link, tol)
+    return _compose(code, c, link, p, pc, corr, nb, err)
 
 
 def pe_imd(code: MppmCode, c: Constellation, link: LinkParams,
            tol: float = 1e-10, mppm_route: str = "ni") -> AnalyticResult:
-    """IMD error probabilities; pattern part via integration or union bound."""
+    """IMD error probabilities; pattern part via integration or union bound.
+
+    The union bound composes the separate-average row with the bound's
+    correct-pattern probability.
+    """
     if mppm_route == "ni":
         return _events_route(_SlotModel(c, link, "imd"), code, tol)
     if mppm_route != "ub":
         raise ValueError("mppm_route must be 'ni' or 'ub'")
+    _, p, corr, nb = _occupations(c, link, "sa")
     pc = 1.0 - mppm_ser_ub(code, link.slot_energy / link.sigma2)
-    return _compose_separate(code, c, link, pc, 0.0)
+    return _compose(code, c, link, p, np.array([pc]), corr, nb, 0.0)
 
 
 def ebn0_at_target(ebn0_db: np.ndarray, values: np.ndarray, target: float) -> float:

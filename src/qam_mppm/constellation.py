@@ -43,8 +43,6 @@ class Constellation:
     row_idx: np.ndarray | None = field(default=None, repr=False)
     i_levels: np.ndarray | None = field(default=None, repr=False)
     q_levels: np.ndarray | None = field(default=None, repr=False)
-    col_bits: int = 0
-    row_bits: int = 0
 
     @property
     def energies(self) -> np.ndarray:
@@ -109,7 +107,6 @@ def build_constellation(n_q: int) -> Constellation:
         else:
             ncols, nrows = 4, 2
             kind = "rect"
-        cbits = int(np.log2(ncols))
         rbits = int(np.log2(nrows))
         i_lv = _pam_levels(ncols)
         q_lv = _pam_levels(nrows)
@@ -131,8 +128,6 @@ def build_constellation(n_q: int) -> Constellation:
             row_idx=rows,
             i_levels=i_lv / norm,
             q_levels=q_lv / norm,
-            col_bits=cbits,
-            row_bits=rbits,
         )
     # Cross shape: side x side grid with cut x cut corners removed.
     side = 3 * (1 << ((n_q - 3) // 2))

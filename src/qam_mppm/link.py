@@ -25,7 +25,6 @@ class LinkParams:
     t_s: float  # slot time, seconds (1 when normalized)
     i_ph: float  # photocurrent, amperes (1 when normalized)
     sigma2: float  # noise variance of each slot statistic, = N0/2
-    normalized: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.m <= 1.0):
@@ -43,7 +42,7 @@ class LinkParams:
     @classmethod
     def from_normalized(cls, n_slots: int, weight: int, m: float, sigma2: float) -> "LinkParams":
         return cls(n_slots=n_slots, weight=weight, m=m, t_s=1.0, i_ph=1.0,
-                   sigma2=sigma2, normalized=True)
+                   sigma2=sigma2)
 
 
 @dataclass(frozen=True)
@@ -132,10 +131,7 @@ def link_from_popt(
     i_ph = (n_slots / weight) * i_dc
     t_s = q_total / (n_slots * r_b)
     sigma2 = rx.n0(i_dc) / 2.0
-    return LinkParams(
-        n_slots=n_slots, weight=weight, m=m, t_s=t_s, i_ph=i_ph,
-        sigma2=sigma2, normalized=False,
-    )
+    return LinkParams(n_slots=n_slots, weight=weight, m=m, t_s=t_s, i_ph=i_ph, sigma2=sigma2)
 
 
 @dataclass(frozen=True)

@@ -206,33 +206,22 @@ def run_point(code: MppmCode, c: Constellation, link: LinkParams,
     if budget < 1:
         raise ValueError("budget must be at least one frame")
     workers = workers or max_workers()
-    n_batches = (budget + batch_frames - 1) // batch_frames
-    sizes = [min(batch_frames, budget - i * batch_frames) for i in range(n_batches)]
     totals = {det: TrialCounters() for det in detectors}
-
-    def stopped() -> bool:
-        frames = totals[detectors[0]].frames
-        if frames < min(min_frames, budget):
-            return False
-        return all(t.sym_errors >= min_errors for t in totals.values())
-
-    def results(pool):
-        """Batch results in index order; a wave completes before it is merged."""
-        for lo in range(0, n_batches, workers):
-            wave = [(link, detectors, sizes[i], [seed, point_index, i])
-                    for i in range(lo, min(lo + workers, n_batches))]
-            if workers <= 1:
-                yield from (simulate_batch(code, c, *args) for args in wave)
-            else:
-                yield from list(pool.map(_batch_worker, wave))
-
+    batches = range(0, budget, batch_frames)  # each batch's first frame
     own = pool is None and workers > 1
     with (worker_pool(code, c, workers) if own else nullcontext(pool)) as pool:
-        for res in results(pool):
-            for det in detectors:
-                totals[det].merge(res[det])
-            if stopped():
-                break
+        for lo in range(0, len(batches), workers):
+            wave = [(link, detectors, min(batch_frames, budget - first), [seed, point_index, i])
+                    for i, first in enumerate(batches[lo:lo + workers], lo)]
+            # A wave completes before it is merged.
+            results = (list(pool.map(_batch_worker, wave)) if workers > 1
+                       else (simulate_batch(code, c, *args) for args in wave))
+            for res in results:
+                for det in detectors:
+                    totals[det].merge(res[det])
+                if (totals[detectors[0]].frames >= min(min_frames, budget)
+                        and all(t.sym_errors >= min_errors for t in totals.values())):
+                    return totals
     return totals
 
 

@@ -160,10 +160,15 @@ def build_spec(values: dict[str, str], overrides: dict | None = None) -> SweepSp
             problems.append(f"unknown method {meth!r}")
         elif owners[0] not in detectors:
             problems.append(f"method {meth!r} requires detector {owners[0]!r}")
+    for key, names in (("detectors", detectors), ("methods", methods)):
+        for dup in sorted({name for name in names if names.count(name) > 1}):
+            problems.append(f"{key}: {dup!r} is listed more than once")
     trials = number("sim.trials", int)
     if trials is not None and trials < 1:
         problems.append("sim.trials must be >= 1")
     seed = number("sim.seed", int)
+    if seed is not None and seed < 0:
+        problems.append("sim.seed must be >= 0")
     workers = None
     if "sim.workers" in merged:
         workers = number("sim.workers", int)

@@ -251,11 +251,17 @@ def test_ja_budget_guard():
 
 def test_ja_events_route_has_no_combination_budget(monkeypatch):
     """The events route enumerates no ring-count vector, so the combination
-    budget binds only the joint-average composition."""
+    budget binds only the joint-average composition, and there it counts
+    the rows built: 28 ring-count vectors for (12, 6) 16-QAM."""
     link, c = _link(24.0)
     code = make_code(12, 6)
     monkeypatch.setattr(analytic, "_COMBINATION_BUDGET", 0)
     assert pe_cmd_ja(code, c, link) == pe_cmd_sa(code, c, link)
+    with pytest.raises(CapacityError, match="combination budget"):
+        pe_cmd_composition(code, c, link, method="ja")
+    monkeypatch.setattr(analytic, "_COMBINATION_BUDGET", 28)
+    assert 0.0 < pe_cmd_composition(code, c, link, method="ja").pe < 1.0
+    monkeypatch.setattr(analytic, "_COMBINATION_BUDGET", 27)
     with pytest.raises(CapacityError, match="combination budget"):
         pe_cmd_composition(code, c, link, method="ja")
 

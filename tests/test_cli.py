@@ -72,19 +72,26 @@ def test_sweep_bad_values_reported_together(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("over, env, keys", [
-    ({"sim.workers": "-2"}, {}, ("sys.Rb", "sim.workers")),
-    ({}, {"QAM_MPPM_MAX_WORKERS": "two"}, ("sys.Rb", "QAM_MPPM_MAX_WORKERS")),
-    ({}, {"QAM_MPPM_MAX_WORKERS": "-3"}, ("sys.Rb", "QAM_MPPM_MAX_WORKERS")),
-], ids=["config", "environment", "environment-negative"])
-def test_sweep_bad_workers_and_rate_reported_together(tmp_path, over, env, keys):
+@pytest.mark.parametrize("over, env, args, keys", [
+    ({"sim.workers": "-2"}, {}, (), ("sys.Rb", "sim.workers")),
+    ({}, {"QAM_MPPM_MAX_WORKERS": "two"}, (), ("sys.Rb", "QAM_MPPM_MAX_WORKERS")),
+    ({}, {"QAM_MPPM_MAX_WORKERS": "-3"}, (), ("sys.Rb", "QAM_MPPM_MAX_WORKERS")),
+    ({"sim.seed": "-1"}, {}, (), ("sys.Rb", "sim.seed")),
+    ({}, {}, ("--seed", "-1"), ("sys.Rb", "sim.seed")),
+    ({"detectors": "imd,cmd,imd", "methods": "ni,ub,ni"}, {}, (),
+     ("sys.Rb", "detectors", "methods")),
+], ids=["config", "environment", "environment-negative", "seed-negative",
+        "seed-negative-cli", "duplicates"])
+def test_sweep_bad_workers_and_rate_reported_together(tmp_path, over, env, args, keys):
     """A zero popt bit rate plus a bad worker count from the config or the
-    environment: exit 2 with one diagnostic each, no traceback, no CSV."""
+    environment, a negative seed from the config or the command line, or
+    duplicate detectors and methods: exit 2 with one diagnostic each, no
+    traceback, no CSV."""
     cfg = _write_cfg(tmp_path, **{"mode": "popt", "grid.start": "-30", "grid.stop": "-30",
                                   "sys.Rb": "0", **over})
     env = dict(os.environ, PYTHONPATH=str(Path(qam_mppm.__file__).parents[1]), **env)
-    proc = subprocess.run([sys.executable, "-m", "qam_mppm", "sweep", "--config", str(cfg)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-m", "qam_mppm", "sweep", "--config", str(cfg),
+                           *args], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("config error:")]
     assert len(errors) == len(keys), proc.stderr

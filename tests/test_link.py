@@ -37,8 +37,7 @@ def test_frame_energies_formulas():
 
 def test_physical_scale_energies_track_slot_energy():
     c = build_constellation(4)
-    link = LinkParams(n_slots=12, weight=6, m=0.5, t_s=2e-7, i_ph=1e-3,
-                      sigma2=1e-12, normalized=False)
+    link = LinkParams(n_slots=12, weight=6, m=0.5, t_s=2e-7, i_ph=1e-3, sigma2=1e-12)
     e_s, e_s_qam, _ = frame_energies(link, c)
     base = 2e-7 * 1e-6
     assert e_s == pytest.approx(6 * base * 1.125)
@@ -83,7 +82,6 @@ def test_link_from_popt_scales():
     r_b = 50e6
     link = link_from_popt(p_opt, DEFAULT_RECEIVER, 32, 2, r_b, q_total, 0.9)
     i_dc = 0.5 * p_opt
-    assert not link.normalized
     assert link.i_ph == pytest.approx(16 * i_dc)
     assert link.t_s == pytest.approx(q_total / (32 * r_b))
     assert link.sigma2 == pytest.approx(DEFAULT_RECEIVER.n0(i_dc) / 2.0)

@@ -149,9 +149,12 @@ def test_run_point_reuses_one_pool_across_points():
 
 def test_run_point_early_stop_and_budget():
     code, c, link = _setup(db=0.0)  # every frame is an error
-    res = run_point(code, c, link, ("cmd",), budget=200_000, seed=1, point_index=0,
-                    workers=1, batch_frames=10_000, min_errors=50, min_frames=20_000)
-    assert res["cmd"].frames == 20_000  # stops at min_frames once errors suffice
+    # A budget far beyond any run costs nothing up front: batches are sized
+    # as they are submitted.
+    for budget in (200_000, 10**15):
+        res = run_point(code, c, link, ("cmd",), budget=budget, seed=1, point_index=0,
+                        workers=1, batch_frames=10_000, min_errors=50, min_frames=20_000)
+        assert res["cmd"].frames == 20_000  # stops at min_frames once errors suffice
     with pytest.raises(ValueError):
         run_point(code, c, link, ("cmd",), budget=0, seed=1, point_index=0)
 

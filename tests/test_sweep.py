@@ -115,11 +115,11 @@ def test_links_for_modes(tmp_path):
     spec = _spec(tmp_path)
     links = links_for(spec)
     assert len(links) == 2
-    assert all(l.normalized for l in links)
+    assert all((l.t_s, l.i_ph) == (1.0, 1.0) for l in links)
     pspec = _spec(tmp_path, **{"mode": "popt", "grid.start": "-33",
                                "grid.stop": "-31", "grid.step": "2"})
     plinks = links_for(pspec)
-    assert all(not l.normalized for l in plinks)
+    assert all(l.t_s != 1.0 for l in plinks)
     assert plinks[0].sigma2 < plinks[1].sigma2  # more power, more shot/RIN noise
 
 
