@@ -180,15 +180,19 @@ def _crossings(fn, bounds: np.ndarray, radius: np.ndarray):
 
 
 class _SlotModel:
-    """Slot-metric survival/decision functions for one detector and link.
+    """Slot-metric survival, decision and Gray-bit quantities for one
+    detector and link.
 
-    survival(y) is the mean probability that a signal-slot metric exceeds y;
-    corr_survival(y) additionally requires a correct QAM decision, and
-    bits_survival(y) weights decisions by their Gray bit-error count.  For
+    The detector enters as data, chosen once when the model is built: its
+    threshold domain, its signal-slot metric as a mixture (the power
+    metric's energy rings, or the matched filter's one Gaussian) and its
+    distribution functions.  At threshold y, s is the mean probability that
+    a signal-slot metric exceeds y, g additionally requires a correct QAM
+    decision, and t weights decisions by their Gray bit-error count.  For
     the power-metric detector on grid constellations these are coupled
-    through the joint distribution of the I/Q statistics; for the
-    matched-filter detector the metric is independent of the decision so
-    both factorize exactly.
+    through the joint distribution of the I/Q statistics; otherwise the
+    model takes the metric independent of the decision, exactly so for the
+    matched-filter detector, and they factorize.
 
     record(y) is the only way in: it returns the threshold's _Threshold
     record, and every event integrand is a function of that record.  Every
@@ -199,7 +203,6 @@ class _SlotModel:
     def __init__(self, c: Constellation, link: LinkParams, detector: str):
         self.c = c
         self.link = link
-        self.detector = detector
         self.s2 = link.sigma2
         self.sigma = math.sqrt(link.sigma2)
         pe_sym, nb_sym = per_symbol_errors(link, c)
@@ -207,17 +210,23 @@ class _SlotModel:
         self.nb_bar = float(np.mean(nb_sym))
         self.pbar = 1.0 - self.pe_bar
         self._cache: dict[float, _Threshold] = {}
+        # The distribution functions are taken from ``dist`` here, once.
         if detector == "imd":
-            self.mu = math.sqrt(link.t_s) * link.i_ph
+            mu = math.sqrt(link.t_s) * link.i_ph
             self.lo = -_DOMAIN_SIGMAS * self.sigma
-            self.hi = self.mu + _DOMAIN_SIGMAS * self.sigma
+            self.hi = mu + _DOMAIN_SIGMAS * self.sigma
+            self._mix_w, self._mix_loc = np.ones(1), np.array([mu])
+            self._f_sl, self._F_sl = dist.f_sl_imd, dist.F_sl_imd
+            self._f_nsl, self._F_nsl = dist.f_nsl_imd, dist.F_nsl_imd
             self.coupled = False
         elif detector == "cmd":
             base = link.slot_energy * link.m**2 / 2.0
             self.lo = 0.0
             self.hi = (math.sqrt(base * float(c.energies.max()))
                        + _DOMAIN_SIGMAS * self.sigma) ** 2
-            _, self._mix_w, self._mix_om = _ring_mixture(c, link)
+            _, self._mix_w, self._mix_loc = _ring_mixture(c, link)
+            self._f_sl, self._F_sl = dist.f_sl_cmd, dist.F_sl_cmd
+            self._f_nsl, self._F_nsl = dist.f_nsl_cmd, dist.F_nsl_cmd
             self.coupled = c.is_grid
         else:
             raise ValueError("detector must be 'cmd' or 'imd'")
@@ -304,9 +313,9 @@ class _SlotModel:
     def _records(self, ys: np.ndarray) -> None:
         """Compute the records of the thresholds ys and cache them.
 
-        The distribution functions are looked up through ``dist`` at call
-        time, once per call with all of ys.
+        Each distribution function is called once per call, with all of ys.
         """
+        nb = self.nb_bar
         if self.coupled:
             n = self._chunk
             s, g, t, bp_tx, bp_det, bp_at_tx, bp_at_det, at_rate = (
@@ -322,39 +331,24 @@ class _SlotModel:
             demaps = np.concatenate((bp_det, bp_at_det[:, None]), axis=1)
             grams = zip((words @ demaps.swapaxes(1, 2)).tolist(),
                         words.sum(axis=2).tolist(), demaps.sum(axis=2).tolist())
+            # Erroneous bits of an aligned slot with its metric above y and below y.
+            rate_v = np.divide(t, s, out=np.full_like(s, nb), where=s > 1e-300)
+            rate_p = np.divide(nb - t, 1.0 - s, out=np.full_like(s, nb), where=s < 1.0 - 1e-12)
+            rate_v, rate_p = (np.clip(r, 0.0, self.c.n_q).tolist() for r in (rate_v, rate_p))
             at_rate = at_rate.tolist()
         else:
             s, g, t = self._values_uncoupled(ys)
-            at_rate, grams = itertools.repeat(self.nb_bar), itertools.repeat(None)
-        if self.detector == "cmd":
-            f, cdf = dist.f_nsl_cmd(ys, self.s2), dist.F_nsl_cmd(ys, self.s2)
-            pdf = sum(
-                a * dist.f_sl_cmd(ys, o, self.s2)
-                for a, o in zip(self._mix_w, self._mix_om)
-            )
-        else:
-            f, cdf = dist.f_nsl_imd(ys, self.s2), dist.F_nsl_imd(ys, self.s2)
-            pdf = dist.f_sl_imd(ys, self.mu, self.s2)
-        nb, n_q = self.nb_bar, float(self.c.n_q)
-        for y, s_y, g_y, t_y, *rest in zip(ys.tolist(), s.tolist(), g.tolist(), t.tolist(),
-                                           at_rate, grams, f.tolist(), cdf.tolist(),
-                                           pdf.tolist()):
-            rate_v = rate_p = nb
-            if self.coupled:
-                rate_v = t_y / s_y if s_y > 1e-300 else nb
-                rate_p = (nb - t_y) / (1.0 - s_y) if s_y < 1.0 - 1e-12 else nb
-                rate_v, rate_p = min(max(rate_v, 0.0), n_q), min(max(rate_p, 0.0), n_q)
-            self._cache[y] = _Threshold(s_y, g_y, t_y, *rest, rate_v, rate_p)
+            at_rate = rate_v = rate_p = itertools.repeat(nb)
+            grams = itertools.repeat(None)
+        f, cdf = self._f_nsl(ys, self.s2), self._F_nsl(ys, self.s2)
+        pdf = sum(a * self._f_sl(ys, o, self.s2) for a, o in zip(self._mix_w, self._mix_loc))
+        for y, *fields in zip(ys.tolist(), s.tolist(), g.tolist(), t.tolist(), at_rate, grams,
+                              f.tolist(), cdf.tolist(), pdf.tolist(), rate_v, rate_p):
+            self._cache[y] = _Threshold(*fields)
 
     # -- signal slot metric/decision, per vector of thresholds ---------------
     def _values_uncoupled(self, y: np.ndarray):
-        if self.detector == "imd":
-            s = 1.0 - dist.F_sl_imd(y, self.mu, self.s2)
-        else:
-            s = sum(
-                a * (1.0 - dist.F_sl_cmd(y, o, self.s2))
-                for a, o in zip(self._mix_w, self._mix_om)
-            )
+        s = sum(a * (1.0 - self._F_sl(y, o, self.s2)) for a, o in zip(self._mix_w, self._mix_loc))
         return s, self.pbar * s, self.nb_bar * s
 
     def _circle_arcs(self, radius: np.ndarray):

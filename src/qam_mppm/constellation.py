@@ -13,7 +13,8 @@ import numpy as np
 from scipy.special import erfc
 
 
-def _gray(k: int) -> int:
+def _gray(k):
+    """Gray code of an integer or of each entry of an integer array."""
     return k ^ (k >> 1)
 
 
@@ -180,19 +181,12 @@ def _axis_crossover(levels: np.ndarray, kappa: float) -> np.ndarray:
     (i, j) is the probability that a symbol sent at level i is decided as
     level j under the mid-point slicer.
     """
-    n = len(levels)
     x = kappa * levels
     bounds = kappa * (levels[:-1] + levels[1:]) / 2.0
-    # cdf of decision cells: P(decide <= j | sent i)
-    upper = np.concatenate([bounds, [np.inf]])
-    cdf = np.empty((n, n))
-    for j in range(n):
-        if np.isinf(upper[j]):
-            cdf[:, j] = 1.0
-        else:
-            cdf[:, j] = 1.0 - 0.5 * erfc((upper[j] - x) / np.sqrt(2.0))
-    probs = np.diff(cdf, axis=1, prepend=0.0)
-    return probs
+    # cdf of decision cells: P(decide <= j | sent i), 1 at the last level
+    cdf = np.ones((len(levels), len(levels)))
+    cdf[:, :-1] = 1.0 - 0.5 * erfc((bounds - x[:, None]) / np.sqrt(2.0))
+    return np.diff(cdf, axis=1, prepend=0.0)
 
 
 def qam_transition_matrices(scale: float, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
@@ -232,12 +226,8 @@ def qam_bit_errors_exact(scale: float, c: Constellation) -> np.ndarray:
     ti, tq = qam_transition_matrices(scale, c)
 
     def axis_expected_bits(t: np.ndarray) -> np.ndarray:
-        n = t.shape[0]
-        g = np.array([_gray(k) for k in range(n)])
-        ham = np.array(
-            [[bin(int(g[a]) ^ int(g[b])).count("1") for b in range(n)] for a in range(n)]
-        )
-        return np.sum(t * ham, axis=1)
+        g = _gray(np.arange(t.shape[0]))
+        return np.sum(t * np.bitwise_count(g[:, None] ^ g[None, :]), axis=1)
 
     nb_i = axis_expected_bits(ti)
     nb_q = axis_expected_bits(tq)

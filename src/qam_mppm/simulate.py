@@ -26,6 +26,10 @@ MIN_ERRORS = 100
 MIN_FRAMES = 100_000
 
 WORKER_ENV_VAR = "QAM_MPPM_MAX_WORKERS"
+# The cross-shape demap takes its argmin over as many rows of statistics at
+# a time as keep each (rows, w, M) distance array within _DEMAP_ELEMENTS
+# floats (8 MB), and at least one row.
+_DEMAP_ELEMENTS = 2**20
 
 
 @dataclass
@@ -97,8 +101,12 @@ def _demap(yi, yq, c: Constellation, amp: float):
         return c.grid_cells(amp).decide(yi, yq)
     pi = amp * c.points[:, 0]
     pq = amp * c.points[:, 1]
-    d2 = (yi[..., None] - pi) ** 2 + (yq[..., None] - pq) ** 2
-    return np.argmin(d2, axis=-1)
+    out = np.empty(yi.shape, dtype=np.intp)
+    step = max(1, _DEMAP_ELEMENTS // (math.prod(yi.shape[1:]) * c.m_q))
+    for lo in range(0, len(yi), step):
+        bi, bq = yi[lo:lo + step, ..., None], yq[lo:lo + step, ..., None]
+        out[lo:lo + step] = np.argmin((bi - pi) ** 2 + (bq - pq) ** 2, axis=-1)
+    return out
 
 
 def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,

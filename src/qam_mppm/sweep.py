@@ -35,6 +35,7 @@ REQUIRED_KEYS = [
     "mode", "grid.start", "grid.stop", "grid.step", "sys.N", "sys.w",
     "sys.nQ", "sys.m", "detectors", "sim.trials", "sim.seed", "out.csv",
 ]
+KNOWN_KEYS = {*REQUIRED_KEYS, "methods", "sys.Rb", "sim.workers", "out.plot"}
 
 
 class ConfigError(ValueError):
@@ -81,7 +82,10 @@ def _grid_points(start: float, stop: float, step: float) -> float:
 
 
 def parse_config(path) -> dict[str, str]:
-    """Read a flat key=value config file (UTF-8, '#' comments)."""
+    """Read a flat key=value config file (UTF-8, '#' comments).
+
+    Malformed lines, unknown keys and repeated keys are reported together.
+    """
     values: dict[str, str] = {}
     problems = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -92,6 +96,10 @@ def parse_config(path) -> dict[str, str]:
             problems.append(f"line {lineno}: expected key=value, got {line!r}")
             continue
         key, val = (part.strip() for part in line.split("=", 1))
+        if key not in KNOWN_KEYS:
+            problems.append(f"line {lineno}: unknown key {key!r}")
+        elif key in values:
+            problems.append(f"line {lineno}: key {key!r} is given again")
         values[key] = val
     if problems:
         raise ConfigError(problems)

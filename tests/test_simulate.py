@@ -215,10 +215,16 @@ def _argmin_oracle(yi, yq, c, amp):
     return np.array([demap_ml((a / amp, b / amp), c) for a, b in zip(yi, yq)])
 
 
-@pytest.mark.parametrize("n_q", range(2, 11))
-def test_demap_matches_argmin(n_q):
+@pytest.mark.parametrize("n_q, elements", [
+    *(pytest.param(n_q, None, id=str(n_q)) for n_q in range(2, 11)),
+    # cross shapes whose argmin runs in several row blocks, the last shorter
+    *(pytest.param(n_q, 3000, id=f"{n_q}-blocks") for n_q in (5, 7, 9)),
+])
+def test_demap_matches_argmin(n_q, elements, monkeypatch):
     """The per-axis slicer of grid shapes, and the argmin of cross shapes,
     decide every point as the brute-force nearest-point search does."""
+    if elements is not None:
+        monkeypatch.setattr(simulate, "_DEMAP_ELEMENTS", elements)
     c = build_constellation(n_q)
     rng = np.random.default_rng(n_q)
     amp = 0.7

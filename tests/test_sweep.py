@@ -260,11 +260,14 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # They pin the random stream: the transmitted supports, the detections and
 # the correction's draws, including the fallback to the nearest members,
 # which (12, 8) takes at low SNR. A change to the stream must say so and
-# re-baseline these digests.
+# re-baseline these digests. ebn0_12_6_16qam_full also keeps the config's
+# analytic methods, on a 0/12/24 dB grid, and so pins the analytic columns
+# byte for byte.
 CSV_SHA256 = {
     "popt_32_6_16qam": "f95e62ce5b3194815f58853ee9d91d1e2ddc16c14f769fce07d502bd8b3ef1c2",
     "popt_32_2_4qam": "1a558ac6fe342a075e27bb2a24b62f9f6bffd8ca188dd9a0f7c5c8a097e54c81",
     "ebn0_12_6_16qam": "4d527c6bea0b515d7c10ac912dd0a552ff93ae10b777c05de246f29936702f81",
+    "ebn0_12_6_16qam_full": "92267530e7ebf91d311a98e5ce29dd57eaa1ee528680a1c1c39c8cc21a57bbc9",
     "ebn0_12_8_16qam": "50538e45b2c66d8cbb4b58ff089cf1c724951ce9f57ba0f11c30b7c43b6c08bc",
 }
 
@@ -276,6 +279,10 @@ def test_simulation_csv_bytes_are_pinned(tmp_path, name):
     if name == "ebn0_12_8_16qam":
         values = parse_config(SCRIPTS / "ebn0_12_6_16qam.cfg")
         overrides.update({"sys.w": 8, "grid.stop": 8})
+    elif name == "ebn0_12_6_16qam_full":
+        values = parse_config(SCRIPTS / "ebn0_12_6_16qam.cfg")
+        del overrides["methods"]
+        overrides["grid.step"] = 12
     else:
         values = parse_config(SCRIPTS / f"{name}.cfg")
     data = run(build_spec(values, overrides)).read_bytes()
