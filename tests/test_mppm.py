@@ -490,3 +490,134 @@ def test_correction_stats_deterministic():
     a = correction_stats(make_code(12, 6))
     b = correction_stats(make_code(12, 6))
     assert a == b
+
+
+
+# (exact, float.hex of every value) of correction_stats, in field order:
+# rescue_prob, pat_bits, align_v, align_p, then classes flattened. (32, 6) is
+# sampled for every l and (16, 10) for l >= 2; (9, 5) and (12, 8) hold
+# detections that decode to their nearest members.
+_STATS_PINNED = {
+    (12, 6): (True, (
+        "0x1.6e38e38e38e39p-6", "0x1.e4a3b584c1b57p+1", "0x1.17bb2bbc65700p+2",
+        "0x1.260c38d5d9431p+2", "0x1.2601fe799254fp+2", "0x1.20ad9e788b820p+2",
+        "0x1.1db80c24860c2p+2", "0x1.c31d9cc97c477p+1", "0x1.2a1194c1e3a4bp+1",
+        "0x1.88da5c61bee17p+0", "0x1.db48d455fd066p-1", "0x1.b65ac7233e555p-2",
+        "0x0.0p+0", "0x1.faffb7ee1c29bp-4", "0x1.ddafcf8f6944bp-3",
+        "0x1.5f16af8033a53p-2", "0x1.d559b72d0461ep-2", "0x1.28871a26571a2p-1",
+        "0x1.65d8c2aa48c2ap-1", "0x1.60998dc3f1f8bp-1", "0x1.2a9d0965809a6p-5",
+        "0x1.80462e7fc4d4dp-1", "0x0.0p+0", "0x1.1e4244ae54ef3p-2",
+        "0x1.2b38d498fff2cp-6", "0x1.282520064a058p-1", "0x0.0p+0",
+        "0x1.0675c68995e35p+0", "0x1.83b342c88defap-5", "0x1.3083e40bec443p-1",
+        "0x1.0783d6685e45bp-8", "0x1.bab4c0c473864p-1", "0x1.1461fce35e8c3p-5",
+        "0x1.bad1c87355953p-1", "0x1.c7631626ad066p-9", "0x1.167a695651e86p+0",
+        "0x1.507546d4ba881p-5", "0x1.4f77a49a5ca9ap-2", "0x1.24d3755910f37p-7",
+        "0x1.af8180c9ee809p+0", "0x1.7133e94e3e3c4p-5", "0x1.d4b13a486c82fp-1",
+        "0x1.6b4b73ae31edfp-7", "0x1.d741197e7c3dep-1", "0x1.993a1c5db5065p-6",
+        "0x1.d1adc0719cb72p-4", "0x1.9da24e995e17dp-7", "0x1.598796b0f7f26p+1",
+        "0x1.85463813fea9ep-5", "0x1.89ccaa041e020p-1", "0x1.a277840803a84p-6",
+        "0x1.1abd586f763bcp-1", "0x1.056d2c2817d7ap-7", "0x0.0p+0",
+        "0x1.7fe3d3928e81cp-7", "0x1.f00d1bab3ed70p+1", "0x1.1ca32118f8742p-5",
+        "0x1.d46c554e88d35p-2", "0x1.b441a73d96f50p-5", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.4c80000000000p+2", "0x0.0p+0", "0x0.0p+0",
+        "0x1.b139eaadb9e9ep-4")),
+    (32, 2): (True, (
+        "0x1.0000000000000p-6", "0x1.cb57d702fcb09p+1", "0x1.043852dd1278ep+2",
+        "0x1.6b8e4cab6b875p-1", "0x0.0p+0", "0x1.f567e0b4cee2ep-6",
+        "0x1.a703d798a943ap-5", "0x1.1fd489583b200p-2", "0x1.21dbaa1dbaa20p-7",
+        "0x0.0p+0", "0x0.0p+0", "0x1.20aa1dbaa1de0p-1", "0x1.119aa4a3c5499p-2",
+        "0x1.1b7543b7543d4p-3", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.7d9611a7b9612p+0", "0x1.cb72a248f160ep-2", "0x0.0p+0",
+        "0x1.2a9384a2b715ap-7")),
+    (32, 6): (False, (
+        "0x1.349782761a3f6p-8", "0x1.d71a3a32bec8bp+2", "0x1.14a885e4128dfp+3",
+        "0x1.262d47d71fe8ap+3", "0x1.2d6bd28870e1ep+3", "0x1.317c20b42bdd8p+3",
+        "0x1.337e83567415dp+3", "0x1.bda454578893ep+1", "0x1.2513559873213p+1",
+        "0x1.8313a5a72aa19p+0", "0x1.cf065adba2110p-1", "0x1.ae1b41eab1ce4p-2",
+        "0x0.0p+0", "0x1.cb2a34975c3e1p-6", "0x1.b4e3ac1e9c99bp-5",
+        "0x1.2c37dd32212acp-4", "0x1.73c3a3af51addp-4", "0x1.b1bf9494ae9c1p-4",
+        "0x1.ee84ae8c5c09dp-4", "0x1.670ba8c2346dbp-1", "0x1.10e8490126f60p-9",
+        "0x1.a1521d96a81dap-1", "0x0.0p+0", "0x1.1e16deff4e9e2p-2",
+        "0x1.5cbe92dff2a8fp-4", "0x1.37036c7f9f79cp-1", "0x0.0p+0",
+        "0x1.0e965d7a615d2p+0", "0x1.19ee0c74a8199p-9", "0x1.4d6766d07607dp-1",
+        "0x1.26732185341a2p-15", "0x1.bda0b20b4b8cep-1", "0x1.444a32cfd0af3p-3",
+        "0x1.d4561a9dc2d95p-1", "0x1.a86be113a37c8p-9", "0x1.210858e2f7796p+0",
+        "0x1.8149d110c7348p-10", "0x1.6df9a8934128ep-2", "0x1.5137325a85f24p-14",
+        "0x1.b903717d19e13p+0", "0x1.b0a24e9aace99p-3", "0x1.f736fbc8ac137p-1",
+        "0x1.44a47c0c32d06p-7", "0x1.f138aded2794dp-1", "0x1.5fd41dc09f1f0p-10",
+        "0x1.f802868244e4bp-4", "0x1.0bc580d6e4aefp-13", "0x1.6470477c3cb56p+1",
+        "0x1.05ede430d976dp-2", "0x1.b3a1bc1209a04p-1", "0x1.25b7edd5923bep-6",
+        "0x1.2889f653a1b88p-1", "0x1.76f476969f205p-11", "0x0.0p+0",
+        "0x1.55732bf6e961dp-14", "0x1.043ff0b8f46ffp+2", "0x1.279c51dfe1200p-2",
+        "0x1.04bba02b97fc5p-1", "0x1.e7d7d147c58d2p-6", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.6113404ea4a8cp+2", "0x1.45c2c56b12f2cp-2",
+        "0x0.0p+0", "0x1.6b40503c5c061p-5")),
+    (9, 5): (True, (
+        "0x1.8666666666666p-5", "0x1.539da5202376ap+1", "0x1.7bc7c46298049p+1",
+        "0x1.9fc063dc0780ap+1", "0x1.b2f5e4cce2b6bp+1", "0x1.77ef27aca9563p+1",
+        "0x1.ddebc5a7a6130p+0", "0x1.1c07e830d4440p+0", "0x1.043d70a3d70a5p-1",
+        "0x1.be7109f959c43p-3", "0x1.af59dba28acfap-2", "0x1.3bf7b9032fe5fp-1",
+        "0x1.9f94538d729f0p-1", "0x1.4167109f959bdp-1", "0x1.5f15f15f15f14p-8",
+        "0x1.b83c49960dbddp-2", "0x0.0p+0", "0x1.4283a83a83a85p-2",
+        "0x1.0d8c4d21e9648p-5", "0x1.bc92492492492p-2", "0x0.0p+0",
+        "0x1.b6b80f655b1d6p-1", "0x1.2492492492491p-10", "0x1.190cad54dd556p-2",
+        "0x1.5f15f15f15f15p-11", "0x1.e675d3951415dp-1", "0x1.fd0eb66fd0ed0p-6",
+        "0x1.2dc990612b4fap-1", "0x1.0ace213f2b387p-7", "0x1.95b5075075061p-1",
+        "0x0.0p+0", "0x1.907a2c7db46f6p-4", "0x1.5f15f15f15f16p-12",
+        "0x1.cfddce434a99dp+0", "0x1.b33333333332ep-7", "0x1.1409dfd13045ep-1",
+        "0x1.2ebfbb07ba1d3p-6", "0x1.f7851eb851eb8p-2", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.6b23d70a3d70cp+1", "0x0.0p+0", "0x1.507ae147ae148p-2",
+        "0x1.73dbf4b81286dp-6")),
+    (12, 8): (True, (
+        "0x1.ba00000000000p-6", "0x1.aaa16af25d024p+1", "0x1.eeb222a73482cp+1",
+        "0x1.07c4ecf8788cep+2", "0x1.1312d64b3fe8fp+2", "0x1.467fe3e217ccap+2",
+        "0x1.d9a45eb62fb32p+1", "0x1.61b62be2b6420p+1", "0x1.06010ead5b158p+1",
+        "0x1.7432908cf8620p-3", "0x1.615167df0ff78p-2", "0x1.010b430fd2f0ep-1",
+        "0x1.51645144b97cap-1", "0x1.7f503351c0c1cp-1", "0x1.f357e9d0c0a62p-6",
+        "0x1.1e8af7277d6c3p+0", "0x0.0p+0", "0x1.bc0a0fefb66d7p-3",
+        "0x1.571391c77c4b6p-6", "0x1.29383b52986a4p-1", "0x0.0p+0",
+        "0x1.3437e421280cep+0", "0x1.068ba51b4ecd2p-5", "0x1.0ee319379ad88p+0",
+        "0x1.67e812032de4bp-8", "0x1.5c1aff4837430p-1", "0x1.efff4a1032df4p-6",
+        "0x1.e0c21d76a8955p-1", "0x1.7d1a808b490a5p-8", "0x1.6d58067e3cb39p+0",
+        "0x1.3a01829b44b31p-6", "0x1.8e3efa3741e5ep-1", "0x1.9a0f4b2463c27p-7",
+        "0x1.57757db6622a3p+0", "0x1.985b0d533bdb5p-6", "0x1.1d08f00ee5fc7p+0",
+        "0x1.26a11f605d1fdp-6", "0x1.7397f13d4fc1bp+0", "0x0.0p+0",
+        "0x1.ef115da6fed82p-2", "0x1.28667f8e96cc0p-6", "0x1.1672b9034da9cp+1",
+        "0x0.0p+0", "0x1.20bc27f79f04dp+0", "0x1.3587abed1ccddp-5")),
+    (16, 10): (False, (
+        "0x1.db9999999999bp-7", "0x1.358b4eff51ef1p+2", "0x1.69c8468aaab6bp+2",
+        "0x1.7c7575d3f4054p+2", "0x1.8517486ff00ecp+2", "0x1.8820afd218c6ep+2",
+        "0x1.88778b1cb4b8fp+2", "0x1.9c69bb58be69dp+2", "0x1.3240ddce3ed3bp+2",
+        "0x1.dab62438a7c86p+1", "0x1.753e90c73edc6p+1", "0x1.20c168840f602p+1",
+        "0x1.ae7c63fe4eb64p+0", "0x1.0df50d11c2c6dp-3", "0x1.0a9dc83d31b88p-2",
+        "0x1.83bae2e6ca83bp-2", "0x1.ef55264368461p-2", "0x1.2e143ca20a8efp-1",
+        "0x1.6695ed4401a96p-1", "0x1.9ac56d8ce238ep-1", "0x1.4f88b20567567p-7",
+        "0x1.be574a7289b2bp+0", "0x0.0p+0", "0x1.6ea614d3d3ca3p-3",
+        "0x1.b40ab5e6adb11p-6", "0x1.5338e1d764ccdp-1", "0x0.0p+0",
+        "0x1.5e71bbb01738cp+0", "0x1.af139e0788682p-7", "0x1.d4df29df53589p+0",
+        "0x1.35efee2c02516p-10", "0x1.1f74856ed1f0fp-1", "0x1.5e00d909a03bep-5",
+        "0x1.215ebd7addf21p+0", "0x1.4f86f61fa4c4bp-8", "0x1.b8a8d16a4f6dcp+0",
+        "0x1.4e368acddf909p-7", "0x1.8e69a75c98196p+0", "0x1.c9a3645a56d48p-9",
+        "0x1.22902b3a1d0e5p+0", "0x1.897dd80d99699p-5", "0x1.6cade6e831633p+0",
+        "0x1.c3a331c910d64p-7", "0x1.e9340f0a62357p+0", "0x1.d3c42bc8825a7p-8",
+        "0x1.29071f64c0d87p+0", "0x1.73ebd696b28e9p-8", "0x1.dad616a497b9ap+0",
+        "0x1.56cdc6994f630p-5", "0x1.980c04ae786cfp+0", "0x1.a48b39d2d3039p-6",
+        "0x1.eef1aed99ceb3p+0", "0x1.611c413a100cfp-9", "0x1.9a5972fb378b3p-1",
+        "0x1.ae38800b85bf9p-8", "0x1.5c745599f686fp+1", "0x1.bcda248f1bee8p-6",
+        "0x1.9d8b68051a87dp+0", "0x1.71ccbc76d6856p-5", "0x1.d216e2cb5a219p+0",
+        "0x0.0p+0", "0x1.f75bd123cba16p-2", "0x1.95c4ed64431d5p-8",
+        "0x1.dab7940f3c12cp+1", "0x0.0p+0", "0x1.861bf682bc9a2p+0",
+        "0x1.129eabcca6b83p-4")),
+}
+
+
+def test_correction_stats_values_are_pinned():
+    """The correction statistics of exact, sampled and nearest-member codes,
+    every value bit for bit."""
+    got = {}
+    for n, w in _STATS_PINNED:
+        st_ = correction_stats(make_code(n, w))
+        vals = [st_.rescue_prob, *st_.pat_bits, *st_.align_v, *st_.align_p]
+        vals += [v for cl in st_.classes for row in cl for v in row]
+        got[n, w] = (st_.exact, tuple(float(v).hex() for v in vals))
+    assert got == _STATS_PINNED
