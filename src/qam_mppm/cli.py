@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .link import complexity
-from .sweep import ConfigError, NumericFailure, build_spec, parse_config, run
+from .sweep import ConfigError, NumericFailure, build_spec, read_config, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,11 +63,15 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        values = parse_config(args.config)
-        plot = values.get("out.plot")
-        if args.out and plot and not Path(plot).is_absolute():
-            # The plot script goes next to the relocated CSV.
-            plot = str(Path(args.out).parent / Path(plot).name)
+        values, problems = read_config(args.config)
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    plot = values.get("out.plot")
+    if args.out and plot and not Path(plot).is_absolute():
+        # The plot script goes next to the relocated CSV.
+        plot = str(Path(args.out).parent / Path(plot).name)
+    try:
         spec = build_spec(
             values,
             overrides={
@@ -78,11 +82,11 @@ def main(argv=None) -> int:
                 "out.plot": plot,
             },
         )
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ConfigError as exc:
-        for problem in exc.problems:
+        problems += exc.problems
+    # Line problems and value problems are reported together.
+    if problems:
+        for problem in problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
     try:

@@ -61,14 +61,18 @@ def make_code(n_slots: int, weight: int) -> MppmCode:
             "pattern ranks are 64-bit integers, so codes need C(N, w) < 2^63; "
             f"({n}, {w}) has C(N, w) >= 2^{q}"
         )
-    # rank_prefix[j][t] = -C(n-t, w-j) for t >= j, so that
-    # rank_prefix[j][b] - rank_prefix[j][a] = sum_{a <= u < b} C(n-1-u, w-1-j),
-    # the lex rank's block sum.  No entry exceeds C(n-j, w-j) <= C(n, w) in
-    # magnitude; entries t < j are never read.
+    return MppmCode(n_slots=n, weight=w, q_mppm=q, size=size, rank_prefix=_rank_prefix(n, w))
+
+
+def _rank_prefix(n: int, w: int) -> np.ndarray:
+    """rank_prefix[j][t] = -C(n-t, w-j) for t >= j, so that
+    rank_prefix[j][b] - rank_prefix[j][a] = sum_{a <= u < b} C(n-1-u, w-1-j),
+    the lex rank's block sum.  No entry exceeds C(n-j, w-j) <= C(n, w) in
+    magnitude; entries t < j are never read."""
     prefix = np.zeros((w, n + 1), dtype=np.int64)
     for j in range(w):
         prefix[j, j:] = [-math.comb(n - t, w - j) for t in range(j, n + 1)]
-    return MppmCode(n_slots=n, weight=w, q_mppm=q, size=size, rank_prefix=prefix)
+    return prefix
 
 
 def rank_support(support, code: MppmCode) -> int:
@@ -115,11 +119,16 @@ def unrank_supports(ranks, code: MppmCode) -> np.ndarray:
     the last slot c of j .. N - w + j, over which prefix[j] increases, whose
     block sum from the previous slot + 1 fits in the rank left over.
     """
-    n, w = code.n_slots, code.weight
+    return _unrank(ranks, code.n_slots, code.rank_prefix)
+
+
+def _unrank(ranks, n: int, rank_prefix: np.ndarray) -> np.ndarray:
+    """unrank_supports over the weight-len(rank_prefix) subsets of n slots."""
+    w = len(rank_prefix)
     left = np.asarray(ranks, dtype=np.int64)
     out = np.empty((len(left), w), dtype=np.int16)
     start = np.zeros(len(left), dtype=np.int64)
-    for j, prefix in enumerate(code.rank_prefix):
+    for j, prefix in enumerate(rank_prefix):
         target = left + prefix[start]
         c = np.searchsorted(prefix[j : n - w + j + 1], target, side="right") + (j - 1)
         out[:, j] = c
@@ -302,128 +311,150 @@ _SPECTRUM_CACHE: dict[tuple[int, int], dict[int, int]] = {}
 _STATS_EXACT_EVENTS = 300_000
 _STATS_SAMPLES = 20_000
 _STATS_SEED = 0x5EED
+# Events per block of the correction statistics: bounds their memory.
+_STATS_BLOCK = 1 << 13
+# A decoded position's code is 4 * t + d: d is the code of the decoded slot,
+# t that of the transmitted slot at the same position with bit 1 cleared
+# when the two slots differ; a slot's code has bit 0 set when the raw
+# selection holds it and bit 1 when the transmitted support does.  Per-event
+# sums are taken over these 16 codes, with two that no position takes (8, 9)
+# holding rescue and pattern bits.  Columns of the sums, in the order of
+# _decode_swap_rows: the misaligned classes 4 * word side + slot side (see
+# CorrectionStats), aligned retained (15) and displaced (10) positions,
+# rescue and pattern bits.
+_SUM_COLUMNS = np.array([5, 4, 7, 6, 1, 0, 3, 2, 15, 10, 8, 9])
 
 
-def _classify_positions(tx_sup, det, mask_tx, mask_w):
-    """Position classes of decoded supports against the transmitted ones.
+def _classify_positions(tx_sup, dec, codes, row):
+    """Position codes of decoded supports against the transmitted ones.
 
-    tx_sup and det are (rows, w) sorted supports; mask_tx / mask_w are
-    (rows, N_slots) membership masks for the transmitted support and the
-    raw sorted selection.  Returns per row: aligned counts split by
-    retained vs displaced slots and a (2, 4) misaligned class count matrix
-    (word side: retained/displaced; slot side: entered noise / other
-    noise / retained signal / displaced signal).
+    dec is (pairs, w) sorted decoded supports, each compared with the sorted
+    transmitted support tx_sup[row] of its event; codes (events, N_slots)
+    holds each event's slot codes.  Returns the (pairs, w) uint8 position
+    codes described at _SUM_COLUMNS.
     """
-    n_rows, n_slots = mask_tx.shape
-    row_base = n_slots * np.arange(n_rows)[:, None]
-    # slot side per slot: 0 entered noise, 1 other noise, 2 retained, 3 displaced
-    slot_of = 2 * mask_tx + ~mask_w
-    tx_disp = ~np.take(mask_w, tx_sup + row_base)
-    # class of each position: 4 * word side + slot side when misaligned,
-    # 8 (retained) or 9 (displaced) when aligned; counted per row
-    cls = np.where(det == tx_sup, 6, 4 * tx_disp)
-    cls += np.take(slot_of, det + row_base) + 10 * np.arange(n_rows)[:, None]
-    counts = np.bincount(cls.ravel(), minlength=10 * n_rows).reshape(n_rows, 10)
-    return counts[:, 8], counts[:, 9], counts[:, :8].reshape(n_rows, 2, 4)
+    # Row gathers by np.take: fancy indexing copies short rows far slower.
+    t = 4 * (np.take_along_axis(codes, tx_sup, axis=1) & 1)
+    aligned = (dec == np.take(tx_sup, row, axis=0)).view(np.uint8)
+    return (np.take(t, row, axis=0) + 8 * aligned
+            + np.take(codes, dec + codes.shape[1] * row[:, None]))
 
 
-def _decode_swap_rows(tx_sup, tx_rank, cands, code):
-    """Per-row decoded-pattern expectations for detected candidates.
+def _member_table(pats, sup, code):
+    """The members each detected pattern decodes to: itself when it is in
+    the usable set, else its in-set single-swap neighbors, else its nearest
+    members (the correction rule).
 
-    Returns (rescue, pat_bits, align_v, align_p, classes) row means over
-    the members a detection decodes to: itself when it is in the usable
-    set, else its in-set single-swap neighbors, else its nearest members
-    (the correction rule).
+    pats are distinct pattern ranks and sup their sorted supports.  Returns
+    (members, ranks, counts): pattern i's counts[i] members follow those of
+    the patterns before it, in (self, j, k) order and then the nearest ones.
     """
-    n_rows = len(cands)
     n, w = code.n_slots, code.weight
-    r = rank_supports(cands, code)
-    rows_all = np.arange(n_rows)[:, None]
-    mask_tx = np.zeros((n_rows, code.n_slots), dtype=bool)
-    mask_tx[rows_all, tx_sup] = True
-    mask_w = np.zeros((n_rows, code.n_slots), dtype=bool)
-    mask_w[rows_all, cands] = True
-    rescue = np.zeros(n_rows)
-    pat = np.zeros(n_rows)
-    a_v = np.zeros(n_rows)
-    a_p = np.zeros(n_rows)
-    classes = np.zeros((n_rows, 2, 4))
-    # Rows grouped by detected pattern: members are built once per
-    # distinct pattern of a chunk.
-    order = np.argsort(r, kind="stable")
-    for lo in range(0, n_rows, _CORRECTION_CHUNK):
-        rows = order[lo : lo + _CORRECTION_CHUNK]
-        pats, first, which = np.unique(r[rows], return_index=True, return_inverse=True)
-        sup = cands[rows[first]]
-        inset, outside = np.flatnonzero(pats < code.size), np.flatnonzero(pats >= code.size)
-        inact, ok = _usable_swaps(sup[outside], code)
-        swap_of, jk = np.nonzero(ok)
-        swaps = sup[outside[swap_of]]
-        swaps[np.arange(len(jk)), jk // (n - w)] = inact[swap_of, jk % (n - w)]
-        # Without a usable single swap, the correction draws from all
-        # nearest members. Such patterns need w > N/2: otherwise moving the
-        # first slot to slot 0 gives a usable pattern.
-        lone = outside[~ok.any(axis=1)]
-        near, n_near = _nearest_members(sup[lone], inact[~ok.any(axis=1)], code)
-        # Members per pattern in (self, j, k) order, then the nearest ones.
-        owner = np.concatenate([inset, outside[swap_of], np.repeat(lone, n_near)])
-        by_owner = np.argsort(owner, kind="stable")
-        mem_sup = np.concatenate([sup[inset], np.sort(swaps, axis=1), near])[by_owner]
-        mem_rank = rank_supports(mem_sup, code)
-        # Row-major (row, member) pairs over the members of each row's pattern.
-        n_of = np.bincount(owner, minlength=len(pats))
-        n_mem = n_of[which]
-        row = np.repeat(np.arange(len(rows)), n_mem)
-        first_mem = np.cumsum(n_of) - n_of
-        mem = np.arange(len(row)) + np.repeat(first_mem[which] - np.cumsum(n_mem) + n_mem, n_mem)
-        tx_of = rows[row]
-        av, ap, cl = _classify_positions(tx_sup[tx_of], mem_sup[mem],
-                                         mask_tx[tx_of], mask_w[tx_of])
+    inset, outside = np.flatnonzero(pats < code.size), np.flatnonzero(pats >= code.size)
+    inact, ok = _usable_swaps(sup[outside], code)
+    swap_of, jk = np.nonzero(ok)
+    swaps = sup[outside[swap_of]]
+    swaps[np.arange(len(jk)), jk // (n - w)] = inact[swap_of, jk % (n - w)]
+    # Without a usable single swap, the correction draws from all nearest
+    # members. Such patterns need w > N/2: otherwise moving the first slot
+    # to slot 0 gives a usable pattern.
+    alone = ~ok.any(axis=1)
+    near, n_near = _nearest_members(sup[outside[alone]], inact[alone], code)
+    owner = np.concatenate([inset, outside[swap_of], np.repeat(outside[alone], n_near)])
+    members = np.concatenate([sup[inset], np.sort(swaps, axis=1), near])
+    members = members[np.argsort(owner, kind="stable")]
+    return members, rank_supports(members, code), np.bincount(owner, minlength=len(pats))
 
-        def mean(v):
-            return np.bincount(row, weights=v, minlength=len(rows)) / n_mem
 
-        rescue[rows] = mean(av + ap == w)
-        pat[rows] = mean(np.bitwise_count((tx_rank[tx_of] ^ mem_rank[mem]).astype(np.uint64)))
-        a_v[rows] = mean(av)
-        a_p[rows] = mean(ap)
-        classes[rows] = np.stack([mean(c) for c in cl.reshape(-1, 8).T], axis=1).reshape(-1, 2, 4)
-    return rescue, pat, a_v, a_p, classes
+def _decode_swap_rows(tx_rank, tx_sup, det, code):
+    """Per-event expectations over the members a detection decodes to.
+
+    Returns (events, 12) means: the eight misaligned classes, aligned
+    retained (a_v) and displaced (a_p) positions, rescue and pattern bits.
+    Each is an integer sum over the event's members, taken for all events
+    and position codes with one bincount, divided by its member count.
+    """
+    n_rows, n, w = len(det), code.n_slots, code.weight
+    pats, first, which = np.unique(rank_supports(det, code), return_index=True,
+                                   return_inverse=True)
+    members, mem_rank, n_of = _member_table(pats, det[first], code)
+    # Row-major (event, member) pairs over the members of each event's pattern.
+    n_mem = n_of[which]
+    row = np.repeat(np.arange(n_rows), n_mem)
+    first_mem = np.cumsum(n_of) - n_of
+    mem = np.arange(len(row)) + np.repeat(first_mem[which] - np.cumsum(n_mem) + n_mem, n_mem)
+    codes = np.zeros(n_rows * n, dtype=np.uint8)
+    base = n * np.arange(n_rows)[:, None]
+    codes[tx_sup + base] = 2
+    codes[det + base] += 1
+    index = np.empty((len(row), w + 2), dtype=np.int64)
+    index[:, :w] = _classify_positions(tx_sup, np.take(members, mem, axis=0),
+                                       codes.reshape(n_rows, n), row)
+    index[:, w:] = (8, 9)  # rescue, pattern bits
+    index += 16 * row[:, None]
+    weight = np.ones(index.shape)
+    tx_of, mem_of = tx_rank[row], mem_rank[mem]
+    weight[:, w] = mem_of == tx_of
+    weight[:, w + 1] = np.bitwise_count(tx_of ^ mem_of)
+    sums = np.bincount(index.ravel(), weight.ravel(), minlength=16 * n_rows)
+    return sums.reshape(n_rows, 16)[:, _SUM_COLUMNS] / n_mem[:, None]
+
+
+def _swap_count(code: MppmCode, l: int) -> tuple[int, bool]:
+    """Number of l-swap events the statistics average over, and whether
+    they are all of them (at most _STATS_EXACT_EVENTS) or a sample."""
+    n, w = code.n_slots, code.weight
+    count = code.size * math.comb(w, l) * math.comb(n - w, l)
+    return (count, True) if count <= _STATS_EXACT_EVENTS else (_STATS_SAMPLES, False)
+
+
+def correction_events(code: MppmCode) -> int:
+    """Number of events correction_stats averages over, all l together."""
+    return sum(_swap_count(code, l)[0]
+               for l in range(1, min(code.weight, code.n_slots - code.weight) + 1))
 
 
 def _swap_events(code: MppmCode, l: int, rng: np.random.Generator):
-    """l-swap events: transmitted ranks, their supports and the sorted
-    detected supports, all events when there are at most
-    _STATS_EXACT_EVENTS of them (exact) and a sample of them otherwise."""
-    n, w, size = code.n_slots, code.weight, code.size
-    jp = np.array(list(itertools.combinations(range(w), l)))
-    kp = np.array(list(itertools.combinations(range(n - w), l)))
-    exact = size * len(jp) * len(kp) <= _STATS_EXACT_EVENTS
-    if exact:
-        per = len(jp) * len(kp)
-        tx_l = np.repeat(np.arange(size, dtype=np.int64), per)
-        sup = np.repeat(unrank_supports(np.arange(size), code).astype(np.int64), per, axis=0)
-        jj = np.tile(np.repeat(jp, len(kp), axis=0), (size, 1))
-        kk = np.tile(np.tile(kp, (len(jp), 1)), (size, 1))
-    else:
-        tx_l = rng.integers(0, size, _STATS_SAMPLES)
-        jj = jp[rng.integers(0, len(jp), _STATS_SAMPLES)]
-        kk = kp[rng.integers(0, len(kp), _STATS_SAMPLES)]
-        sup = unrank_supports(tx_l, code).astype(np.int64)
-    mask = np.zeros((len(sup), n), dtype=bool)
-    rows = np.arange(len(sup))
-    mask[rows[:, None], sup] = True
-    inact = np.nonzero(~mask)[1].reshape(len(sup), n - w)
-    det = sup.copy()
-    det[rows[:, None], jj] = inact[rows[:, None], kk]
-    return tx_l, sup, np.sort(det, axis=1), exact
+    """l-swap events in blocks of at most _STATS_BLOCK: transmitted ranks,
+    their supports and the sorted detected supports.
+
+    An event replaces the active slots at one l-combination of the w support
+    positions by the inactive slots at one l-combination of the N - w
+    inactive ones, each combination given by its index in lexicographic
+    order.  Exact: all events in order of (rank, out, in) indices.
+    Sampled: _STATS_SAMPLES events, the three indices drawn in turn.
+    """
+    n, w = code.n_slots, code.weight
+    n_out, n_in = math.comb(w, l), math.comb(n - w, l)
+    count, exact = _swap_count(code, l)
+    if not exact:
+        draws = (rng.integers(0, code.size, count), rng.integers(0, n_out, count),
+                 rng.integers(0, n_in, count))
+    out_prefix, in_prefix = _rank_prefix(w, l), _rank_prefix(n - w, l)
+    for lo in range(0, count, _STATS_BLOCK):
+        if exact:
+            tx, rest = np.divmod(np.arange(lo, min(lo + _STATS_BLOCK, count)), n_out * n_in)
+            out, into = np.divmod(rest, n_in)
+        else:
+            tx, out, into = (d[lo : lo + _STATS_BLOCK] for d in draws)
+        ranks, which = np.unique(tx, return_inverse=True)
+        sup_u = unrank_supports(ranks, code)
+        mask = np.zeros((len(ranks), n), dtype=bool)
+        mask[np.arange(len(ranks))[:, None], sup_u] = True
+        inact = np.nonzero(~mask)[1].reshape(len(ranks), n - w).astype(sup_u.dtype)
+        sup = np.take(sup_u, which, axis=0)
+        det = sup.copy()
+        swapped_in = inact[which[:, None], _unrank(into, n - w, in_prefix)]
+        det[np.arange(len(tx))[:, None], _unrank(out, w, out_prefix)] = swapped_in
+        yield tx, sup, np.sort(det, axis=1)
 
 
 def correction_stats(code: MppmCode) -> CorrectionStats:
     """Sorted-detection error geometry averages for the usable set.
 
     Exact enumeration for small codes; large codes are sampled with a fixed
-    internal seed so the result is still deterministic.
+    internal seed so the result is still deterministic.  Events are decoded
+    a block at a time; per event and l, the means are kept in event order.
     """
     key = (code.n_slots, code.weight)
     if key in _STATS_CACHE:
@@ -442,16 +473,24 @@ def correction_stats(code: MppmCode) -> CorrectionStats:
     align_p: list[float] = []
     classes: list[tuple] = []
     for l in range(1, min(w, n - w) + 1):
-        tx_l, sup, det, exact_l = _swap_events(code, l, rng)
+        count, exact_l = _swap_count(code, l)
         exact = exact and exact_l
-        resc, pb, av, ap, cl = _decode_swap_rows(sup, tx_l, det, code)
+        cls = np.empty((count, 8))
+        per_event = np.empty((4, count))  # a_v, a_p, rescue, pattern bits
+        lo = 0
+        for tx, sup, det in _swap_events(code, l, rng):
+            means = _decode_swap_rows(tx, sup, det, code)
+            cls[lo : lo + len(tx)] = means[:, :8]
+            per_event[:, lo : lo + len(tx)] = means[:, 8:].T
+            lo += len(tx)
+        av, ap, resc, pb = per_event
         if l == 1:
             rescue = float(resc.mean())
         pat_bits.append(float(pb.mean()))
         align_v.append(float(av.mean()))
         align_p.append(float(ap.mean()))
         classes.append(
-            tuple(tuple(float(v) for v in row) for row in cl.mean(axis=0))
+            tuple(tuple(float(v) for v in row) for row in cls.mean(axis=0).reshape(2, 4))
         )
 
     stats = CorrectionStats(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,7 +14,8 @@ import numpy as np
 from . import analytic
 from .constellation import build_constellation
 from .link import DEFAULT_RECEIVER, LinkParams, link_from_popt, sigma_from_ebn0, total_bits
-from .mppm import CapacityError, correction_stats, distance_spectrum, make_code
+from .mppm import (CapacityError, correction_events, correction_stats, distance_spectrum,
+                   make_code)
 from .simulate import max_workers, run_point, worker_pool
 
 CSV_COLUMNS = [
@@ -86,6 +88,18 @@ def parse_config(path) -> dict[str, str]:
 
     Malformed lines, unknown keys and repeated keys are reported together.
     """
+    values, problems = read_config(path)
+    if problems:
+        raise ConfigError(problems)
+    return values
+
+
+def read_config(path) -> tuple[dict[str, str], list[str]]:
+    """parse_config's values and its line problems, without raising.
+
+    Unknown keys are reported with their line and left out of the values,
+    so that build_spec can report the values' problems beside them.
+    """
     values: dict[str, str] = {}
     problems = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -98,12 +112,11 @@ def parse_config(path) -> dict[str, str]:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in KNOWN_KEYS:
             problems.append(f"line {lineno}: unknown key {key!r}")
-        elif key in values:
+            continue
+        if key in values:
             problems.append(f"line {lineno}: key {key!r} is given again")
         values[key] = val
-    if problems:
-        raise ConfigError(problems)
-    return values
+    return values, problems
 
 
 def build_spec(values: dict[str, str], overrides: dict | None = None) -> SweepSpec:
@@ -112,12 +125,10 @@ def build_spec(values: dict[str, str], overrides: dict | None = None) -> SweepSp
     for key, val in (overrides or {}).items():
         if val is not None:
             merged[key] = str(val)
-    problems = []
-    for key in REQUIRED_KEYS:
-        if key not in merged:
-            problems.append(f"missing required key {key}")
-    if problems:
-        raise ConfigError(problems)
+    problems = [f"unknown key {key!r}" for key in merged if key not in KNOWN_KEYS]
+    missing = [f"missing required key {key}" for key in REQUIRED_KEYS if key not in merged]
+    if missing:
+        raise ConfigError(problems + missing)
 
     def number(key, cast=float):
         try:
@@ -261,14 +272,16 @@ def run(spec: SweepSpec, log=None) -> Path:
     workers = spec.workers or max_workers()
     # A code too large for a method's table fails before the CSV is opened;
     # the tables stay cached for the points.
-    for table, table_methods in ((correction_stats, _STATS_METHODS),
-                                 (distance_spectrum, ("ub",))):
-        needed = [meth for meth in table_methods if meth in spec.methods]
-        if needed:
-            try:
-                table(code)
-            except CapacityError as exc:
-                raise NumericFailure(f"methods {','.join(needed)}: {exc}") from exc
+    stats_methods = [meth for meth in _STATS_METHODS if meth in spec.methods]
+    if stats_methods:
+        t0 = time.perf_counter()
+        stats = _table(correction_stats, code, stats_methods)
+        if log:
+            log(f"correction statistics ({code.n_slots}, {code.weight}): "
+                f"{'exact' if stats.exact else 'sampled'}, {correction_events(code)} events, "
+                f"{time.perf_counter() - t0:.2f} s")
+    if "ub" in spec.methods:
+        _table(distance_spectrum, code, ["ub"])
     out_path = Path(spec.out_csv)
     # One pool for the whole sweep; its workers exit when the `with` closes.
     with (_atomic_open(out_path) as fh,
@@ -316,6 +329,14 @@ def run(spec: SweepSpec, log=None) -> Path:
     if spec.out_plot:
         write_plot_script(spec, out_path)
     return out_path
+
+
+def _table(fn, code, methods):
+    """fn(code), a table that methods read; a capacity limit fails the sweep."""
+    try:
+        return fn(code)
+    except CapacityError as exc:
+        raise NumericFailure(f"methods {','.join(methods)}: {exc}") from exc
 
 
 @contextmanager

@@ -153,6 +153,26 @@ def test_sweep_unknown_and_repeated_keys_reported_together(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_sweep_line_and_value_problems_reported_together(tmp_path):
+    """A misspelt key, a repeated key, an unknown key and an out-of-range
+    value: exit 2 with one diagnostic each, no traceback, no CSV."""
+    cfg = _write_cfg(tmp_path, **{"sys.nQ": "12"})
+    with cfg.open("a", encoding="utf-8") as fh:
+        fh.write("methds = ja\nsim.trials = 5000\nsim.worker = 1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qam_mppm.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "qam_mppm", "sweep", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("config error:")]
+    assert len(errors) == 4, proc.stderr
+    assert any("unknown key 'methds'" in ln for ln in errors), proc.stderr
+    assert any("key 'sim.trials' is given again" in ln for ln in errors), proc.stderr
+    assert any("unknown key 'sim.worker'" in ln for ln in errors), proc.stderr
+    assert any("sys.nQ" in ln for ln in errors), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sweep_rank_capacity_exit_code(tmp_path):
     """A code whose weight-w universe reaches 2^63 cannot be ranked in
     64-bit integers: exit 3 naming the limit, no traceback, no CSV. A code

@@ -32,8 +32,10 @@ from qam_mppm.mppm import (
 )
 from qam_mppm.mppm import (
     _CORRECTION_CHUNK,
+    _SUM_COLUMNS,
     _classify_positions,
     _nearest_members,
+    _swap_events,
     _usable_swaps,
 )
 
@@ -416,7 +418,10 @@ def test_classify_positions_matches_per_position_count():
     mask_w = np.zeros((len(tx), 12), dtype=bool)
     mask_tx[np.arange(len(tx))[:, None], tx] = True
     mask_w[np.arange(len(tx))[:, None], raw] = True
-    a_v, a_p, cls = _classify_positions(tx, dec, mask_tx, mask_w)
+    codes = (mask_w + 2 * mask_tx).astype(np.uint8)
+    pos = _classify_positions(tx, dec, codes, np.arange(len(tx)))
+    counts = np.array([np.bincount(p, minlength=16) for p in pos])[:, _SUM_COLUMNS]
+    a_v, a_p, cls = counts[:, 8], counts[:, 9], counts[:, :8].reshape(-1, 2, 4)
     for r in range(len(tx)):
         want_v = want_p = 0
         want_cls = np.zeros((2, 4), dtype=int)
@@ -479,6 +484,35 @@ def test_correction_stats_matches_event_by_event_enumeration():
     base = LinkParams.from_normalized(9, 5, 0.5, 1.0)
     link = base.with_sigma2(sigma_from_ebn0(12.0, base, c))
     assert math.isfinite(pe_imd(make_code(9, 5), c, link).pe)
+
+
+def test_sampled_swap_events_match_listed_combinations(monkeypatch):
+    """Sampled events, draw for draw: the drawn indices pick the swapped-out
+    positions and swapped-in inactive slots from itertools' lexicographic
+    lists, and the generator ends in the same state."""
+    monkeypatch.setattr("qam_mppm.mppm._STATS_EXACT_EVENTS", 0)
+    code = make_code(12, 6)
+    members = _lex_supports(code).astype(np.int64)
+    rng = np.random.Generator(np.random.Philox(7))
+    ref = np.random.Generator(np.random.Philox(7))
+    for l in range(1, 7):
+        blocks = list(_swap_events(code, l, rng))
+        assert len(blocks) > 1
+        tx, sup, det = (np.concatenate(part) for part in zip(*blocks))
+        out = np.array(list(itertools.combinations(range(6), l)))
+        into = np.array(list(itertools.combinations(range(6), l)))
+        ref_tx = ref.integers(0, code.size, len(tx))
+        jj = out[ref.integers(0, len(out), len(tx))]
+        kk = into[ref.integers(0, len(into), len(tx))]
+        ref_sup = members[ref_tx]
+        inact = np.array([[s for s in range(12) if s not in row] for row in ref_sup])
+        ref_det = ref_sup.copy()
+        rows = np.arange(len(tx))[:, None]
+        ref_det[rows, jj] = inact[rows, kk]
+        assert (tx == ref_tx).all()
+        assert (sup == ref_sup).all()
+        assert (det == np.sort(ref_det, axis=1)).all()
+    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
 
 def test_correction_stats_exact_for_small_codes():

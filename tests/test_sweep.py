@@ -1,6 +1,7 @@
 """Unit tests for config parsing, sweep orchestration and CSV emission."""
 
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,18 @@ def test_build_spec_aggregates_problems():
         build_spec({"mode": "walk"})
     missing = [p for p in exc.value.problems if p.startswith("missing")]
     assert len(missing) == len(GOOD) - 2  # mode present, methods optional
+
+
+def test_build_spec_rejects_unknown_keys():
+    """A dict passed to build_spec has its unknown keys reported beside its
+    other problems, as a config file's are."""
+    vals = dict(GOOD, **{"sim.worker": "1", "sys.nQ": "12"})
+    with pytest.raises(ConfigError) as exc:
+        build_spec(vals)
+    assert exc.value.problems[0] == "unknown key 'sim.worker'"
+    assert any("sys.nQ" in p for p in exc.value.problems)
+    with pytest.raises(ConfigError, match="unknown key 'methds'"):
+        build_spec({"methds": "ja"})
 
 
 def test_build_spec_validation():
@@ -143,6 +156,19 @@ def test_run_writes_csv_with_schema(tmp_path):
     # methods not requested stay empty
     idx = CSV_COLUMNS.index("pe_cmd_sa")
     assert body[1].split(",")[idx] == ""
+
+
+def test_run_logs_correction_statistics_cost(tmp_path):
+    """Before its first point, a sweep whose methods read the correction
+    statistics logs their code, kind, event count and time; others do not."""
+    msgs = []
+    run(_spec(tmp_path), log=msgs.append)
+    assert re.fullmatch(r"correction statistics \(12, 6\): exact, 472576 events, \d+\.\d\d s",
+                        msgs[0]), msgs
+    assert sum(m.startswith("correction statistics") for m in msgs) == 1
+    msgs.clear()
+    run(_spec(tmp_path, methods="ub"), log=msgs.append)
+    assert not any(m.startswith("correction statistics") for m in msgs), msgs
 
 
 def test_run_emits_plot_script(tmp_path):
