@@ -486,26 +486,28 @@ def test_correction_stats_matches_event_by_event_enumeration():
     assert math.isfinite(pe_imd(make_code(9, 5), c, link).pe)
 
 
-def test_sampled_swap_events_match_listed_combinations(monkeypatch):
+@pytest.mark.parametrize("n, w", [(12, 6), (10, 3)])
+def test_sampled_swap_events_match_listed_combinations(n, w, monkeypatch):
     """Sampled events, draw for draw: the drawn indices pick the swapped-out
     positions and swapped-in inactive slots from itertools' lexicographic
-    lists, and the generator ends in the same state."""
+    lists, and the generator ends in the same state. (10, 3) has fewer
+    swap-out than swap-in combinations, so the two draws cannot trade places."""
     monkeypatch.setattr("qam_mppm.mppm._STATS_EXACT_EVENTS", 0)
-    code = make_code(12, 6)
+    code = make_code(n, w)
     members = _lex_supports(code).astype(np.int64)
     rng = np.random.Generator(np.random.Philox(7))
     ref = np.random.Generator(np.random.Philox(7))
-    for l in range(1, 7):
+    for l in range(1, min(w, n - w) + 1):
         blocks = list(_swap_events(code, l, rng))
         assert len(blocks) > 1
         tx, sup, det = (np.concatenate(part) for part in zip(*blocks))
-        out = np.array(list(itertools.combinations(range(6), l)))
-        into = np.array(list(itertools.combinations(range(6), l)))
+        out = np.array(list(itertools.combinations(range(w), l)))
+        into = np.array(list(itertools.combinations(range(n - w), l)))
         ref_tx = ref.integers(0, code.size, len(tx))
         jj = out[ref.integers(0, len(out), len(tx))]
         kk = into[ref.integers(0, len(into), len(tx))]
         ref_sup = members[ref_tx]
-        inact = np.array([[s for s in range(12) if s not in row] for row in ref_sup])
+        inact = np.array([[s for s in range(n) if s not in row] for row in ref_sup.tolist()])
         ref_det = ref_sup.copy()
         rows = np.arange(len(tx))[:, None]
         ref_det[rows, jj] = inact[rows, kk]

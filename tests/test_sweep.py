@@ -162,7 +162,7 @@ def test_run_logs_correction_statistics_cost(tmp_path):
     """Before its first point, a sweep whose methods read the correction
     statistics logs their code, kind, event count and time; others do not."""
     msgs = []
-    run(_spec(tmp_path), log=msgs.append)
+    run(_spec(tmp_path, methods="ni"), log=msgs.append)
     assert re.fullmatch(r"correction statistics \(12, 6\): exact, 472576 events, \d+\.\d\d s",
                         msgs[0]), msgs
     assert sum(m.startswith("correction statistics") for m in msgs) == 1
