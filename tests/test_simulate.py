@@ -9,7 +9,13 @@ import pytest
 
 from qam_mppm import simulate
 from qam_mppm.constellation import build_constellation, demap_ml
-from qam_mppm.link import LinkParams, sigma_from_ebn0, total_bits
+from qam_mppm.link import (
+    DEFAULT_RECEIVER,
+    LinkParams,
+    link_from_popt,
+    sigma_from_ebn0,
+    total_bits,
+)
 from qam_mppm.mppm import correct_patterns, make_code
 from qam_mppm.simulate import (
     TrialCounters,
@@ -117,6 +123,67 @@ def test_simulate_batch_deterministic():
     assert a == b
     d = simulate_batch(code, c, link, ("cmd", "imd"), 5000, [4, 0, 0])
     assert a != d
+
+
+# Counters of one batch per operating point, at key [41, case, 0]: each
+# tuple is (frames, sym_errors, bit_errors, bit_errors_sq, mppm_errors,
+# qam_cond_errors, qam_cond_opportunities).  They pin the random stream and
+# the kernel bit for bit.  The (12, 8) batch at -3 dB sends 154 rows without
+# a usable single swap to the nearest-member fallback; (40, 10) frames carry
+# 69 bits.
+_PINNED_BATCHES = [
+    # (N, w, n_q, mode, x in dB or dBm, detectors, frames), counters
+    ((12, 6, 4, "ebn0", 0.0, ("cmd", "imd"), 4000), {
+        "cmd": (4000, 4000, 58704, 902534, 3957, 10984, 14621),
+        "imd": (4000, 4000, 37543, 402807, 980, 18161, 22943),
+    }),
+    ((12, 6, 4, "ebn0", 23.0, ("cmd", "imd"), 50_000), {
+        "cmd": (50_000, 1, 6, 36, 1, 0, 299998),
+        "imd": (50_000, 0, 0, 0, 0, 0, 300000),
+    }),
+    ((12, 8, 4, "ebn0", -3.0, ("cmd", "imd"), 4000), {
+        "cmd": (4000, 4000, 72484, 1357860, 3972, 18834, 22623),
+        "imd": (4000, 4000, 62348, 1032624, 2406, 24697, 29081),
+    }),
+    ((32, 6, 4, "popt", -32.0, ("cmd",), 4000), {
+        "cmd": (4000, 3998, 68833, 1275305, 3924, 7081, 14747),
+    }),
+    ((32, 2, 2, "ebn0", 8.0, ("cmd", "imd"), 4000), {
+        "cmd": (4000, 2511, 12503, 71699, 2441, 93, 4980),
+        "imd": (4000, 317, 322, 332, 0, 321, 8000),
+    }),
+    ((12, 6, 3, "ebn0", 6.0, ("cmd", "imd"), 4000), {
+        "cmd": (4000, 3986, 39357, 438133, 3761, 7012, 17212),
+        "imd": (4000, 3893, 12512, 48818, 4, 10768, 23996),
+    }),
+    ((12, 6, 5, "ebn0", 6.0, ("cmd", "imd"), 4000), {
+        "cmd": (4000, 4000, 59102, 956690, 3528, 13202, 18437),
+        "imd": (4000, 4000, 34105, 325203, 0, 17748, 24000),
+    }),
+    ((12, 6, 4, "ebn0", 4.0, ("imd", "cmd"), 4000), {
+        "imd": (4000, 3996, 23335, 154327, 27, 16388, 23971),
+        "cmd": (4000, 3999, 52055, 732713, 3853, 10706, 16663),
+    }),
+    ((40, 10, 4, "ebn0", 0.0, ("cmd", "imd"), 4000), {
+        "cmd": (4000, 4000, 131182, 4384148, 4000, 11155, 16442),
+        "imd": (4000, 4000, 78698, 1836774, 2045, 28876, 37580),
+    }),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_PINNED_BATCHES)))
+def test_simulate_batch_counters_are_pinned(case):
+    (n, w, n_q, mode, x, detectors, frames), want = _PINNED_BATCHES[case]
+    c = build_constellation(n_q)
+    if mode == "ebn0":
+        base = LinkParams.from_normalized(n, w, 0.5, 1.0)
+        link = base.with_sigma2(sigma_from_ebn0(x, base, c))
+    else:
+        link = link_from_popt(1e-3 * 10.0 ** (x / 10.0), DEFAULT_RECEIVER, n, w, 50e6,
+                              total_bits(n, w, n_q), 0.5)
+    got = simulate_batch(make_code(n, w), c, link, detectors, frames, [41, case, 0])
+    assert list(got) == list(detectors)
+    assert got == {det: TrialCounters(*vals) for det, vals in want.items()}
 
 
 def test_batch_seed_depends_on_point_and_index():
