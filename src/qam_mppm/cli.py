@@ -64,7 +64,7 @@ def main(argv=None) -> int:
 
     try:
         values, problems = read_config(args.config)
-    except OSError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     plot = values.get("out.plot")

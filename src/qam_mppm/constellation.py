@@ -91,9 +91,18 @@ class GridCells:
     symbol: np.ndarray
 
     def decide(self, yi, yq) -> np.ndarray:
-        """Symbol index of the cell holding each (yi, yq), one axis at a time."""
-        return self.symbol[np.searchsorted(self.i_bounds, yi),
-                           np.searchsorted(self.q_bounds, yq)]
+        """Symbol index of the cell holding each (yi, yq), one axis at a time.
+
+        An axis index counts the bounds below the coordinate, one comparison
+        per bound, which is np.searchsorted(bounds, y) without its search.
+        """
+        cell = np.zeros(np.shape(yi), dtype=np.int16)
+        for b in self.i_bounds:
+            cell += yi > b
+        cell *= self.symbol.shape[1]
+        for b in self.q_bounds:
+            cell += yq > b
+        return self.symbol.ravel()[cell]
 
 
 def build_constellation(n_q: int) -> Constellation:

@@ -2,7 +2,8 @@
 
 Frames are simulated at the sufficient-statistic level: per slot the two
 QAM correlator outputs and the matched-filter output, each with independent
-Gaussian noise.  Batches draw their random streams from a counter-based
+Gaussian noise, one flat (frames * N) array per statistic whose frame f
+starts at f * N.  Batches draw their random streams from a counter-based
 generator keyed on (master seed, sweep point, batch index), so results are
 bitwise independent of the worker count.
 """
@@ -78,20 +79,19 @@ class TrialCounters:
 
 
 def _detect(metric: np.ndarray, r_i: np.ndarray, r_q: np.ndarray,
-            code: MppmCode, rng: np.random.Generator):
+            offsets: np.ndarray, code: MppmCode, rng: np.random.Generator):
     """Top-w slot selection and nearest-member correction for one metric
-    choice; returns the decoded supports, ranks and their QAM statistics."""
-    w = code.weight
-    top = np.argpartition(-metric, w - 1, axis=1)[:, :w]
-    det_support = np.sort(top, axis=1).astype(np.int16)
+    choice; returns the decoded slots' flat indices, ranks and statistics."""
+    n, w = code.n_slots, code.weight
+    top = np.argpartition(metric.reshape(-1, n), n - w, axis=1)[:, n - w:]
+    det_support = np.sort(top.astype(np.int16), axis=1)
     det_rank = rank_supports(det_support, code)
     bad = det_rank >= code.size
-    if np.any(bad):
+    if bad.any():
         det_support[bad] = correct_patterns(det_support[bad], code, rng)
         det_rank[bad] = rank_supports(det_support[bad], code)
-    yi = np.take_along_axis(r_i, det_support, axis=1)
-    yq = np.take_along_axis(r_q, det_support, axis=1)
-    return det_support, det_rank, yi, yq
+    det_flat = offsets[:, None] + det_support
+    return det_flat, det_rank, r_i[det_flat], r_q[det_flat]
 
 
 def _demap(yi, yq, c: Constellation, amp: float):
@@ -119,46 +119,46 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
     tx_support = unrank_supports(tx_rank, code)
     qam_idx = rng.integers(0, m_q, (n_frames, w))
     amp = math.sqrt(link.t_s / 2.0) * link.i_ph * link.m
-    mu = math.sqrt(link.t_s) * link.i_ph
     sigma = math.sqrt(link.sigma2)
-    rows = np.arange(n_frames)[:, None]
+    # int32 flat indices cover any batch whose statistics fit in memory.
+    offsets = np.arange(0, n_frames * n, n, dtype=np.int32)
+    tx_flat = offsets[:, None] + tx_support
 
-    r_i = rng.normal(0.0, sigma, (n_frames, n))
-    r_q = rng.normal(0.0, sigma, (n_frames, n))
-    r_i[rows, tx_support] += amp * c.points[qam_idx, 0]
-    r_q[rows, tx_support] += amp * c.points[qam_idx, 1]
-    r_dc = None
-    if "imd" in detectors:
-        r_dc = rng.normal(0.0, sigma, (n_frames, n))
-        r_dc[rows, tx_support] += mu
+    def statistic(mean):  # Gaussian noise, plus mean in the sent slots
+        r = rng.standard_normal(n_frames * n)
+        r *= sigma
+        r[tx_flat] += mean
+        return r
+
+    r_i = statistic((amp * c.points[:, 0])[qam_idx])
+    r_q = statistic((amp * c.points[:, 1])[qam_idx])
+    r_dc = statistic(math.sqrt(link.t_s) * link.i_ph) if "imd" in detectors else None
 
     # A frame's bits are its pattern word and one QAM word per slot in
     # support order; errors are counted per field, since a frame can carry
     # more than 64 bits.  Labels have at most 10 bits.
     labels = c.labels.astype(np.uint16)
     tx_labels = labels[qam_idx]
-    tx_slot_sym = np.full((n_frames, n), -1, dtype=np.int64)
-    tx_slot_sym[rows, tx_support] = qam_idx
+    tx_slot_sym = np.full(n_frames * n, -1, dtype=np.int16)
+    tx_slot_sym[tx_flat] = qam_idx
 
     out: dict[str, TrialCounters] = {}
     for det in detectors:
         metric = r_i**2 + r_q**2 if det == "cmd" else r_dc
-        det_support, det_rank, yi, yq = _detect(metric, r_i, r_q, code, rng)
+        det_flat, det_rank, yi, yq = _detect(metric, r_i, r_q, offsets, code, rng)
         det_idx = _demap(yi, yq, c, amp)
         diff = np.bitwise_count(tx_rank ^ det_rank).astype(np.int64)
         diff += np.bitwise_count(tx_labels ^ labels[det_idx]).sum(axis=1, dtype=np.int64)
-        mppm_err = det_rank != tx_rank
-        tx_at_det = np.take_along_axis(tx_slot_sym, det_support, axis=1)
+        tx_at_det = tx_slot_sym[det_flat]
         common = tx_at_det >= 0  # detected slot that was also sent
-        cond_err = int(np.sum((tx_at_det != det_idx) & common))
         out[det] = TrialCounters(
             frames=n_frames,
-            sym_errors=int(np.sum(diff > 0)),
-            bit_errors=int(np.sum(diff)),
-            bit_errors_sq=int(np.sum(diff * diff)),
-            mppm_errors=int(np.sum(mppm_err)),
-            qam_cond_errors=cond_err,
-            qam_cond_opportunities=int(np.sum(common)),
+            sym_errors=np.count_nonzero(diff),
+            bit_errors=int(diff.sum()),
+            bit_errors_sq=int(diff @ diff),
+            mppm_errors=np.count_nonzero(det_rank != tx_rank),
+            qam_cond_errors=np.count_nonzero((tx_at_det != det_idx) & common),
+            qam_cond_opportunities=np.count_nonzero(common),
         )
     return out
 

@@ -98,11 +98,18 @@ def read_config(path) -> tuple[dict[str, str], list[str]]:
     """parse_config's values and its line problems, without raising.
 
     Unknown keys are reported with their line and left out of the values,
-    so that build_spec can report the values' problems beside them.
+    so that build_spec can report the values' problems beside them.  Only a
+    file that is not UTF-8 text raises, a ConfigError naming its first bad
+    line.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError([f"line {line}: not UTF-8 text ({exc.reason})"]) from None
     values: dict[str, str] = {}
     problems = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -263,6 +263,15 @@ def test_sweep_missing_file_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_sweep_config_not_utf8_exit_code(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    cfg.write_bytes(cfg.read_bytes().replace(b"grid.stop", b"\xff\xfegrid.stop"))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: line 3: not UTF-8 text (invalid start byte)\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_complexity_command(capsys):
     assert main(["complexity", "--N", "12", "--w", "6", "--MQ", "16", "--Ns", "8"]) == 0
     out = capsys.readouterr().out

@@ -141,3 +141,23 @@ def test_exact_ser_against_monte_carlo():
     p = float(np.mean(qam_ser_exact(scale, c)))
     se = np.sqrt(p * (1 - p) / n)
     assert abs(p_hat - p) < 4 * se
+
+
+@pytest.mark.parametrize("n_q", [2, 3, 4, 6, 8, 10])
+def test_grid_cells_decide_is_searchsorted(n_q):
+    """The slicer's axis indices are np.searchsorted(bounds, y) (side
+    "left"): on every bound and next to it, at +-0.0 (a bound of every
+    even-level axis) and far outside the grid."""
+    c = build_constellation(n_q)
+    cells = c.grid_cells(0.7)
+
+    def probes(bounds):
+        return np.concatenate([bounds, np.nextafter(bounds, -np.inf),
+                               np.nextafter(bounds, np.inf),
+                               [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf]])
+
+    yi, yq = np.meshgrid(probes(cells.i_bounds), probes(cells.q_bounds), indexing="ij")
+    got = cells.decide(yi, yq)
+    assert got.shape == yi.shape
+    assert np.array_equal(c.col_idx[got], np.searchsorted(cells.i_bounds, yi))
+    assert np.array_equal(c.row_idx[got], np.searchsorted(cells.q_bounds, yq))
