@@ -95,12 +95,12 @@ def parse_config(path) -> dict[str, str]:
 
 
 def read_config(path) -> tuple[dict[str, str], list[str]]:
-    """parse_config's values and its line problems, without raising.
+    """parse_config's values and its line problems.
 
     Unknown keys are reported with their line and left out of the values,
-    so that build_spec can report the values' problems beside them.  Only a
-    file that is not UTF-8 text raises, a ConfigError naming its first bad
-    line.
+    so that build_spec can report the values' problems beside them.  A file
+    that cannot be read raises OSError, and one that is not UTF-8 text a
+    ConfigError naming its first bad line.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
