@@ -96,15 +96,6 @@ def _check_residual(val, err: float, tol: float) -> None:
         raise QuadratureError(f"integral residual {err:.2e} exceeds tolerance")
 
 
-def _integrate(fn, lo, hi, tol):
-    # roundoff warnings are redundant with the explicit residual check below
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(fn, lo, hi, epsabs=tol, epsrel=1e-9, limit=400)
-    _check_residual(val, err, tol)
-    return val, err
-
-
 def _ring_mixture(c: Constellation, link: LinkParams):
     """The symbol-averaged signal-slot metric of the power-metric detector
     as a mixture over energy rings: the rings' symbol indices, their
@@ -529,9 +520,8 @@ class _SlotModel:
         return total
 
 
-def _event_quantities(model: _SlotModel, code: MppmCode, tol: float,
-                      stats) -> dict:
-    """Probabilities and bit expectations of the top-w sorting events.
+def _events_route(model: _SlotModel, code: MppmCode, tol: float) -> AnalyticResult:
+    """SER/BER of the events model over the code's correction statistics.
 
     Events are indexed by the number of noise slots entering the sorted
     selection (0, 1, 2, >=3), derived from the order statistics of the
@@ -539,14 +529,19 @@ def _event_quantities(model: _SlotModel, code: MppmCode, tol: float,
     expectations for the swap events average the metric-conditioned aligned
     and misaligned rates over the event's threshold distribution.
     """
+    stats = correction_stats(code)
     n, w = code.n_slots, code.weight
     nn = n - w
-    lo, hi = model.lo, model.hi
     errs = []
 
     def integral(fn):
         """Integral over the threshold of fn of its record."""
-        val, err = _integrate(lambda y: fn(model.record(y)), lo, hi, tol)
+        # roundoff warnings are redundant with the explicit residual check
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            val, err = quad(lambda y: fn(model.record(y)), model.lo, model.hi,
+                            epsabs=tol, epsrel=1e-9, limit=400)
+        _check_residual(val, err, tol)
         errs.append(err)
         return val
 
@@ -619,49 +614,23 @@ def _event_quantities(model: _SlotModel, code: MppmCode, tol: float,
         cls = np.asarray(stats.classes[li])
         if p_l <= max(tol, 1e-280):
             qam_l = (av + ap) * model.nb_bar + float(cls.sum()) * model.c.n_q / 2.0
-            swap_bits_total += p_l * (stats.pat_bits[li] + qam_l)
-            if p_l == 0.0:
-                break
-            continue
-        qam_l = integral(lambda e: bits_at(e, l, c_a, c_b, cls, av, ap)) / p_l
+        else:
+            qam_l = integral(lambda e: bits_at(e, l, c_a, c_b, cls, av, ap)) / p_l
         swap_bits_total += p_l * (stats.pat_bits[li] + qam_l)
+        if p_l == 0.0:
+            break
 
-    return {
-        "a0": a0,
-        "a_dec": a_dec,
-        "e0_bits": e0_bits,
-        "swap_bits": swap_bits_total,
-        "p1": p1,
-        "rescue_dec": max(g1d - g2d, 0.0),
-        "rescue_plain": p1,
-        "quad_error": max(errs) if errs else 0.0,
-    }
-
-
-def _assemble(model: _SlotModel, code: MppmCode, ev: dict,
-              st) -> AnalyticResult:
-    """Combine event quantities and code geometry into SER/BER."""
-    w = code.weight
-    n_q = model.c.n_q
-    q_total = code.q_mppm + w * n_q
-    rho = st.rescue_prob
-    pe = 1.0 - ev["a_dec"] - rho * ev["rescue_dec"]
-    pc_mppm = ev["a0"] + rho * ev["rescue_plain"]
-    bits = ev["e0_bits"] + ev["swap_bits"]
-    pb = bits / q_total
+    rho = stats.rescue_prob
+    pe = 1.0 - a_dec - rho * max(g1d - g2d, 0.0)
+    pc_mppm = a0 + rho * p1
+    pb = (e0_bits + swap_bits_total) / (code.q_mppm + w * model.c.n_q)
     return AnalyticResult(
         pe=min(max(pe, 0.0), 1.0),
         pb=min(max(pb, 0.0), 1.0),
         pc_mppm=min(max(pc_mppm, 0.0), 1.0),
         pe_qam=model.pe_bar,
-        quad_error=ev["quad_error"],
+        quad_error=max(errs),
     )
-
-
-def _events_route(model: _SlotModel, code: MppmCode, tol: float) -> AnalyticResult:
-    """SER/BER of the events model over the code's correction statistics."""
-    st = correction_stats(code)
-    return _assemble(model, code, _event_quantities(model, code, tol, st), st)
 
 
 def _occupations(c: Constellation, link: LinkParams, method: str):

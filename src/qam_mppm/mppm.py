@@ -17,6 +17,8 @@ from scipy.special import erfc
 
 # Pattern ranks are int64, so the weight-w universe must stay below this.
 _RANK_LIMIT = 1 << 63
+# Supports are int16 slot indices, so codes have at most this many slots.
+_MAX_SLOTS = int(np.iinfo(np.int16).max)
 # Rows per vectorized single-swap candidate block.
 _CORRECTION_CHUNK = 2048
 # Slot entries per block of a nearest-member scan: bounds its memory, and
@@ -56,6 +58,9 @@ def make_code(n_slots: int, weight: int) -> MppmCode:
     q = bits_per_mppm(n_slots, weight)
     size = 1 << q
     n, w = n_slots, weight
+    if n > _MAX_SLOTS:
+        raise CapacityError(f"supports are 16-bit slot indices, so codes need N <= {_MAX_SLOTS}; "
+                            f"got N = {n}")
     if math.comb(n, w) >= _RANK_LIMIT:
         raise CapacityError(
             "pattern ranks are 64-bit integers, so codes need C(N, w) < 2^63; "

@@ -23,10 +23,15 @@ from .link import LinkParams
 from .mppm import MppmCode, correct_patterns, rank_supports, unrank_supports
 
 BATCH_FRAMES = 50_000
+# A batch holds at most _BATCH_ENTRIES slot entries (frames * N) per
+# statistic, 64 MB of floats, and at least one frame.
+_BATCH_ENTRIES = 2**23
 MIN_ERRORS = 100
 MIN_FRAMES = 100_000
 
 WORKER_ENV_VAR = "QAM_MPPM_MAX_WORKERS"
+# A process pool starts all its workers at once, so larger counts are refused.
+MAX_WORKERS = 64
 # The cross-shape demap takes its argmin over as many rows of statistics at
 # a time as keep each (rows, w, M) distance array within _DEMAP_ELEMENTS
 # floats (8 MB), and at least one row.
@@ -192,8 +197,8 @@ def max_workers() -> int:
             workers = int(env)
         except ValueError:
             raise ValueError(f"{WORKER_ENV_VAR}: cannot parse {env!r}") from None
-        if workers < 1:
-            raise ValueError(f"{WORKER_ENV_VAR} must be >= 1, got {workers}")
+        if not 1 <= workers <= MAX_WORKERS:
+            raise ValueError(f"{WORKER_ENV_VAR} must be in [1, {MAX_WORKERS}], got {workers}")
         return workers
     return min(os.cpu_count() or 1, 8)
 
@@ -214,6 +219,7 @@ def run_point(code: MppmCode, c: Constellation, link: LinkParams,
     if budget < 1:
         raise ValueError("budget must be at least one frame")
     workers = workers or max_workers()
+    batch_frames = min(batch_frames, max(1, _BATCH_ENTRIES // code.n_slots))
     totals = {det: TrialCounters() for det in detectors}
     batches = range(0, budget, batch_frames)  # each batch's first frame
     own = pool is None and workers > 1

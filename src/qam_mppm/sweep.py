@@ -16,7 +16,7 @@ from .constellation import build_constellation
 from .link import DEFAULT_RECEIVER, LinkParams, link_from_popt, sigma_from_ebn0, total_bits
 from .mppm import (CapacityError, correction_events, correction_stats, distance_spectrum,
                    make_code)
-from .simulate import max_workers, run_point, worker_pool
+from .simulate import MAX_WORKERS, max_workers, run_point, worker_pool
 
 CSV_COLUMNS = [
     "sweep_db", "ser_sim", "ser_ci", "ber_sim", "ber_ci", "ser_mppm_sim",
@@ -198,8 +198,8 @@ def build_spec(values: dict[str, str], overrides: dict | None = None) -> SweepSp
     workers = None
     if "sim.workers" in merged:
         workers = number("sim.workers", int)
-        if workers is not None and workers < 1:
-            problems.append("sim.workers must be >= 1")
+        if workers is not None and not 1 <= workers <= MAX_WORKERS:
+            problems.append(f"sim.workers must be in [1, {MAX_WORKERS}]")
     else:
         try:
             max_workers()

@@ -25,11 +25,10 @@ from qam_mppm.analytic import (
     per_symbol_errors,
     qam_scale,
     _SlotModel,
-    _event_quantities,
 )
 from qam_mppm.constellation import build_constellation
 from qam_mppm.link import LinkParams, sigma_from_ebn0
-from qam_mppm.mppm import correction_stats, make_code
+from qam_mppm.mppm import make_code
 
 
 def _link(db, n=12, w=6, n_q=4, m=0.5):
@@ -154,14 +153,17 @@ def test_sorting_pc_residual_rule(monkeypatch, method):
     assert pe_cmd_composition(code, c, link, tol=1e-8, method=method).quad_error == 1.1e-7
 
 
-def test_imd_no_noise_entry_matches_order_statistic_integral():
+def test_imd_no_noise_entry_matches_order_statistic_integral(monkeypatch):
     """a0, the probability that every signal slot outranks every noise slot,
     equals the direct order-statistic integral over the weakest signal slot:
-    w f_sl (1 - F_sl)^(w-1) F_nsl^(N-w) for the matched-filter Gaussians."""
+    w f_sl (1 - F_sl)^(w-1) F_nsl^(N-w) for the matched-filter Gaussians.
+    With no rescue, pe_imd's pc_mppm = a0 + 0 * p1 is a0 exactly."""
     link, c = _link(0.0, n=8, w=2, n_q=2, m=0.9)
     code = make_code(8, 2)
-    a0 = _event_quantities(_SlotModel(c, link, "imd"), code, 1e-10,
-                           correction_stats(code))["a0"]
+    real = analytic.correction_stats
+    monkeypatch.setattr(analytic, "correction_stats",
+                        lambda code: dataclasses.replace(real(code), rescue_prob=0.0))
+    a0 = pe_imd(code, c, link).pc_mppm
     mu = math.sqrt(link.t_s) * link.i_ph
     sigma = math.sqrt(link.sigma2)
 

@@ -76,17 +76,20 @@ def test_sweep_bad_values_reported_together(tmp_path):
     ({"sim.workers": "-2"}, {}, (), ("sys.Rb", "sim.workers")),
     ({}, {"QAM_MPPM_MAX_WORKERS": "two"}, (), ("sys.Rb", "QAM_MPPM_MAX_WORKERS")),
     ({}, {"QAM_MPPM_MAX_WORKERS": "-3"}, (), ("sys.Rb", "QAM_MPPM_MAX_WORKERS")),
+    ({"sim.workers": "65"}, {}, (), ("sys.Rb", "sim.workers")),
+    ({}, {"QAM_MPPM_MAX_WORKERS": "65"}, (), ("sys.Rb", "QAM_MPPM_MAX_WORKERS")),
     ({"sim.seed": "-1"}, {}, (), ("sys.Rb", "sim.seed")),
     ({}, {}, ("--seed", "-1"), ("sys.Rb", "sim.seed")),
     ({"detectors": "imd,cmd,imd", "methods": "ni,ub,ni"}, {}, (),
      ("sys.Rb", "detectors", "methods")),
-], ids=["config", "environment", "environment-negative", "seed-negative",
+], ids=["config", "environment", "environment-negative", "config-too-many",
+        "environment-too-many", "seed-negative",
         "seed-negative-cli", "duplicates"])
 def test_sweep_bad_workers_and_rate_reported_together(tmp_path, over, env, args, keys):
-    """A zero popt bit rate plus a bad worker count from the config or the
-    environment, a negative seed from the config or the command line, or
-    duplicate detectors and methods: exit 2 with one diagnostic each, no
-    traceback, no CSV."""
+    """A zero popt bit rate plus a bad worker count (unparsable, below 1 or
+    above the ceiling of 64) from the config or the environment, a negative
+    seed from the config or the command line, or duplicate detectors and
+    methods: exit 2 with one diagnostic each, no traceback, no CSV."""
     cfg = _write_cfg(tmp_path, **{"mode": "popt", "grid.start": "-30", "grid.stop": "-30",
                                   "sys.Rb": "0", **over})
     env = dict(os.environ, PYTHONPATH=str(Path(qam_mppm.__file__).parents[1]), **env)
@@ -190,6 +193,20 @@ def test_sweep_rank_capacity_exit_code(tmp_path):
                                   "methods": "", "sim.trials": "1000", "sim.workers": "1"})
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert (tmp_path / "out.csv").exists()
+
+
+def test_sweep_slot_capacity_exit_code(tmp_path):
+    """A code of more slots than int16 supports can index: exit 3 naming the
+    limit, no traceback, no CSV."""
+    cfg = _write_cfg(tmp_path, **{"sys.N": "40000", "sys.w": "2", "detectors": "cmd",
+                                  "methods": "", "sim.workers": "1"})
+    env = dict(os.environ, PYTHONPATH=str(Path(qam_mppm.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "qam_mppm", "sweep", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert "N <= 32767" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_sweep_capacity_limit_exit_code(tmp_path):

@@ -94,6 +94,18 @@ def test_rank_supports_near_the_int64_limit():
         make_code(67, 34)
 
 
+def test_codes_are_limited_to_int16_slots():
+    """Supports are int16 slot indices, so a code has at most 32767 slots:
+    (32768, 2) is refused, and (32767, 2) round-trips its last slot."""
+    with pytest.raises(CapacityError, match="N <= 32767"):
+        make_code(32768, 2)
+    code = make_code(32767, 2)
+    assert unrank_supports([32765], code).tolist() == [[0, 32766]]
+    pattern = encode_mppm(32765, code)
+    assert np.flatnonzero(pattern).tolist() == [0, 32766]
+    assert decode_mppm(pattern, code) == 32765
+
+
 def test_unrank_supports_matches_enumeration_and_scalar_unrank():
     """The vector unrank gives every usable support in lexicographic order
     where the code is small enough to enumerate, and agrees with the scalar

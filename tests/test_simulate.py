@@ -226,6 +226,27 @@ def test_run_point_early_stop_and_budget():
         run_point(code, c, link, ("cmd",), budget=0, seed=1, point_index=0)
 
 
+def test_run_point_caps_batch_slot_entries(monkeypatch):
+    """A batch holds at most 2^23 slot entries: codes of up to 167 slots
+    keep the 50k-frame batches, and N = 20000 runs 419 frames a batch."""
+    sizes = []
+
+    def recorded(code, c, link, detectors, n_frames, seed_key):
+        sizes.append(n_frames)
+        return {det: TrialCounters(frames=n_frames) for det in detectors}
+
+    monkeypatch.setattr(simulate, "simulate_batch", recorded)
+    for n, budget, expected in [(167, 100_001, [50_000, 50_000, 1]),
+                                (168, 100_000, [49_932, 49_932, 136]),
+                                (20_000, 1_000, [419, 419, 162])]:
+        sizes.clear()
+        code, c, link = _setup(n=n, w=2)
+        res = run_point(code, c, link, ("cmd",), budget=budget, seed=1, point_index=0,
+                        workers=1)
+        assert sizes == expected
+        assert res["cmd"].frames == budget
+
+
 def test_trial_counters_statistics():
     t = TrialCounters(frames=1000, sym_errors=100, bit_errors=300, bit_errors_sq=1500,
                       mppm_errors=40, qam_cond_errors=5, qam_cond_opportunities=500)

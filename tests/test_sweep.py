@@ -93,6 +93,15 @@ def test_build_spec_validation():
             build_spec(vals)
 
 
+def test_build_spec_accepts_the_worker_ceiling(monkeypatch):
+    """64 workers, the ceiling, are accepted from the config and from the
+    environment (65 is refused: test_sweep_bad_workers_and_rate_reported_together)."""
+    assert build_spec(dict(GOOD, **{"sim.workers": "64"})).workers == 64
+    monkeypatch.setenv(simulate.WORKER_ENV_VAR, "64")
+    assert build_spec(dict(GOOD)).workers is None
+    assert simulate.max_workers() == 64
+
+
 def test_build_spec_overrides():
     vals = dict(GOOD)
     spec = build_spec(vals, overrides={"sim.seed": 99, "mode": None})
@@ -217,13 +226,13 @@ def test_ja_sa_share_one_events_evaluation(tmp_path, monkeypatch):
     """Requesting both CMD averages evaluates the events model once per point
     and writes equal ja/sa cells."""
     calls = []
-    original = analytic._event_quantities
+    original = analytic._events_route
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(analytic, "_event_quantities", counted)
+    monkeypatch.setattr(analytic, "_events_route", counted)
     spec = _cmd_spec(tmp_path, "ja,sa")
     lines = run(spec).read_text(encoding="utf-8").splitlines()
     body = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
