@@ -84,13 +84,15 @@ def main(argv=None) -> int:
         )
     except ConfigError as exc:
         problems += exc.problems
-    # Line problems and value problems are reported together.
-    if problems:
-        for problem in problems:
+    try:
+        # Line problems and value problems are reported together.
+        if problems:
+            raise ConfigError(problems)
+        out_path = run(spec, log=lambda msg: print(msg, file=sys.stderr))
+    except ConfigError as exc:
+        for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    try:
-        out_path = run(spec, log=lambda msg: print(msg, file=sys.stderr))
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -29,8 +29,9 @@ class LinkParams:
     def __post_init__(self):
         if not (0.0 < self.m <= 1.0):
             raise ValueError("modulation index must satisfy 0 < m <= 1")
-        if self.sigma2 <= 0 or self.t_s <= 0 or self.i_ph <= 0:
-            raise ValueError("t_s, i_ph and sigma2 must be positive")
+        for name in ("t_s", "i_ph", "sigma2"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name):g}")
 
     @property
     def slot_energy(self) -> float:
@@ -125,8 +126,9 @@ def link_from_popt(
     the DC photocurrent from the responsivity and the duty cycle w/N, and
     the noise variance from the receiver PSD model.
     """
-    if p_opt <= 0 or r_b <= 0:
-        raise ValueError("p_opt and r_b must be positive")
+    for name, val in (("p_opt", p_opt), ("r_b", r_b)):
+        if not 0.0 < val < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {val:g}")
     i_dc = rx.responsivity * p_opt
     i_ph = (n_slots / weight) * i_dc
     t_s = q_total / (n_slots * r_b)

@@ -55,12 +55,13 @@ class MppmCode:
 def make_code(n_slots: int, weight: int) -> MppmCode:
     if n_slots < 2:
         raise ValueError("need at least 2 slots")
-    q = bits_per_mppm(n_slots, weight)
-    size = 1 << q
     n, w = n_slots, weight
+    # Before any binomial, which for a huge N would run for minutes.
     if n > _MAX_SLOTS:
         raise CapacityError(f"supports are 16-bit slot indices, so codes need N <= {_MAX_SLOTS}; "
                             f"got N = {n}")
+    q = bits_per_mppm(n, w)
+    size = 1 << q
     if math.comb(n, w) >= _RANK_LIMIT:
         raise CapacityError(
             "pattern ranks are 64-bit integers, so codes need C(N, w) < 2^63; "

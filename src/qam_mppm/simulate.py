@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,6 +25,8 @@ BATCH_FRAMES = 50_000
 # A batch holds at most _BATCH_ENTRIES slot entries (frames * N) per
 # statistic, 64 MB of floats, and at least one frame.
 _BATCH_ENTRIES = 2**23
+# A point stops early once it has run MIN_FRAMES frames (or its whole
+# budget) and every detector has counted MIN_ERRORS symbol errors.
 MIN_ERRORS = 100
 MIN_FRAMES = 100_000
 
@@ -168,28 +169,6 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
     return out
 
 
-_WORKER: dict = {}
-
-
-def _init_worker(code: MppmCode, c: Constellation) -> None:
-    _WORKER["code"], _WORKER["c"] = code, c
-
-
-def worker_pool(code: MppmCode, c: Constellation, workers: int) -> ProcessPoolExecutor:
-    """Process pool whose workers simulate batches of code and c.
-
-    The workers receive both objects once, through the pool initializer;
-    under fork they inherit them without pickling.
-    """
-    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                               initargs=(code, c))
-
-
-def _batch_worker(args):
-    link, detectors, n_frames, seed_key = args
-    return simulate_batch(_WORKER["code"], _WORKER["c"], link, detectors, n_frames, seed_key)
-
-
 def max_workers() -> int:
     env = os.environ.get(WORKER_ENV_VAR)
     if env:
@@ -205,37 +184,33 @@ def max_workers() -> int:
 
 def run_point(code: MppmCode, c: Constellation, link: LinkParams,
               detectors: tuple[str, ...], budget: int, seed: int, point_index: int,
-              workers: int | None = None, batch_frames: int = BATCH_FRAMES,
-              min_errors: int = MIN_ERRORS, min_frames: int = MIN_FRAMES,
+              workers: int = 1,
               pool: ProcessPoolExecutor | None = None) -> dict[str, TrialCounters]:
     """Simulate one sweep point with deterministic early stopping.
 
-    With more than one worker, batches run in lock-step waves of ``workers``
-    on ``pool`` (from ``worker_pool(code, c, ...)``), or on a pool opened for
-    this point when none is given.  Batches are merged strictly in index
-    order and the stop decision is a function of the in-order cumulative
-    counters only, so the result is identical for any worker count.
+    Batches run in lock-step waves of ``workers``: on ``pool`` when one is
+    given, else one after another in this process.  They are merged strictly
+    in index order and the stop decision is a function of the in-order
+    cumulative counters only, so the result is identical for any worker
+    count and either way of running.
     """
     if budget < 1:
         raise ValueError("budget must be at least one frame")
-    workers = workers or max_workers()
-    batch_frames = min(batch_frames, max(1, _BATCH_ENTRIES // code.n_slots))
+    batch_frames = min(BATCH_FRAMES, max(1, _BATCH_ENTRIES // code.n_slots))
+    calls = map if pool is None else pool.map
     totals = {det: TrialCounters() for det in detectors}
     batches = range(0, budget, batch_frames)  # each batch's first frame
-    own = pool is None and workers > 1
-    with (worker_pool(code, c, workers) if own else nullcontext(pool)) as pool:
-        for lo in range(0, len(batches), workers):
-            wave = [(link, detectors, min(batch_frames, budget - first), [seed, point_index, i])
-                    for i, first in enumerate(batches[lo:lo + workers], lo)]
-            # A wave completes before it is merged.
-            results = (list(pool.map(_batch_worker, wave)) if workers > 1
-                       else (simulate_batch(code, c, *args) for args in wave))
-            for res in results:
-                for det in detectors:
-                    totals[det].merge(res[det])
-                if (totals[detectors[0]].frames >= min(min_frames, budget)
-                        and all(t.sym_errors >= min_errors for t in totals.values())):
-                    return totals
+    for lo in range(0, len(batches), workers):
+        wave = [(code, c, link, detectors, min(batch_frames, budget - first),
+                 [seed, point_index, i])
+                for i, first in enumerate(batches[lo:lo + workers], lo)]
+        # A wave completes before it is merged.
+        for res in list(calls(simulate_batch, *zip(*wave))):
+            for det in detectors:
+                totals[det].merge(res[det])
+            if (totals[detectors[0]].frames >= min(MIN_FRAMES, budget)
+                    and all(t.sym_errors >= MIN_ERRORS for t in totals.values())):
+                return totals
     return totals
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ from .constellation import build_constellation
 from .link import DEFAULT_RECEIVER, LinkParams, link_from_popt, sigma_from_ebn0, total_bits
 from .mppm import (CapacityError, correction_events, correction_stats, distance_spectrum,
                    make_code)
-from .simulate import MAX_WORKERS, max_workers, run_point, worker_pool
+from .simulate import MAX_WORKERS, max_workers, run_point
 
 CSV_COLUMNS = [
     "sweep_db", "ser_sim", "ser_ci", "ber_sim", "ber_ci", "ser_mppm_sim",
@@ -209,31 +210,52 @@ def build_spec(values: dict[str, str], overrides: dict | None = None) -> SweepSp
         problems.append("sys.w must satisfy 1 <= w <= N-1")
     if m is not None and not (0 < m <= 1):
         problems.append("sys.m must satisfy 0 < m <= 1")
+    out_csv, out_plot = merged["out.csv"], merged.get("out.plot") or None
+    for key, path in (("out.csv", out_csv), ("out.plot", out_plot)):
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            problems.append(f"{key}: {path!r} is a directory")
+        elif not Path(path).parent.is_dir():
+            problems.append(f"{key}: directory {str(Path(path).parent)!r} does not exist")
+    if out_plot and Path(out_plot).resolve() == Path(out_csv).resolve():
+        problems.append(f"out.plot names the same file as out.csv, {out_csv!r}")
     if problems:
         raise ConfigError(problems)
     return SweepSpec(
         mode=mode, start=start, stop=stop, step=step, n_slots=n_slots,
         weight=weight, n_q=n_q, m=m, r_b=r_b, detectors=detectors,
-        methods=methods, trials=trials, seed=seed, out_csv=merged["out.csv"],
-        out_plot=merged.get("out.plot") or None,
-        workers=workers,
+        methods=methods, trials=trials, seed=seed, out_csv=out_csv,
+        out_plot=out_plot, workers=workers,
     )
 
 
 def links_for(spec: SweepSpec) -> list[LinkParams]:
+    """The link at each grid point.
+
+    Raises ConfigError naming every point whose P_opt, T_s, I_ph or noise
+    variance is not finite and positive.
+    """
     const = build_constellation(spec.n_q)
     base = LinkParams.from_normalized(spec.n_slots, spec.weight, spec.m, 1.0)
-    links = []
+    unit = "dB" if spec.mode == "ebn0" else "dBm"
+    links, problems = [], []
     for val in spec.grid():
-        if spec.mode == "ebn0":
-            links.append(base.with_sigma2(sigma_from_ebn0(val, base, const)))
-        else:
-            p_opt = 1e-3 * 10.0 ** (val / 10.0)
-            q_total = total_bits(spec.n_slots, spec.weight, spec.n_q)
-            links.append(
-                link_from_popt(p_opt, DEFAULT_RECEIVER, spec.n_slots, spec.weight,
-                               spec.r_b, q_total, spec.m)
-            )
+        try:
+            with np.errstate(over="ignore"):  # LinkParams refuses an inf
+                if spec.mode == "ebn0":
+                    links.append(base.with_sigma2(sigma_from_ebn0(val, base, const)))
+                else:
+                    p_opt = 1e-3 * 10.0 ** (val / 10.0)
+                    q_total = total_bits(spec.n_slots, spec.weight, spec.n_q)
+                    links.append(
+                        link_from_popt(p_opt, DEFAULT_RECEIVER, spec.n_slots, spec.weight,
+                                       spec.r_b, q_total, spec.m)
+                    )
+        except ValueError as exc:
+            problems.append(f"grid point {val:g} {unit}: {exc}")
+    if problems:
+        raise ConfigError(problems)
     return links
 
 
@@ -267,7 +289,12 @@ def _fmt(val) -> str:
 
 
 def run(spec: SweepSpec, log=None) -> Path:
-    """Execute the sweep and write the CSV (and optional plot script)."""
+    """Execute the sweep and write the CSV (and optional plot script).
+
+    A code past a capacity limit raises NumericFailure, and grid points
+    whose link is degenerate ConfigError (links_for); both come before the
+    CSV is opened.
+    """
     try:
         code = make_code(spec.n_slots, spec.weight)
     except CapacityError as exc:
@@ -291,8 +318,9 @@ def run(spec: SweepSpec, log=None) -> Path:
         _table(distance_spectrum, code, ["ub"])
     out_path = Path(spec.out_csv)
     # One pool for the whole sweep; its workers exit when the `with` closes.
+    # Each batch carries the code and constellation, about 2 KB pickled.
     with (_atomic_open(out_path) as fh,
-          worker_pool(code, const, workers) if workers > 1 else nullcontext() as pool):
+          ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool):
         fh.write("# qam-mppm sweep; x axis in dB (ebn0 mode) or dBm (popt mode)\n")
         fh.write("# zero-error simulated rates are reported as the one-sided 95% "
                  "bound 3/n instead of 0\n")

@@ -6,12 +6,14 @@ The reference configuration is N=12, w=6, 16-QAM, m=0.5.
 """
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare, ncx2, norm
 
+from qam_mppm import simulate
 from qam_mppm.analytic import (
     ebn0_at_target,
     pe_cmd_composition,
@@ -35,7 +37,7 @@ from qam_mppm.link import (
     total_bits,
 )
 from qam_mppm.mppm import bits_per_mppm, k_l, make_code, rank_support, unrank
-from qam_mppm.simulate import run_point
+from qam_mppm.simulate import max_workers, run_point
 from qam_mppm.sweep import build_spec, run
 
 SEED = 20260823
@@ -84,14 +86,27 @@ def analytic_curves(system):
 
 
 @pytest.fixture(scope="module")
-def sim_points(system):
+def pool():
+    with ProcessPoolExecutor(max_workers()) as pool:
+        yield pool
+
+
+def _run_point(pool, *args, min_frames=simulate.MIN_FRAMES):
+    """run_point on the module's pool, with at least min_frames frames."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "MIN_FRAMES", min_frames)
+        return run_point(*args, workers=max_workers(), pool=pool)
+
+
+@pytest.fixture(scope="module")
+def sim_points(system, pool):
     """Monte-Carlo counters for both detectors over the main grid."""
     code, c = system
     points = []
     for idx, db in enumerate(MAIN_GRID):
         link = _main_link(db)
-        points.append(run_point(code, c, link, ("cmd", "imd"), BUDGET, SEED, idx,
-                                min_frames=BUDGET))
+        points.append(_run_point(pool, code, c, link, ("cmd", "imd"), BUDGET, SEED, idx,
+                                 min_frames=BUDGET))
     return points
 
 
@@ -205,7 +220,7 @@ def _fig6_link(n, w, n_q, m, dbm):
 
 
 @pytest.mark.slow
-def test_criterion_07_link_budget_ordering(system):
+def test_criterion_07_link_budget_ordering(system, pool):
     """The three link-budget configurations keep the stated BER ordering and
     the analytic curves match simulation within 3 sigma where BER >= 1e-4."""
     for dbm in (-33.0, -29.0, -25.0):
@@ -221,7 +236,7 @@ def test_criterion_07_link_budget_ordering(system):
         link = _fig6_link(n, w, n_q, m, FIG6_SIM_DBM[(n, w)])
         pb = pe_cmd_ja(code, c, link).pb
         q_total = total_bits(n, w, n_q)
-        t = run_point(code, c, link, ("cmd",), 600_000, SEED, 100 + cfg_idx)["cmd"]
+        t = _run_point(pool, code, c, link, ("cmd",), 600_000, SEED, 100 + cfg_idx)["cmd"]
         ber = t.ber(q_total)
         assert ber >= 1e-4
         assert abs(pb - ber) <= 3.0 * t.ber_stderr(q_total), (
@@ -300,15 +315,15 @@ def test_criterion_08_distribution_suite():
         assert _gof(samples, cdf, np.asarray(edges)) > 0.01
 
 
-def test_criterion_09_two_slot_closed_form():
+def test_criterion_09_two_slot_closed_form(pool):
     """Simulated N=2, w=1 IMD pattern SER matches 0.5*erfc(mu/(2*sigma))."""
     code = make_code(2, 1)
     c = build_constellation(2)
     link = LinkParams.from_normalized(2, 1, 0.9, 0.09)
     mu = math.sqrt(link.t_s) * link.i_ph
     p = 0.5 * math.erfc(mu / (2.0 * math.sqrt(link.sigma2)))
-    t = run_point(code, c, link, ("imd",), 1_000_000, SEED, 50,
-                  min_frames=1_000_000)["imd"]
+    t = _run_point(pool, code, c, link, ("imd",), 1_000_000, SEED, 50,
+                   min_frames=1_000_000)["imd"]
     assert t.frames == 1_000_000
     se = math.sqrt(p * (1 - p) / t.frames)
     assert abs(t.mppm_ser() - p) <= 3.0 * se

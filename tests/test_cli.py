@@ -275,6 +275,50 @@ def test_sweep_out_relocates_plot_script(tmp_path, monkeypatch):
     assert list(cwd.iterdir()) == []
 
 
+def _sweep_subprocess(cfg, *args):
+    env = dict(os.environ, PYTHONPATH=str(Path(qam_mppm.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "qam_mppm", "sweep", "--config", str(cfg),
+                           *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("over, args, problem", [
+    ({"out.plot": "{tmp}/out.csv"}, (), "out.plot names the same file as out.csv"),
+    ({"out.plot": "r.csv"}, ("--out", "{tmp}/r.csv"), "out.plot names the same file as out.csv"),
+    ({"out.csv": "{tmp}/missing/out.csv"}, (), "out.csv: directory"),
+    ({"out.csv": "{tmp}"}, (), "is a directory"),
+    ({"out.plot": "{tmp}/missing/out.gp"}, (), "out.plot: directory"),
+], ids=["plot-is-csv", "plot-moved-onto-csv", "csv-dir-missing", "csv-is-dir",
+        "plot-dir-missing"])
+def test_sweep_output_paths_checked_before_any_point(tmp_path, over, args, problem):
+    """Output paths that cannot take the CSV and the plot script are exit-2
+    diagnostics before any point runs: no point line, no file, no traceback."""
+    tmp = str(tmp_path)
+    cfg = _write_cfg(tmp_path, **{k: v.format(tmp=tmp) for k, v in over.items()})
+    proc = _sweep_subprocess(cfg, *(a.format(tmp=tmp) for a in args))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert problem in proc.stderr
+    assert "point" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
+@pytest.mark.parametrize("mode, x, problem", [
+    ("ebn0", "4000", "grid point 4000 dB: sigma2 must be finite and positive, got 0"),
+    ("ebn0", "-4000", "grid point -4000 dB: sigma2 must be finite and positive, got inf"),
+    ("popt", "-4000", "grid point -4000 dBm: p_opt must be finite and positive, got 0"),
+], ids=["sigma2-zero", "sigma2-inf", "p_opt-zero"])
+def test_sweep_degenerate_link_reported(tmp_path, mode, x, problem):
+    """A grid point whose noise variance or optical power is 0 or inf is an
+    exit-2 diagnostic naming the point, before any point runs."""
+    cfg = _write_cfg(tmp_path, **{"mode": mode, "grid.start": x, "grid.stop": x,
+                                  "methods": ""})
+    proc = _sweep_subprocess(cfg)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"config error: {problem}"]
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sweep_missing_file_exit_code(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -106,6 +106,16 @@ def test_codes_are_limited_to_int16_slots():
     assert decode_mppm(pattern, code) == 32765
 
 
+def test_slot_limit_is_checked_before_the_binomial(monkeypatch):
+    """An oversized N is refused at once, without computing C(N, w)."""
+    def no_comb(*args):
+        raise AssertionError("math.comb called for a code past the slot limit")
+
+    monkeypatch.setattr(math, "comb", no_comb)
+    with pytest.raises(CapacityError, match="N <= 32767"):
+        make_code(10**9, 5 * 10**8)
+
+
 def test_unrank_supports_matches_enumeration_and_scalar_unrank():
     """The vector unrank gives every usable support in lexicographic order
     where the code is small enough to enumerate, and agrees with the scalar

@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from qam_mppm.simulate import (
     run_point,
     simulate_batch,
     waveform_crosscheck,
-    worker_pool,
 )
 
 
@@ -193,35 +194,65 @@ def test_batch_seed_depends_on_point_and_index():
     assert a != b
 
 
-def test_run_point_independent_of_worker_count():
+def _small_batches(monkeypatch, batch_frames, min_errors, min_frames):
+    monkeypatch.setattr(simulate, "BATCH_FRAMES", batch_frames)
+    monkeypatch.setattr(simulate, "MIN_ERRORS", min_errors)
+    monkeypatch.setattr(simulate, "MIN_FRAMES", min_frames)
+
+
+def test_run_point_independent_of_worker_count(monkeypatch):
+    _small_batches(monkeypatch, 5_000, 10, 10_000)
     code, c, link = _setup(db=8.0)
-    kw = dict(budget=30_000, seed=17, point_index=2, batch_frames=5_000,
-              min_errors=10, min_frames=10_000)
+    kw = dict(budget=30_000, seed=17, point_index=2)
     solo = run_point(code, c, link, ("cmd", "imd"), workers=1, **kw)
-    pooled = run_point(code, c, link, ("cmd", "imd"), workers=4, **kw)
+    with ProcessPoolExecutor(4) as pool:
+        pooled = run_point(code, c, link, ("cmd", "imd"), workers=4, pool=pool, **kw)
     assert solo == pooled
 
 
-def test_run_point_reuses_one_pool_across_points():
+def test_run_point_reuses_one_pool_across_points(monkeypatch):
+    """Two points on one shared pool match the same points run in process."""
+    _small_batches(monkeypatch, 5_000, 10, 10_000)
     code, c, link = _setup(db=8.0)
-    kw = dict(budget=30_000, seed=17, workers=2, batch_frames=5_000,
-              min_errors=10, min_frames=10_000)
-    fresh = [run_point(code, c, link, ("cmd", "imd"), point_index=i, **kw) for i in (0, 1)]
-    with worker_pool(code, c, 2) as pool:
+    kw = dict(budget=30_000, seed=17, workers=2)
+    local = [run_point(code, c, link, ("cmd", "imd"), point_index=i, **kw) for i in (0, 1)]
+    with ProcessPoolExecutor(2) as pool:
         shared = [run_point(code, c, link, ("cmd", "imd"), point_index=i, pool=pool, **kw)
                   for i in (0, 1)]
-    assert shared == fresh
-    assert fresh[0] != fresh[1]
+    assert shared == local
+    assert local[0] != local[1]
 
 
-def test_run_point_early_stop_and_budget():
+def test_run_point_without_pool_runs_waves_in_process(monkeypatch):
+    """Without a pool, workers=3 runs every batch in this process, in whole
+    waves of 3; a stop inside the second wave gives the pool's counters."""
+    _small_batches(monkeypatch, 1_000, 50, 4_000)
+    code, c, link = _setup(db=0.0)  # every frame is an error: stop at 4000 frames
+    kw = dict(budget=20_000, seed=3, point_index=1, workers=3)
+    with ProcessPoolExecutor(3) as pool:
+        pooled = run_point(code, c, link, ("cmd", "imd"), pool=pool, **kw)
+    calls = []
+    real = simulate.simulate_batch
+
+    def recorded(*args):
+        calls.append((os.getpid(), args[4]))
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "simulate_batch", recorded)
+    local = run_point(code, c, link, ("cmd", "imd"), **kw)
+    assert calls == [(os.getpid(), 1_000)] * 6
+    assert local == pooled
+    assert local["cmd"].frames == 4_000
+
+
+def test_run_point_early_stop_and_budget(monkeypatch):
+    _small_batches(monkeypatch, 10_000, 50, 20_000)
     code, c, link = _setup(db=0.0)  # every frame is an error
     # A budget far beyond any run costs nothing up front: batches are sized
     # as they are submitted.
     for budget in (200_000, 10**15):
-        res = run_point(code, c, link, ("cmd",), budget=budget, seed=1, point_index=0,
-                        workers=1, batch_frames=10_000, min_errors=50, min_frames=20_000)
-        assert res["cmd"].frames == 20_000  # stops at min_frames once errors suffice
+        res = run_point(code, c, link, ("cmd",), budget=budget, seed=1, point_index=0)
+        assert res["cmd"].frames == 20_000  # stops at MIN_FRAMES once errors suffice
     with pytest.raises(ValueError):
         run_point(code, c, link, ("cmd",), budget=0, seed=1, point_index=0)
 
