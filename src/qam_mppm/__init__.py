@@ -1,14 +1,5 @@
 """Hybrid QAM-MPPM modulation toolkit: analysis, simulation and sweeps."""
 
-from .analytic import (
-    AnalyticResult,
-    CapacityError,
-    QuadratureError,
-    ebn0_at_target,
-    pe_cmd_ja,
-    pe_cmd_sa,
-    pe_imd,
-)
 from .constellation import Constellation, build_constellation, demap_ml, qam_avg_ser
 from .link import (
     DEFAULT_RECEIVER,
@@ -22,7 +13,7 @@ from .link import (
     sigma_from_ebn0,
     total_bits,
 )
-from .mppm import MppmCode, bits_per_mppm, decode_mppm, encode_mppm, make_code
+from .mppm import CapacityError, MppmCode, bits_per_mppm, decode_mppm, encode_mppm, make_code
 from .simulate import TrialCounters, run_point
 from .sweep import ConfigError, SweepSpec, build_spec, parse_config
 
@@ -45,7 +36,6 @@ __all__ = [
     "complexity",
     "decode_mppm",
     "demap_ml",
-    "ebn0_at_target",
     "ebn0_db_from_sigma",
     "encode_mppm",
     "frame_energies",
@@ -62,3 +52,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The analytic routes need scipy, so they load on first use and a
+# simulation-only process runs on numpy alone (PEP 562).
+_ANALYTIC_NAMES = {"AnalyticResult", "QuadratureError", "pe_cmd_ja", "pe_cmd_sa", "pe_imd"}
+
+
+def __getattr__(name):
+    if name in _ANALYTIC_NAMES:
+        from . import analytic
+
+        return getattr(analytic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

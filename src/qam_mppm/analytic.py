@@ -743,15 +743,3 @@ def pe_imd(code: MppmCode, c: Constellation, link: LinkParams,
     pc = 1.0 - mppm_ser_ub(code, link.slot_energy / link.sigma2)
     return _compose(code, c, link, p, np.array([pc]), corr, nb, 0.0)
 
-
-def ebn0_at_target(ebn0_db: np.ndarray, values: np.ndarray, target: float) -> float:
-    """Log-linear interpolation of the abscissa where a falling curve hits target."""
-    v = np.asarray(values, dtype=float)
-    x = np.asarray(ebn0_db, dtype=float)
-    logs = np.log10(np.maximum(v, 1e-300))
-    lt = math.log10(target)
-    for i in range(len(v) - 1):
-        a, b = logs[i], logs[i + 1]
-        if (a - lt) * (b - lt) <= 0 and a != b:
-            return float(x[i] + (x[i + 1] - x[i]) * (lt - a) / (b - a))
-    raise ValueError("curve does not cross the target level on the grid")

@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
+
+# The closed forms import scipy.special.erfc where they run, so that a
+# simulation-only sweep never loads scipy.
 
 
 def _gray(k):
@@ -176,6 +178,8 @@ def qam_ser_ub(i: int, scale: float, c: Constellation) -> float:
     the pairwise term is erfc(sqrt(scale*d^2/16))/2 for squared distance d^2
     in normalized units.  The returned sum is not clamped.
     """
+    from scipy.special import erfc
+
     if scale < 0:
         raise ValueError("scale must be >= 0")
     d2 = np.sum((c.points - c.points[i]) ** 2, axis=1)
@@ -190,6 +194,8 @@ def _axis_crossover(levels: np.ndarray, kappa: float) -> np.ndarray:
     (i, j) is the probability that a symbol sent at level i is decided as
     level j under the mid-point slicer.
     """
+    from scipy.special import erfc
+
     x = kappa * levels
     bounds = kappa * (levels[:-1] + levels[1:]) / 2.0
     # cdf of decision cells: P(decide <= j | sent i), 1 at the last level
@@ -249,6 +255,8 @@ def qam_avg_ser(es_n0: float, c: Constellation) -> float:
     Exact two-PAM product expression for square constellations; the clamped
     mean union bound otherwise.
     """
+    from scipy.special import erfc
+
     if es_n0 < 0:
         raise ValueError("es_n0 must be >= 0")
     if c.kind == "square":

@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.constants import Boltzmann, elementary_charge
-
 from .mppm import bits_per_mppm
+
+# Exact SI values since the 2019 redefinition (J/K and C).
+Boltzmann = 1.380649e-23
+elementary_charge = 1.602176634e-19
 
 
 @dataclass(frozen=True)

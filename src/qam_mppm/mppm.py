@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import erfc
+
+# mppm_ser_ub imports scipy.special.erfc where it runs, so that a
+# simulation-only sweep never loads scipy.
 
 # Pattern ranks are int64, so the weight-w universe must stay below this.
 _RANK_LIMIT = 1 << 63
@@ -563,6 +565,8 @@ def mppm_ser_ub(code: MppmCode, scale: float) -> float:
     scale is T_s*I_ph^2 / sigma_n^2; pairwise terms erfc(sqrt(scale*d^2/8))
     are averaged over transmitted patterns of the usable set.
     """
+    from scipy.special import erfc
+
     if scale < 0:
         raise ValueError("scale must be >= 0")
     spec = distance_spectrum(code)

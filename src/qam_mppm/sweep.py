@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic
 from .constellation import build_constellation
 from .link import DEFAULT_RECEIVER, LinkParams, link_from_popt, sigma_from_ebn0, total_bits
 from .mppm import (CapacityError, correction_events, correction_stats, distance_spectrum,
@@ -260,6 +259,10 @@ def links_for(spec: SweepSpec) -> list[LinkParams]:
 
 
 def analytic_row(code, const, link, methods, tol) -> dict[str, float]:
+    if not methods:
+        return {}
+    from . import analytic
+
     out = {}
     try:
         # ja and sa are one events evaluation.
@@ -316,6 +319,11 @@ def run(spec: SweepSpec, log=None) -> Path:
                 f"{time.perf_counter() - t0:.2f} s")
     if "ub" in spec.methods:
         _table(distance_spectrum, code, ["ub"])
+    if spec.methods:
+        # scipy loads with the analytic module, in set-up and after the
+        # tables (a smaller peak), not inside a point; a simulation-only
+        # sweep never loads it.
+        from . import analytic  # noqa: F401
     out_path = Path(spec.out_csv)
     # One pool for the whole sweep; its workers exit when the `with` closes.
     # Each batch carries the code and constellation, about 2 KB pickled.

@@ -15,7 +15,6 @@ from scipy.stats import chisquare, ncx2, norm
 
 from qam_mppm import simulate
 from qam_mppm.analytic import (
-    ebn0_at_target,
     pe_cmd_composition,
     pe_cmd_ja,
     pe_imd,
@@ -39,6 +38,8 @@ from qam_mppm.link import (
 from qam_mppm.mppm import bits_per_mppm, k_l, make_code, rank_support, unrank
 from qam_mppm.simulate import max_workers, run_point
 from qam_mppm.sweep import build_spec, run
+
+from oracles import ebn0_at_target
 
 SEED = 20260823
 MAIN_GRID = np.arange(0.0, 19.0, 1.0)

@@ -17,7 +17,6 @@ from qam_mppm import analytic, distributions, sweep
 from qam_mppm.analytic import (
     CapacityError,
     QuadratureError,
-    ebn0_at_target,
     pe_cmd_composition,
     pe_cmd_ja,
     pe_cmd_sa,
@@ -29,6 +28,8 @@ from qam_mppm.analytic import (
 from qam_mppm.constellation import build_constellation
 from qam_mppm.link import LinkParams, sigma_from_ebn0
 from qam_mppm.mppm import make_code
+
+from oracles import ebn0_at_target
 
 
 def _link(db, n=12, w=6, n_q=4, m=0.5):

@@ -371,3 +371,55 @@ def test_complexity_report_table():
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         main([])
+
+
+_FRESH_PROCESS_CHECKS = r"""
+import sys
+from pathlib import Path
+
+import qam_mppm
+import qam_mppm.cli
+from qam_mppm import sweep
+from qam_mppm.cli import complexity_report, main
+
+tmp = Path(sys.argv[1])
+values = {"mode": "ebn0", "grid.start": "6", "grid.stop": "6", "grid.step": "1",
+          "sys.N": "8", "sys.w": "2", "sys.nQ": "2", "sys.m": "0.5", "detectors": "imd",
+          "sim.trials": "2000", "sim.seed": "5", "sim.workers": "1",
+          "out.csv": str(tmp / "sim.csv")}
+sweep.run(sweep.build_spec(values))
+complexity_report(12, 6, 16, 8)
+(tmp / "bad.cfg").write_text("".join(f"{k} = {v}\n" for k, v in values.items())
+                             + "sys.m = 7\n", encoding="utf-8")
+assert main(["sweep", "--config", str(tmp / "bad.cfg")]) == 2
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+
+# A point starts at its first analytic_row or run_point call.
+analytic_at_point = []
+
+def recording(fn):
+    def at_point(*args, **kwargs):
+        analytic_at_point.append("qam_mppm.analytic" in sys.modules)
+        return fn(*args, **kwargs)
+    return at_point
+
+sweep.analytic_row = recording(sweep.analytic_row)
+sweep.run_point = recording(sweep.run_point)
+sweep.run(sweep.build_spec(dict(values, methods="ni", **{"out.csv": str(tmp / "ni.csv")})))
+assert analytic_at_point == [True, True], analytic_at_point
+
+for name in qam_mppm.__all__:
+    getattr(qam_mppm, name)
+"""
+
+
+def test_simulation_only_process_never_loads_scipy(tmp_path):
+    """In a fresh interpreter, the package, the CLI, a simulation-only sweep,
+    the complexity report and a config error load no scipy module; a sweep
+    with an analytic method loads the analytic module in set-up, before its
+    first point; and every exported name resolves."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qam_mppm.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS_CHECKS, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
