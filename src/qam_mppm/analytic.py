@@ -742,4 +742,3 @@ def pe_imd(code: MppmCode, c: Constellation, link: LinkParams,
     _, p, corr, nb = _occupations(c, link, "sa")
     pc = 1.0 - mppm_ser_ub(code, link.slot_energy / link.sigma2)
     return _compose(code, c, link, p, np.array([pc]), corr, nb, 0.0)
-
