@@ -21,8 +21,13 @@ import numpy as np
 _RANK_LIMIT = 1 << 63
 # Supports are int16 slot indices, so codes have at most this many slots.
 _MAX_SLOTS = int(np.iinfo(np.int16).max)
-# Rows per vectorized single-swap candidate block.
+# Rows per chunk of the nearest-member correction.  The rows of a chunk
+# that have no usable single swap draw after all its single-swap draws, so
+# the chunk fixes the random stream.
 _CORRECTION_CHUNK = 2048
+# Single swaps (rows * w * (N - w)) per block of a chunk's usable-swap test
+# and draw: bounds their memory; the draws are the chunk's, in order.
+_SWAP_ENTRIES = 1 << 19
 # Slot entries per block of a nearest-member scan: bounds its memory, and
 # blocks that fit in cache rank faster than larger ones.
 _SHELL_BLOCK = 1 << 18
@@ -214,21 +219,26 @@ def correct_patterns(supports: np.ndarray, code: MppmCode,
     """
     n, w = code.n_slots, code.weight
     out = supports.copy()
+    step = max(1, _SWAP_ENTRIES // (w * (n - w)))
     for lo in range(0, len(supports), _CORRECTION_CHUNK):
-        sub = supports[lo : lo + _CORRECTION_CHUNK]
-        rows = np.arange(len(sub))
-        inact, ok = _usable_swaps(sub, code)
-        u = rng.random(ok.shape)
-        u[~ok] = -1.0
-        pick = np.argmax(u, axis=1)
-        chosen = sub.copy()
-        chosen[rows, pick // (n - w)] = inact[rows, pick % (n - w)]
-        chosen.sort(axis=1)
-        lone = np.flatnonzero(~ok.any(axis=1))
-        members, counts = _nearest_members(sub[lone], inact[lone], code)
+        hi = min(lo + _CORRECTION_CHUNK, len(supports))
+        lone, lone_inact = [], []
+        for first in range(lo, hi, step):
+            sub = out[first : min(first + step, hi)]
+            rows = np.arange(len(sub))
+            inact, ok = _usable_swaps(sub, code)
+            u = rng.random(ok.shape)
+            u[~ok] = -1.0
+            pick = np.argmax(u, axis=1)
+            alone = ~ok.any(axis=1)
+            lone.append(first + np.flatnonzero(alone))
+            lone_inact.append(inact[alone])
+            sub[rows, pick // (n - w)] = inact[rows, pick % (n - w)]
+            sub.sort(axis=1)
+        lone = np.concatenate(lone)
+        members, counts = _nearest_members(supports[lone], np.concatenate(lone_inact), code)
         for row, first, count in zip(lone, np.cumsum(counts) - counts, counts):
-            chosen[row] = members[first + rng.integers(count)]
-        out[lo : lo + _CORRECTION_CHUNK] = chosen
+            out[row] = members[first + rng.integers(count)]
     return out
 
 
@@ -374,22 +384,32 @@ def _member_table(pats, sup, code):
     return members, rank_supports(members, code), np.bincount(owner, minlength=len(pats))
 
 
-def _decode_swap_rows(tx_rank, tx_sup, det, code):
+def _pattern_table(pats, code):
+    """_member_table of the sorted distinct pattern ranks pats, as (pats,
+    members, ranks, counts, first): pattern i's members start at first[i]."""
+    members, mem_rank, n_of = _member_table(pats, unrank_supports(pats, code), code)
+    return pats, members, mem_rank, n_of, np.cumsum(n_of) - n_of
+
+
+def _decode_swap_rows(tx_rank, tx_sup, det, code, table=None):
     """Per-event expectations over the members a detection decodes to.
 
-    Returns (events, 12) means: the eight misaligned classes, aligned
-    retained (a_v) and displaced (a_p) positions, rescue and pattern bits.
-    Each is an integer sum over the event's members, taken for all events
-    and position codes with one bincount, divided by its member count.
+    table is a _pattern_table holding every detected pattern; without one,
+    the table of the detected patterns is built here.  Returns (events, 12)
+    means: the eight misaligned classes, aligned retained (a_v) and
+    displaced (a_p) positions, rescue and pattern bits.  Each is an integer
+    sum over the event's members, taken for all events and position codes
+    with one bincount, divided by its member count.
     """
     n_rows, n, w = len(det), code.n_slots, code.weight
-    pats, first, which = np.unique(rank_supports(det, code), return_index=True,
-                                   return_inverse=True)
-    members, mem_rank, n_of = _member_table(pats, det[first], code)
+    det_rank = rank_supports(det, code)
+    if table is None:
+        table = _pattern_table(np.unique(det_rank), code)
+    pats, members, mem_rank, n_of, first_mem = table
+    which = np.searchsorted(pats, det_rank)
     # Row-major (event, member) pairs over the members of each event's pattern.
     n_mem = n_of[which]
     row = np.repeat(np.arange(n_rows), n_mem)
-    first_mem = np.cumsum(n_of) - n_of
     mem = np.arange(len(row)) + np.repeat(first_mem[which] - np.cumsum(n_mem) + n_mem, n_mem)
     codes = np.zeros(n_rows * n, dtype=np.uint8)
     base = n * np.arange(n_rows)[:, None]
@@ -474,6 +494,10 @@ def correction_stats(code: MppmCode) -> CorrectionStats:
         )
     n, w = code.n_slots, code.weight
     rng = np.random.Generator(np.random.Philox(_STATS_SEED))
+    # A code of at most _STATS_BLOCK patterns builds the members of all of
+    # them once; a larger one builds those of each block's detected patterns.
+    n_pats = math.comb(n, w)
+    table = _pattern_table(np.arange(n_pats), code) if n_pats <= _STATS_BLOCK else None
     exact = True
     rescue = 0.0
     pat_bits: list[float] = []
@@ -487,7 +511,7 @@ def correction_stats(code: MppmCode) -> CorrectionStats:
         per_event = np.empty((4, count))  # a_v, a_p, rescue, pattern bits
         lo = 0
         for tx, sup, det in _swap_events(code, l, rng):
-            means = _decode_swap_rows(tx, sup, det, code)
+            means = _decode_swap_rows(tx, sup, det, code, table)
             cls[lo : lo + len(tx)] = means[:, :8]
             per_event[:, lo : lo + len(tx)] = means[:, 8:].T
             lo += len(tx)

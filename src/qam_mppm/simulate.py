@@ -37,6 +37,9 @@ MAX_WORKERS = 64
 # a time as keep each (rows, w, M) distance array within _DEMAP_ELEMENTS
 # floats (8 MB), and at least one row.
 _DEMAP_ELEMENTS = 2**20
+# After its draws, a batch runs in blocks of at most _BLOCK_ENTRIES slot
+# entries (1 MiB per float array), and at least one frame.
+_BLOCK_ENTRIES = 2**17
 
 
 @dataclass
@@ -84,20 +87,25 @@ class TrialCounters:
         return self.qam_cond_errors / self.qam_cond_opportunities
 
 
-def _detect(metric: np.ndarray, r_i: np.ndarray, r_q: np.ndarray,
-            offsets: np.ndarray, code: MppmCode, rng: np.random.Generator):
-    """Top-w slot selection and nearest-member correction for one metric
-    choice; returns the decoded slots' flat indices, ranks and statistics."""
+def _detect(metric_of, n_frames: int, step: int, code: MppmCode,
+            rng: np.random.Generator):
+    """Top-w slot selection, a block of ``step`` frames at a time, then the
+    nearest-member correction of every out-of-set row of the batch at once;
+    returns the decoded sorted supports and their ranks.  ``metric_of(lo,
+    hi)`` gives the flat metric of frames lo .. hi - 1."""
     n, w = code.n_slots, code.weight
-    top = np.argpartition(metric.reshape(-1, n), n - w, axis=1)[:, n - w:]
-    det_support = np.sort(top.astype(np.int16), axis=1)
-    det_rank = rank_supports(det_support, code)
-    bad = det_rank >= code.size
+    support = np.empty((n_frames, w), dtype=np.int16)
+    for lo in range(0, n_frames, step):
+        hi = min(lo + step, n_frames)
+        rows = support[lo:hi]
+        rows[:] = np.argpartition(metric_of(lo, hi).reshape(-1, n), n - w, axis=1)[:, n - w:]
+        rows.sort(axis=1)
+    rank = rank_supports(support, code)
+    bad = rank >= code.size
     if bad.any():
-        det_support[bad] = correct_patterns(det_support[bad], code, rng)
-        det_rank[bad] = rank_supports(det_support[bad], code)
-    det_flat = offsets[:, None] + det_support
-    return det_flat, det_rank, r_i[det_flat], r_q[det_flat]
+        support[bad] = correct_patterns(support[bad], code, rng)
+        rank[bad] = rank_supports(support[bad], code)
+    return support, rank
 
 
 def _demap(yi, yq, c: Constellation, amp: float):
@@ -118,7 +126,12 @@ def _demap(yi, yq, c: Constellation, amp: float):
 def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
                    detectors: tuple[str, ...], n_frames: int,
                    seed_key) -> dict[str, TrialCounters]:
-    """Simulate n_frames frames and count errors for each requested detector."""
+    """Simulate n_frames frames and count errors for each requested detector.
+
+    The three statistics are drawn for the whole batch; everything after
+    them runs in blocks of at most _BLOCK_ENTRIES slot entries, so a batch
+    holds its draws and about one block's worth of temporaries.
+    """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_key)))
     n, w, m_q = link.n_slots, link.weight, c.m_q
     tx_rank = rng.integers(0, code.size, n_frames)
@@ -139,33 +152,42 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
     r_i = statistic((amp * c.points[:, 0])[qam_idx])
     r_q = statistic((amp * c.points[:, 1])[qam_idx])
     r_dc = statistic(math.sqrt(link.t_s) * link.i_ph) if "imd" in detectors else None
+    del tx_flat
+
+    step = max(1, _BLOCK_ENTRIES // n)
+    metrics = {"cmd": lambda lo, hi: r_i[lo * n:hi * n] ** 2 + r_q[lo * n:hi * n] ** 2,
+               "imd": lambda lo, hi: r_dc[lo * n:hi * n]}
+    decoded = {det: _detect(metrics[det], n_frames, step, code, rng) for det in detectors}
 
     # A frame's bits are its pattern word and one QAM word per slot in
     # support order; errors are counted per field, since a frame can carry
     # more than 64 bits.  Labels have at most 10 bits.
     labels = c.labels.astype(np.uint16)
-    tx_labels = labels[qam_idx]
-    tx_slot_sym = np.full(n_frames * n, -1, dtype=np.int16)
-    tx_slot_sym[tx_flat] = qam_idx
-
-    out: dict[str, TrialCounters] = {}
-    for det in detectors:
-        metric = r_i**2 + r_q**2 if det == "cmd" else r_dc
-        det_flat, det_rank, yi, yq = _detect(metric, r_i, r_q, offsets, code, rng)
-        det_idx = _demap(yi, yq, c, amp)
-        diff = np.bitwise_count(tx_rank ^ det_rank).astype(np.int64)
-        diff += np.bitwise_count(tx_labels ^ labels[det_idx]).sum(axis=1, dtype=np.int64)
-        tx_at_det = tx_slot_sym[det_flat]
-        common = tx_at_det >= 0  # detected slot that was also sent
-        out[det] = TrialCounters(
-            frames=n_frames,
-            sym_errors=np.count_nonzero(diff),
-            bit_errors=int(diff.sum()),
-            bit_errors_sq=int(diff @ diff),
-            mppm_errors=np.count_nonzero(det_rank != tx_rank),
-            qam_cond_errors=np.count_nonzero((tx_at_det != det_idx) & common),
-            qam_cond_opportunities=np.count_nonzero(common),
-        )
+    out = {det: TrialCounters() for det in detectors}
+    for lo in range(0, n_frames, step):
+        hi = min(lo + step, n_frames)
+        rows = np.arange(hi - lo)[:, None]
+        # The QAM symbol sent in each slot of the block, -1 where none was.
+        sent = np.full((hi - lo, n), -1, dtype=np.int16)
+        sent[rows, tx_support[lo:hi]] = qam_idx[lo:hi]
+        tx_labels = labels[qam_idx[lo:hi]]
+        for det, (support, rank) in decoded.items():
+            det_sup, det_rank, tx = support[lo:hi], rank[lo:hi], tx_rank[lo:hi]
+            det_flat = offsets[lo:hi, None] + det_sup
+            det_idx = _demap(r_i[det_flat], r_q[det_flat], c, amp)
+            diff = np.bitwise_count(tx ^ det_rank).astype(np.int64)
+            diff += np.bitwise_count(tx_labels ^ labels[det_idx]).sum(axis=1, dtype=np.int64)
+            tx_at_det = sent[rows, det_sup]
+            common = tx_at_det >= 0  # detected slot that was also sent
+            out[det].merge(TrialCounters(
+                frames=hi - lo,
+                sym_errors=np.count_nonzero(diff),
+                bit_errors=int(diff.sum()),
+                bit_errors_sq=int(diff @ diff),
+                mppm_errors=np.count_nonzero(det_rank != tx),
+                qam_cond_errors=np.count_nonzero((tx_at_det != det_idx) & common),
+                qam_cond_opportunities=np.count_nonzero(common),
+            ))
     return out
 
 
@@ -212,49 +234,3 @@ def run_point(code: MppmCode, c: Constellation, link: LinkParams,
                     and all(t.sym_errors >= MIN_ERRORS for t in totals.values())):
                 return totals
     return totals
-
-
-def waveform_crosscheck(support, qam_indices, c: Constellation, link: LinkParams,
-                        n_c: int, samples_per_slot: int,
-                        rng: np.random.Generator | None = None):
-    """Sampled-waveform synthesis and discrete correlators for one frame.
-
-    The frame sends QAM symbol qam_indices[j] in slot support[j].
-
-    Returns (r_i, r_q, r_dc) per slot from Riemann-sum approximations of the
-    continuous correlators; with no noise these converge to the statistic
-    means as the sample count grows.
-    """
-    if int(n_c) != n_c or n_c < 2:
-        raise ValueError("carrier cycles per slot must be an integer >= 2")
-    if samples_per_slot % (4 * n_c) != 0:
-        raise ValueError("samples_per_slot must be a multiple of 4*n_c")
-    n = link.n_slots
-    ns = samples_per_slot
-    dt = link.t_s / ns
-    f_c = n_c / link.t_s
-    t = (np.arange(n * ns) + 0.5) * dt
-    active = np.zeros(n)
-    ai = np.zeros(n)
-    aq = np.zeros(n)
-    for slot, sym in zip(support, qam_indices):
-        active[slot] = 1.0
-        ai[slot] = c.points[sym, 0]
-        aq[slot] = c.points[sym, 1]
-    slot_of = np.repeat(np.arange(n), ns)
-    s = link.i_ph * active[slot_of] * (
-        1.0
-        + link.m * (ai[slot_of] * np.cos(2 * np.pi * f_c * t)
-                    + aq[slot_of] * np.sin(2 * np.pi * f_c * t))
-    )
-    if rng is not None:
-        # white noise with PSD 2*sigma2 over the sampled bandwidth
-        s = s + rng.normal(0.0, math.sqrt(2.0 * link.sigma2 / dt), len(s))
-    cos_corr = np.sqrt(2.0 / link.t_s) * np.cos(2 * np.pi * f_c * t)
-    sin_corr = np.sqrt(2.0 / link.t_s) * np.sin(2 * np.pi * f_c * t)
-    rect = 1.0 / np.sqrt(link.t_s)
-    sl = s.reshape(n, ns)
-    r_i = np.sum(sl * cos_corr.reshape(n, ns), axis=1) * dt
-    r_q = np.sum(sl * sin_corr.reshape(n, ns), axis=1) * dt
-    r_dc = np.sum(sl * rect, axis=1) * dt
-    return r_i, r_q, r_dc

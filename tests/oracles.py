@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 
+from qam_mppm.constellation import Constellation
+from qam_mppm.link import LinkParams
+
 
 def ebn0_at_target(ebn0_db: np.ndarray, values: np.ndarray, target: float) -> float:
     """Log-linear interpolation of the abscissa where a falling curve hits target."""
@@ -16,3 +19,49 @@ def ebn0_at_target(ebn0_db: np.ndarray, values: np.ndarray, target: float) -> fl
         if (a - lt) * (b - lt) <= 0 and a != b:
             return float(x[i] + (x[i + 1] - x[i]) * (lt - a) / (b - a))
     raise ValueError("curve does not cross the target level on the grid")
+
+
+def waveform_crosscheck(support, qam_indices, c: Constellation, link: LinkParams,
+                        n_c: int, samples_per_slot: int,
+                        rng: np.random.Generator | None = None):
+    """Sampled-waveform synthesis and discrete correlators for one frame.
+
+    The frame sends QAM symbol qam_indices[j] in slot support[j].
+
+    Returns (r_i, r_q, r_dc) per slot from Riemann-sum approximations of the
+    continuous correlators; with no noise these converge to the statistic
+    means as the sample count grows.
+    """
+    if int(n_c) != n_c or n_c < 2:
+        raise ValueError("carrier cycles per slot must be an integer >= 2")
+    if samples_per_slot % (4 * n_c) != 0:
+        raise ValueError("samples_per_slot must be a multiple of 4*n_c")
+    n = link.n_slots
+    ns = samples_per_slot
+    dt = link.t_s / ns
+    f_c = n_c / link.t_s
+    t = (np.arange(n * ns) + 0.5) * dt
+    active = np.zeros(n)
+    ai = np.zeros(n)
+    aq = np.zeros(n)
+    for slot, sym in zip(support, qam_indices):
+        active[slot] = 1.0
+        ai[slot] = c.points[sym, 0]
+        aq[slot] = c.points[sym, 1]
+    slot_of = np.repeat(np.arange(n), ns)
+    s = link.i_ph * active[slot_of] * (
+        1.0
+        + link.m * (ai[slot_of] * np.cos(2 * np.pi * f_c * t)
+                    + aq[slot_of] * np.sin(2 * np.pi * f_c * t))
+    )
+    if rng is not None:
+        # white noise with PSD 2*sigma2 over the sampled bandwidth
+        s = s + rng.normal(0.0, math.sqrt(2.0 * link.sigma2 / dt), len(s))
+    cos_corr = np.sqrt(2.0 / link.t_s) * np.cos(2 * np.pi * f_c * t)
+    sin_corr = np.sqrt(2.0 / link.t_s) * np.sin(2 * np.pi * f_c * t)
+    rect = 1.0 / np.sqrt(link.t_s)
+    sl = s.reshape(n, ns)
+    r_i = np.sum(sl * cos_corr.reshape(n, ns), axis=1) * dt
+    r_q = np.sum(sl * sin_corr.reshape(n, ns), axis=1) * dt
+    r_dc = np.sum(sl * rect, axis=1) * dt
+    return r_i, r_q, r_dc

@@ -343,6 +343,17 @@ def test_correct_patterns_matches_ranking_every_swap(n, w, enumerate_members, fa
     _assert_matches_ranking(sup, code, enumerate_members)
 
 
+@pytest.mark.parametrize("n, w", [(12, 8), (40, 10), (9, 5)])
+def test_correct_patterns_in_swap_blocks(n, w, monkeypatch):
+    """Usable-swap blocks of 37 rows, the last of each chunk shorter, pick
+    the same supports and leave the random stream where whole chunks do,
+    also with rows that have no usable single swap ((12, 8), (9, 5))."""
+    monkeypatch.setattr("qam_mppm.mppm._SWAP_ENTRIES", 37 * w * (n - w))
+    code = make_code(n, w)
+    sup = _out_of_set(code, _CORRECTION_CHUNK + 300, n * 100 + w)
+    _assert_matches_ranking(sup, code, enumerate_members=False)
+
+
 def test_correct_patterns_tableless_shell_scan():
     """(40, 30) is too large to enumerate, and some of its out-of-set
     supports need two swaps to reach a usable pattern."""

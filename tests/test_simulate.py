@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import os
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -19,13 +20,9 @@ from qam_mppm.link import (
     total_bits,
 )
 from qam_mppm.mppm import correct_patterns, make_code
-from qam_mppm.simulate import (
-    TrialCounters,
-    _demap,
-    run_point,
-    simulate_batch,
-    waveform_crosscheck,
-)
+from qam_mppm.simulate import TrialCounters, _demap, run_point, simulate_batch
+
+from oracles import waveform_crosscheck
 
 
 def _setup(db=10.0, n=12, w=6, n_q=4, m=0.5):
@@ -172,8 +169,8 @@ _PINNED_BATCHES = [
 ]
 
 
-@pytest.mark.parametrize("case", range(len(_PINNED_BATCHES)))
-def test_simulate_batch_counters_are_pinned(case):
+def _pinned_batch(case):
+    """Counters of pinned batch ``case`` as simulated now, and as pinned."""
     (n, w, n_q, mode, x, detectors, frames), want = _PINNED_BATCHES[case]
     c = build_constellation(n_q)
     if mode == "ebn0":
@@ -183,8 +180,40 @@ def test_simulate_batch_counters_are_pinned(case):
         link = link_from_popt(1e-3 * 10.0 ** (x / 10.0), DEFAULT_RECEIVER, n, w, 50e6,
                               total_bits(n, w, n_q), 0.5)
     got = simulate_batch(make_code(n, w), c, link, detectors, frames, [41, case, 0])
-    assert list(got) == list(detectors)
-    assert got == {det: TrialCounters(*vals) for det, vals in want.items()}
+    return got, {det: TrialCounters(*vals) for det, vals in want.items()}
+
+
+@pytest.mark.parametrize("case", range(len(_PINNED_BATCHES)))
+def test_simulate_batch_counters_are_pinned(case):
+    got, want = _pinned_batch(case)
+    assert list(got) == list(want)
+    assert got == want
+
+
+@pytest.mark.parametrize("frames_per_block", [7, 1])
+def test_simulate_batch_counters_do_not_depend_on_blocks(frames_per_block, monkeypatch):
+    """Blocks of 7 frames, the last one shorter, and blocks of one frame
+    count what the default blocks do, for every pinned batch."""
+    for case, ((n, *_), _) in enumerate(_PINNED_BATCHES):
+        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", frames_per_block * n)
+        got, want = _pinned_batch(case)
+        assert got == want, case
+
+
+def test_simulate_batch_memory_is_draws_plus_one_block():
+    """After its draws a batch holds about one block's worth of arrays: a
+    50k-frame (64, 8) batch of both detectors peaks within 24 MiB of its
+    three (frames * N) float statistics."""
+    code, c, link = _setup(n=64, w=8)
+    frames = 50_000
+    simulate_batch(code, c, link, ("cmd", "imd"), 100, [1, 0, 0])  # warm caches
+    tracemalloc.start()
+    try:
+        simulate_batch(code, c, link, ("cmd", "imd"), frames, [1, 0, 0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * frames * code.n_slots + 24 * 2**20
 
 
 def test_batch_seed_depends_on_point_and_index():
