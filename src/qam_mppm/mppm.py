@@ -223,15 +223,15 @@ def correct_patterns(supports: np.ndarray, code: MppmCode,
     for lo in range(0, len(supports), _CORRECTION_CHUNK):
         hi = min(lo + _CORRECTION_CHUNK, len(supports))
         lone, lone_inact = [], []
-        for first in range(lo, hi, step):
-            sub = out[first : min(first + step, hi)]
+        for start in range(lo, hi, step):
+            sub = out[start : min(start + step, hi)]
             rows = np.arange(len(sub))
             inact, ok = _usable_swaps(sub, code)
             u = rng.random(ok.shape)
             u[~ok] = -1.0
             pick = np.argmax(u, axis=1)
             alone = ~ok.any(axis=1)
-            lone.append(first + np.flatnonzero(alone))
+            lone.append(start + np.flatnonzero(alone))
             lone_inact.append(inact[alone])
             sub[rows, pick // (n - w)] = inact[rows, pick % (n - w)]
             sub.sort(axis=1)
@@ -364,8 +364,9 @@ def _member_table(pats, sup, code):
     members (the correction rule).
 
     pats are distinct pattern ranks and sup their sorted supports.  Returns
-    (members, ranks, counts): pattern i's counts[i] members follow those of
-    the patterns before it, in (self, j, k) order and then the nearest ones.
+    (members, ranks, counts, starts): pattern i's counts[i] members start at
+    starts[i], after those of the patterns before it, in (self, j, k) order
+    and then the nearest ones.
     """
     n, w = code.n_slots, code.weight
     inset, outside = np.flatnonzero(pats < code.size), np.flatnonzero(pats >= code.size)
@@ -381,32 +382,26 @@ def _member_table(pats, sup, code):
     owner = np.concatenate([inset, outside[swap_of], np.repeat(outside[alone], n_near)])
     members = np.concatenate([sup[inset], np.sort(swaps, axis=1), near])
     members = members[np.argsort(owner, kind="stable")]
-    return members, rank_supports(members, code), np.bincount(owner, minlength=len(pats))
-
-
-def _pattern_table(pats, code):
-    """_member_table of the sorted distinct pattern ranks pats, as (pats,
-    members, ranks, counts, first): pattern i's members start at first[i]."""
-    members, mem_rank, n_of = _member_table(pats, unrank_supports(pats, code), code)
-    return pats, members, mem_rank, n_of, np.cumsum(n_of) - n_of
+    counts = np.bincount(owner, minlength=len(pats))
+    return members, rank_supports(members, code), counts, np.cumsum(counts) - counts
 
 
 def _decode_swap_rows(tx_rank, tx_sup, det, code, table=None):
     """Per-event expectations over the members a detection decodes to.
 
-    table is a _pattern_table holding every detected pattern; without one,
-    the table of the detected patterns is built here.  Returns (events, 12)
-    means: the eight misaligned classes, aligned retained (a_v) and
-    displaced (a_p) positions, rescue and pattern bits.  Each is an integer
-    sum over the event's members, taken for all events and position codes
-    with one bincount, divided by its member count.
+    table is the _member_table of every pattern, in rank order; without
+    one, that of the block's detected patterns is built here.  Returns
+    (events, 12) means: the eight misaligned classes, aligned retained (a_v)
+    and displaced (a_p) positions, rescue and pattern bits.  Each is an
+    integer sum over the event's members, taken for all events and position
+    codes with one bincount, divided by its member count.
     """
     n_rows, n, w = len(det), code.n_slots, code.weight
-    det_rank = rank_supports(det, code)
+    which = rank_supports(det, code)
     if table is None:
-        table = _pattern_table(np.unique(det_rank), code)
-    pats, members, mem_rank, n_of, first_mem = table
-    which = np.searchsorted(pats, det_rank)
+        pats, first, which = np.unique(which, return_index=True, return_inverse=True)
+        table = _member_table(pats, det[first], code)
+    members, mem_rank, n_of, first_mem = table
     # Row-major (event, member) pairs over the members of each event's pattern.
     n_mem = n_of[which]
     row = np.repeat(np.arange(n_rows), n_mem)
@@ -496,8 +491,10 @@ def correction_stats(code: MppmCode) -> CorrectionStats:
     rng = np.random.Generator(np.random.Philox(_STATS_SEED))
     # A code of at most _STATS_BLOCK patterns builds the members of all of
     # them once; a larger one builds those of each block's detected patterns.
-    n_pats = math.comb(n, w)
-    table = _pattern_table(np.arange(n_pats), code) if n_pats <= _STATS_BLOCK else None
+    table = None
+    if math.comb(n, w) <= _STATS_BLOCK:
+        every = np.arange(math.comb(n, w))
+        table = _member_table(every, unrank_supports(every, code), code)
     exact = True
     rescue = 0.0
     pat_bits: list[float] = []

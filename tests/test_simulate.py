@@ -170,8 +170,8 @@ _PINNED_BATCHES = [
 
 
 def _pinned_batch(case):
-    """Counters of pinned batch ``case`` as simulated now, and as pinned."""
-    (n, w, n_q, mode, x, detectors, frames), want = _PINNED_BATCHES[case]
+    """Counters of pinned batch ``case`` as simulated now."""
+    (n, w, n_q, mode, x, detectors, frames), _ = _PINNED_BATCHES[case]
     c = build_constellation(n_q)
     if mode == "ebn0":
         base = LinkParams.from_normalized(n, w, 0.5, 1.0)
@@ -179,15 +179,15 @@ def _pinned_batch(case):
     else:
         link = link_from_popt(1e-3 * 10.0 ** (x / 10.0), DEFAULT_RECEIVER, n, w, 50e6,
                               total_bits(n, w, n_q), 0.5)
-    got = simulate_batch(make_code(n, w), c, link, detectors, frames, [41, case, 0])
-    return got, {det: TrialCounters(*vals) for det, vals in want.items()}
+    return simulate_batch(make_code(n, w), c, link, detectors, frames, [41, case, 0])
 
 
 @pytest.mark.parametrize("case", range(len(_PINNED_BATCHES)))
 def test_simulate_batch_counters_are_pinned(case):
-    got, want = _pinned_batch(case)
-    assert list(got) == list(want)
-    assert got == want
+    (*_, detectors, _), want = _PINNED_BATCHES[case]
+    got = _pinned_batch(case)
+    assert list(got) == list(detectors)
+    assert got == {det: TrialCounters(*vals) for det, vals in want.items()}
 
 
 @pytest.mark.parametrize("frames_per_block", [7, 1])
@@ -195,9 +195,10 @@ def test_simulate_batch_counters_do_not_depend_on_blocks(frames_per_block, monke
     """Blocks of 7 frames, the last one shorter, and blocks of one frame
     count what the default blocks do, for every pinned batch."""
     for case, ((n, *_), _) in enumerate(_PINNED_BATCHES):
-        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", frames_per_block * n)
-        got, want = _pinned_batch(case)
-        assert got == want, case
+        whole = _pinned_batch(case)
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_BLOCK_ENTRIES", frames_per_block * n)
+            assert _pinned_batch(case) == whole, case
 
 
 def test_simulate_batch_memory_is_draws_plus_one_block():
