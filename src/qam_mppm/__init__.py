@@ -1,19 +1,18 @@
 """Hybrid QAM-MPPM modulation toolkit: analysis, simulation and sweeps."""
 
-from .constellation import Constellation, build_constellation, demap_ml, qam_avg_ser
+from .constellation import Constellation, build_constellation
 from .link import (
     DEFAULT_RECEIVER,
     ComplexityReport,
     LinkParams,
     ReceiverNoiseParams,
     complexity,
-    ebn0_db_from_sigma,
     frame_energies,
     link_from_popt,
     sigma_from_ebn0,
     total_bits,
 )
-from .mppm import CapacityError, MppmCode, bits_per_mppm, decode_mppm, encode_mppm, make_code
+from .mppm import CapacityError, MppmCode, bits_per_mppm, make_code
 from .simulate import TrialCounters, run_point
 from .sweep import ConfigError, SweepSpec, build_spec, parse_config
 
@@ -34,10 +33,6 @@ __all__ = [
     "build_constellation",
     "build_spec",
     "complexity",
-    "decode_mppm",
-    "demap_ml",
-    "ebn0_db_from_sigma",
-    "encode_mppm",
     "frame_energies",
     "link_from_popt",
     "make_code",
@@ -45,7 +40,6 @@ __all__ = [
     "pe_cmd_ja",
     "pe_cmd_sa",
     "pe_imd",
-    "qam_avg_ser",
     "run_point",
     "sigma_from_ebn0",
     "total_bits",

@@ -164,13 +164,6 @@ def build_constellation(n_q: int) -> Constellation:
     return Constellation(n_q=n_q, m_q=m_q, points=pts / norm, labels=labels, kind="cross")
 
 
-def demap_ml(point, c: Constellation) -> int:
-    """Index of the closest constellation point (ties: lowest index)."""
-    p = np.asarray(point, dtype=float)
-    d2 = np.sum((c.points - p) ** 2, axis=1)
-    return int(np.argmin(d2))
-
-
 def qam_ser_ub(i: int, scale: float, c: Constellation) -> float:
     """Union-bound symbol error probability of point i.
 
@@ -248,22 +241,3 @@ def qam_bit_errors_exact(scale: float, c: Constellation) -> np.ndarray:
     nb_q = axis_expected_bits(tq)
     return nb_i[c.col_idx] + nb_q[c.row_idx]
 
-
-def qam_avg_ser(es_n0: float, c: Constellation) -> float:
-    """Average symbol error probability at the given Es_qam/N0 ratio.
-
-    Exact two-PAM product expression for square constellations; the clamped
-    mean union bound otherwise.
-    """
-    from scipy.special import erfc
-
-    if es_n0 < 0:
-        raise ValueError("es_n0 must be >= 0")
-    if c.kind == "square":
-        m = c.m_q
-        q = 0.5 * erfc(np.sqrt(3.0 * es_n0 / (m - 1) / 2.0))
-        p_pam = 2.0 * (1.0 - 1.0 / np.sqrt(m)) * q
-        return float(min(max(1.0 - (1.0 - p_pam) ** 2, 0.0), 1.0))
-    scale = 4.0 * es_n0
-    ub = np.array([qam_ser_ub(i, scale, c) for i in range(c.m_q)])
-    return float(min(np.mean(np.minimum(ub, 1.0)), 1.0))

@@ -108,11 +108,6 @@ def sigma_from_ebn0(ebn0_db: float, params: LinkParams, constellation) -> float:
     return n0 / 2.0
 
 
-def ebn0_db_from_sigma(sigma2: float, params: LinkParams, constellation) -> float:
-    _, _, e_b = frame_energies(params, constellation)
-    return 10.0 * math.log10(e_b / (2.0 * sigma2))
-
-
 def link_from_popt(
     p_opt: float,
     rx: ReceiverNoiseParams,

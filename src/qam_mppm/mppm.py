@@ -88,16 +88,6 @@ def _rank_prefix(n: int, w: int) -> np.ndarray:
     return prefix
 
 
-def rank_support(support, code: MppmCode) -> int:
-    """Lexicographic rank of a sorted support list among all weight-w patterns."""
-    r = 0
-    prev = -1
-    for j, c in enumerate(support):
-        r += int(code.rank_prefix[j, c]) - int(code.rank_prefix[j, prev + 1])
-        prev = c
-    return r
-
-
 def rank_supports(supports: np.ndarray, code: MppmCode) -> np.ndarray:
     """Vectorized lex rank for an (n, w) array of sorted supports."""
     sup = supports.astype(np.int64)
@@ -106,23 +96,6 @@ def rank_supports(supports: np.ndarray, code: MppmCode) -> np.ndarray:
     for j in range(1, code.weight):
         r += prefix[j, sup[:, j]] - prefix[j, sup[:, j - 1] + 1]
     return r
-
-
-def unrank(r: int, code: MppmCode) -> tuple[int, ...]:
-    """Sorted support of the pattern with lexicographic rank r."""
-    n, w = code.n_slots, code.weight
-    support = []
-    c = 0
-    for j in range(w):
-        while True:
-            block = math.comb(n - 1 - c, w - 1 - j)
-            if r < block:
-                break
-            r -= block
-            c += 1
-        support.append(c)
-        c += 1
-    return tuple(support)
 
 
 def unrank_supports(ranks, code: MppmCode) -> np.ndarray:
@@ -147,32 +120,6 @@ def _unrank(ranks, n: int, rank_prefix: np.ndarray) -> np.ndarray:
         out[:, j] = c
         left, start = target - prefix[c], c + 1
     return out
-
-
-def pattern_from_support(support, n_slots: int) -> np.ndarray:
-    p = np.zeros(n_slots, dtype=np.uint8)
-    p[list(support)] = 1
-    return p
-
-
-def encode_mppm(word: int, code: MppmCode) -> np.ndarray:
-    """Pattern carrying the given q_mppm-bit word (unrank of the word)."""
-    if not isinstance(word, (int, np.integer)) or not 0 <= word < code.size:
-        raise ValueError(f"word must be an integer in [0, {code.size}), got {word!r}")
-    return pattern_from_support(unrank_supports([word], code)[0], code.n_slots)
-
-
-def decode_mppm(pattern: np.ndarray, code: MppmCode) -> int:
-    """Rank of an expurgated-set pattern, i.e. its bit word."""
-    pattern = np.asarray(pattern)
-    support = np.flatnonzero(pattern)
-    if (pattern.shape != (code.n_slots,) or len(support) != code.weight
-            or not np.isin(pattern, (0, 1)).all()):
-        raise ValueError(f"pattern must be {code.n_slots} slots of 0/1 with {code.weight} ones")
-    r = rank_support(support, code)
-    if r >= code.size:
-        raise ValueError("pattern not in the expurgated set")
-    return r
 
 
 def _usable_swaps(sup: np.ndarray, code: MppmCode):

@@ -78,13 +78,15 @@ class SweepSpec:
 
 
 def _grid_points(start: float, stop: float, step: float) -> float:
-    """Number of grid points, inf when the span overflows."""
+    """Number of grid points up to stop, inf when the span overflows.  A
+    span within 1e-9 steps of a whole number of steps keeps its last point."""
     span = (stop - start) / step
-    return round(span) + 1 if math.isfinite(span) else math.inf
+    return math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
 
 
 def parse_config(path) -> dict[str, str]:
-    """Read a flat key=value config file (UTF-8, '#' comments).
+    """Read a flat key=value config file (UTF-8, a leading byte-order mark
+    allowed, '#' comments).
 
     Malformed lines, unknown keys and repeated keys are reported together.
     """
@@ -103,7 +105,7 @@ def read_config(path) -> tuple[dict[str, str], list[str]]:
     ConfigError naming its first bad line.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ConfigError([f"line {line}: not UTF-8 text ({exc.reason})"]) from None

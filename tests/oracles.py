@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from qam_mppm.constellation import Constellation
-from qam_mppm.link import LinkParams
+from qam_mppm.link import LinkParams, frame_energies
+from qam_mppm.mppm import MppmCode
 
 
 def ebn0_at_target(ebn0_db: np.ndarray, values: np.ndarray, target: float) -> float:
@@ -19,6 +20,55 @@ def ebn0_at_target(ebn0_db: np.ndarray, values: np.ndarray, target: float) -> fl
         if (a - lt) * (b - lt) <= 0 and a != b:
             return float(x[i] + (x[i + 1] - x[i]) * (lt - a) / (b - a))
     raise ValueError("curve does not cross the target level on the grid")
+
+
+def rank_support(support, code: MppmCode) -> int:
+    """Lexicographic rank of a sorted support list among all weight-w patterns."""
+    r = 0
+    prev = -1
+    for j, c in enumerate(support):
+        r += int(code.rank_prefix[j, c]) - int(code.rank_prefix[j, prev + 1])
+        prev = c
+    return r
+
+
+def unrank(r: int, code: MppmCode) -> tuple[int, ...]:
+    """Sorted support of the pattern with lexicographic rank r."""
+    n, w = code.n_slots, code.weight
+    support = []
+    c = 0
+    for j in range(w):
+        while True:
+            block = math.comb(n - 1 - c, w - 1 - j)
+            if r < block:
+                break
+            r -= block
+            c += 1
+        support.append(c)
+        c += 1
+    return tuple(support)
+
+
+def demap_ml(point, c: Constellation) -> int:
+    """Index of the closest constellation point (ties: lowest index)."""
+    p = np.asarray(point, dtype=float)
+    d2 = np.sum((c.points - p) ** 2, axis=1)
+    return int(np.argmin(d2))
+
+
+def qam_avg_ser(es_n0: float, c: Constellation) -> float:
+    """Average symbol error probability of a square constellation at the
+    given Es_qam/N0 ratio: the two-PAM product expression."""
+    m = c.m_q
+    q = 0.5 * math.erfc(math.sqrt(3.0 * es_n0 / (m - 1) / 2.0))
+    p_pam = 2.0 * (1.0 - 1.0 / math.sqrt(m)) * q
+    return 1.0 - (1.0 - p_pam) ** 2
+
+
+def ebn0_db_from_sigma(sigma2: float, params: LinkParams, constellation) -> float:
+    """Eb/N0 (dB) of a link with noise variance sigma2: sigma_from_ebn0's inverse."""
+    _, _, e_b = frame_energies(params, constellation)
+    return 10.0 * math.log10(e_b / (2.0 * sigma2))
 
 
 def waveform_crosscheck(support, qam_indices, c: Constellation, link: LinkParams,

@@ -35,11 +35,11 @@ from qam_mppm.link import (
     sigma_from_ebn0,
     total_bits,
 )
-from qam_mppm.mppm import bits_per_mppm, k_l, make_code, rank_support, unrank
+from qam_mppm.mppm import bits_per_mppm, k_l, make_code
 from qam_mppm.simulate import max_workers, run_point
 from qam_mppm.sweep import build_spec, run
 
-from oracles import ebn0_at_target
+from oracles import ebn0_at_target, rank_support, unrank
 
 SEED = 20260823
 MAIN_GRID = np.arange(0.0, 19.0, 1.0)

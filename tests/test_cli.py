@@ -333,6 +333,16 @@ def test_sweep_config_not_utf8_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_sweep_config_with_byte_order_mark(tmp_path):
+    """A UTF-8 config that starts with a byte-order mark runs, and writes
+    the CSV that the same config without the mark writes."""
+    cfg = _write_cfg(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "plain.csv")]) == 0
+    cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "bom.csv")]) == 0
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 def test_complexity_command(capsys):
     assert main(["complexity", "--N", "12", "--w", "6", "--MQ", "16", "--Ns", "8"]) == 0
     out = capsys.readouterr().out

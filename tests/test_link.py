@@ -12,12 +12,13 @@ from qam_mppm.link import (
     LinkParams,
     ReceiverNoiseParams,
     complexity,
-    ebn0_db_from_sigma,
     frame_energies,
     link_from_popt,
     sigma_from_ebn0,
     total_bits,
 )
+
+from oracles import ebn0_db_from_sigma
 
 
 def test_total_bits():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qam_mppm import simulate
-from qam_mppm.constellation import build_constellation, demap_ml
+from qam_mppm.constellation import build_constellation
 from qam_mppm.link import (
     DEFAULT_RECEIVER,
     LinkParams,
@@ -22,7 +22,7 @@ from qam_mppm.link import (
 from qam_mppm.mppm import correct_patterns, make_code
 from qam_mppm.simulate import TrialCounters, _demap, run_point, simulate_batch
 
-from oracles import waveform_crosscheck
+from oracles import demap_ml, waveform_crosscheck
 
 
 def _setup(db=10.0, n=12, w=6, n_q=4, m=0.5):

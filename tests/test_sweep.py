@@ -115,6 +115,12 @@ def test_grid_endpoints():
     vals = dict(GOOD)
     vals.update({"grid.start": "0", "grid.stop": "18", "grid.step": "1"})
     assert len(build_spec(vals).grid()) == 19
+    # A fractional span stops at the last point at or below grid.stop; a
+    # whole one up to float rounding keeps its last point.
+    for stop, step, points in [("1.08", "0.3", [0, 0.3, 0.6, 0.9]), ("1", "0.6", [0, 0.6]),
+                               ("0.2", "0.3", [0]), ("0.3", "0.1", [0, 0.1, 0.2, 0.3])]:
+        vals.update({"grid.start": "0", "grid.stop": stop, "grid.step": step})
+        assert np.allclose(build_spec(vals).grid(), points)
 
 
 def test_grid_point_limit():
