@@ -57,10 +57,13 @@ _XGK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
                  0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
                  0.14887433898163122])
 _GK21 = np.concatenate(([0.0], -_XGK, _XGK))
-# The coupled slot model's largest temporary, the disk-clipped masses per
-# (source, row, column, chord node), holds as many thresholds per call as fit
-# in _CHUNK_ELEMENTS (8 MB of floats), and at least one.  A model whose one
-# threshold needs more than _THRESHOLD_ELEMENTS (128 MB) is refused.
+# The coupled slot model takes as many thresholds per call as its largest
+# per-threshold temporary fits in _CHUNK_ELEMENTS (8 MB of floats), and at
+# least one.  That temporary is the chord-node product of one Q level's
+# sources, (sources on the level, rows, cols, chord nodes), or the circle
+# density's two (M, arcs, arc nodes) arrays.  A model whose one threshold takes
+# more than _THRESHOLD_ELEMENTS (128 MB of floats) chord-node products, the
+# (M + 1) * rows * cols * chord nodes of all its sources, is refused.
 _CHUNK_ELEMENTS = 2**20
 _THRESHOLD_ELEMENTS = 2**24
 
@@ -240,18 +243,28 @@ class _SlotModel:
 
         self._col_lo, self._col_hi = cell_bounds(self._cells.i_bounds)
         self._row_lo, self._row_hi = cell_bounds(self._cells.q_bounds)
-        # Thresholds per _values_coupled call (see _CHUNK_ELEMENTS).
-        per_y = (c.m_q + 1) * len(self._row_lo) * len(self._col_lo) * len(_GL_NODES[0])
+        # The disk masses of one threshold take (M + 1) * rows * cols * K
+        # products (see _THRESHOLD_ELEMENTS).
+        cells = len(self._row_lo) * len(self._col_lo) * len(_GL_NODES[0])
+        per_y = (c.m_q + 1) * cells
         if per_y > _THRESHOLD_ELEMENTS:
             raise CapacityError(f"the {c.m_q}-QAM slot model needs {per_y} floats per "
                                 f"threshold, more than its limit of {_THRESHOLD_ELEMENTS}")
-        self._chunk = max(1, _CHUNK_ELEMENTS // per_y)
         # Levels with the zero mean of a noise slot appended as one more
-        # level, and each source's level (the noise slot last).
+        # level, each source's level (the noise slot last), and the sources
+        # on each Q level.
         self._lv_i0 = np.append(self._lv_i, 0.0)
         self._lv_q0 = np.append(self._lv_q, 0.0)
         self._src_i = np.append(ci, len(self._lv_i))
         self._src_q = np.append(ri, len(self._lv_q))
+        self._level_srcs = [np.flatnonzero(self._src_q == q) for q in range(len(self._lv_q0))]
+        # Thresholds per _values_coupled call (see _CHUNK_ELEMENTS): its
+        # largest temporary is the chord-node product of one Q level's
+        # sources, or _circle_density's two (M, arcs, K) arrays.
+        arcs = 1 + 2 * (len(self._cells.i_bounds) + len(self._cells.q_bounds))
+        largest = max(max(map(len, self._level_srcs)) * cells,
+                      2 * c.m_q * arcs * len(_GL_ARC[0]))
+        self._chunk = max(1, _CHUNK_ELEMENTS // largest)
         # Normal CDF of each row bound per Q level, (levels, rows).
         self._cdf_row_hi = ndtr((self._row_hi[None, :] - self._lv_q0[:, None]) / self.sigma)
         self._cdf_row_lo = ndtr((self._row_lo[None, :] - self._lv_q0[:, None]) / self.sigma)
@@ -388,17 +401,62 @@ class _SlotModel:
         theta = angles[..., None] + spans[..., None] * (nodes + 1.0) / 2.0
         px = r[:, None, None] * np.cos(theta)
         py = r[:, None, None] * np.sin(theta)
-        # (radii, M, arcs, K)
-        d2 = (px[:, None] - self._m_i[:, None, None]) ** 2 + (
-            py[:, None] - self._m_q[:, None, None]
-        ) ** 2
-        phi = np.exp(-d2 / (2 * self.s2)) / (2 * math.pi * self.s2)
-        arc_int = 0.5 * (spans / 2.0)[:, None, :] * np.sum(wts * phi, axis=3)
+        # The weighted Gaussian density per (radii, M, arcs, K), formed in
+        # place, so that two arrays of that size are alive at a time.
+        phi = np.square(px[:, None] - self._m_i[:, None, None])
+        dq = py[:, None] - self._m_q[:, None, None]
+        phi += np.square(dq, out=dq)
+        np.negative(phi, out=phi)
+        phi /= 2 * self.s2
+        np.exp(phi, out=phi)
+        phi /= 2 * math.pi * self.s2
+        phi *= wts
+        arc_int = 0.5 * (spans / 2.0)[:, None, :] * np.sum(phi, axis=3)
         m = self.c.m_q
         f = np.zeros((len(r), m, m))
         np.add.at(f, (np.arange(len(r))[:, None, None], np.arange(m)[:, None], syms[:, None, :]),
                   arc_int)
         return f
+
+    def _disk_masses(self, r: np.ndarray) -> np.ndarray:
+        """Mass of each decision cell inside the metric disk of each radius,
+        per source symbol: (radii, M + 1, rows, cols), the zero-mean (pure
+        noise) slot last.
+
+        Each column's chord integral takes the 96-node Gauss-Legendre rule
+        over u, with the rows clipped at the chord height +-g(u).  A source's
+        masses come from its Q level's row masses and its I level's column
+        densities, one Q level at a time: the level's (radii, rows, cols, K)
+        row masses times the weighted column densities of the sources on
+        that level, summed over the chord nodes.
+        """
+        sig = self.sigma
+        nodes, wts = _GL_NODES
+        lo_u = np.maximum(self._col_lo, -r[:, None])
+        hi_u = np.minimum(self._col_hi, r[:, None])
+        span = np.maximum(hi_u - lo_u, 0.0)  # (radii, cols)
+        u = 0.5 * span[..., None] * nodes + 0.5 * (lo_u + hi_u)[..., None]
+        rr = r[:, None, None]
+        g = np.sqrt(np.maximum(rr * rr - u * u, 0.0))[:, None]  # (radii, 1, cols, K)
+        # A disk-clipped row extent stops at its row bound or at the chord
+        # +-g, so its normal CDF per Q level comes from the row-bound table
+        # or from one ndtr per level and chord node, as the row bound lies
+        # inside or outside the chord: (radii, rows, cols, K).
+        hi_row = self._row_hi[:, None, None] < g
+        lo_row = self._row_lo[:, None, None] > -g
+        dens = np.exp(-((u[:, None] - self._lv_i0[:, None, None]) ** 2) / (2 * self.s2))
+        dens /= math.sqrt(2 * math.pi * self.s2)
+        dens *= wts  # weighted column densities per I level, (radii, levels, cols, K)
+        half_span = 0.5 * span[:, None, None]
+        disk = np.empty((len(r), len(self._src_q), len(self._row_lo), len(self._col_lo)))
+        for q, srcs in enumerate(self._level_srcs):
+            lv = self._lv_q0[q]
+            inner = np.where(hi_row, self._cdf_row_hi[q, :, None, None], ndtr((g - lv) / sig))
+            inner -= np.where(lo_row, self._cdf_row_lo[q, :, None, None], ndtr((-g - lv) / sig))
+            np.maximum(inner, 0.0, out=inner)
+            disk[:, srcs] = half_span * np.sum(inner[:, None] * dens[:, self._src_i[srcs], None],
+                                               axis=4)
+        return disk
 
     def _values_coupled(self, y: np.ndarray):
         """Survival, decision and Gray-bit quantities of the thresholds y.
@@ -409,33 +467,9 @@ class _SlotModel:
         reads, bp_at_* those of a signal slot pinned at the threshold.
         """
         c = self.c
-        sig = self.sigma
         n_y = len(y)
         r = np.sqrt(np.maximum(y, 0.0))
-        nodes, wts = _GL_NODES
-        lo_u = np.maximum(self._col_lo, -r[:, None])
-        hi_u = np.minimum(self._col_hi, r[:, None])
-        span = np.maximum(hi_u - lo_u, 0.0)  # (y, cols)
-        u = 0.5 * span[..., None] * nodes + 0.5 * (lo_u + hi_u)[..., None]
-        rr = r[:, None, None]
-        g = np.sqrt(np.maximum(rr * rr - u * u, 0.0))[:, None, None]  # (y, 1, 1, cols, K)
-        # A disk-clipped row extent stops at its row bound or at the chord
-        # +-g, so its normal CDF per Q level comes from the row-bound table
-        # or from one ndtr per level and chord node: (y, levels, rows, cols, K).
-        lv = self._lv_q0[:, None, None, None]
-        cdf_hi = np.where(self._row_hi[:, None, None] < g, self._cdf_row_hi[:, :, None, None],
-                          ndtr((g - lv) / sig))
-        cdf_lo = np.where(self._row_lo[:, None, None] > -g, self._cdf_row_lo[:, :, None, None],
-                          ndtr((-g - lv) / sig))
-        inner = np.maximum(cdf_hi - cdf_lo, 0.0)
-        dens = np.exp(-((u[:, None] - self._lv_i0[:, None, None]) ** 2) / (2 * self.s2))
-        dens /= math.sqrt(2 * math.pi * self.s2)
-        # A source's disk-clipped masses are its levels': (y, M + 1, rows,
-        # cols), the zero-mean (pure noise) slot last.  The product is formed
-        # in place, so one array of _CHUNK_ELEMENTS scale is alive at a time.
-        prod = inner[:, self._src_q]
-        prod *= wts * dens[:, self._src_i][:, :, None]
-        disk = 0.5 * span[:, None, None] * np.sum(prod, axis=4)
+        disk = self._disk_masses(r)
         m = c.m_q
         ri, ci = c.row_idx, c.col_idx
         # J[y, s, cell] = P(land in cell AND metric above y), stored per y

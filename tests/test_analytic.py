@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import itertools
 import math
+import tracemalloc
 import types
 from collections import Counter
 from pathlib import Path
@@ -444,6 +445,56 @@ def test_slot_model_per_level_matches_per_source(n_q):
     for y in panel[1::4]:
         assert alone.record(y) == model.record(y)
     assert len(alone._cache) == len(panel[1::4])
+
+
+def _call_lengths(model):
+    """Record the number of thresholds of each _values_coupled call of model."""
+    lengths = []
+    values = model._values_coupled
+
+    def counted(ys):
+        lengths.append(len(ys))
+        return values(ys)
+
+    model._values_coupled = counted
+    return lengths
+
+
+@pytest.mark.parametrize("n_q", [3, 4, 6])
+def test_chunked_panel_matches_unchunked(monkeypatch, n_q):
+    """A quadrature panel split across several _values_coupled calls gives
+    every record of the model with its default thresholds per call, bit for
+    bit; a 16-QAM panel is one call."""
+    link, c = _link(8.0, n_q=n_q)
+    whole = _SlotModel(c, link, "cmd")
+    # About a fifth of the default budget per threshold: five per call.
+    monkeypatch.setattr(analytic, "_CHUNK_ELEMENTS", analytic._CHUNK_ELEMENTS * 5 // whole._chunk)
+    split = _SlotModel(c, link, "cmd")
+    whole_calls, split_calls = _call_lengths(whole), _call_lengths(split)
+    panel = _first_panel(whole.lo, whole.hi)
+    for y in panel:
+        assert split.record(y) == whole.record(y)
+    assert split_calls == [5, 5, 5, 5, 1]
+    assert sum(whole_calls) == 21
+    if n_q == 4:
+        assert whole_calls == [21]
+
+
+@pytest.mark.parametrize("n_q, cap_mib", [(4, 4), (8, 16)])
+def test_slot_model_panel_memory_is_bounded(n_q, cap_mib):
+    """The coupled slot model's temporaries stay bounded: one 21-node panel
+    peaks within 4 MiB for 16-QAM and 16 MiB for 256-QAM."""
+    link, c = _link(12.0, n_q=n_q)
+    model = _SlotModel(c, link, "cmd")
+    panel = np.array(_first_panel(model.lo, model.hi))
+    model._records(0.5 * panel)  # warm caches
+    tracemalloc.start()
+    try:
+        model._records(panel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cap_mib * 2**20
 
 
 def _mis_bits_stacked(model, y, classes, circle_frac, at_frac=0.0):
