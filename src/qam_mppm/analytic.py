@@ -251,18 +251,19 @@ class _SlotModel:
             raise CapacityError(f"the {c.m_q}-QAM slot model needs {per_y} floats per "
                                 f"threshold, more than its limit of {_THRESHOLD_ELEMENTS}")
         # Levels with the zero mean of a noise slot appended as one more
-        # level, each source's level (the noise slot last), and the sources
-        # on each Q level.
+        # level, and per Q level its sources (of M + 1, the noise slot last)
+        # with their I levels.
         self._lv_i0 = np.append(self._lv_i, 0.0)
         self._lv_q0 = np.append(self._lv_q, 0.0)
-        self._src_i = np.append(ci, len(self._lv_i))
-        self._src_q = np.append(ri, len(self._lv_q))
-        self._level_srcs = [np.flatnonzero(self._src_q == q) for q in range(len(self._lv_q0))]
+        src_i = np.append(ci, len(self._lv_i))
+        src_q = np.append(ri, len(self._lv_q))
+        self._q_level_srcs = [(srcs, src_i[srcs]) for srcs in
+                              (np.flatnonzero(src_q == q) for q in range(len(self._lv_q0)))]
         # Thresholds per _values_coupled call (see _CHUNK_ELEMENTS): its
         # largest temporary is the chord-node product of one Q level's
         # sources, or _circle_density's two (M, arcs, K) arrays.
         arcs = 1 + 2 * (len(self._cells.i_bounds) + len(self._cells.q_bounds))
-        largest = max(max(map(len, self._level_srcs)) * cells,
+        largest = max(max(len(srcs) for srcs, _ in self._q_level_srcs) * cells,
                       2 * c.m_q * arcs * len(_GL_ARC[0]))
         self._chunk = max(1, _CHUNK_ELEMENTS // largest)
         # Normal CDF of each row bound per Q level, (levels, rows).
@@ -448,14 +449,13 @@ class _SlotModel:
         dens /= math.sqrt(2 * math.pi * self.s2)
         dens *= wts  # weighted column densities per I level, (radii, levels, cols, K)
         half_span = 0.5 * span[:, None, None]
-        disk = np.empty((len(r), len(self._src_q), len(self._row_lo), len(self._col_lo)))
-        for q, srcs in enumerate(self._level_srcs):
+        disk = np.empty((len(r), self.c.m_q + 1, len(self._row_lo), len(self._col_lo)))
+        for q, (srcs, i_levels) in enumerate(self._q_level_srcs):
             lv = self._lv_q0[q]
             inner = np.where(hi_row, self._cdf_row_hi[q, :, None, None], ndtr((g - lv) / sig))
             inner -= np.where(lo_row, self._cdf_row_lo[q, :, None, None], ndtr((-g - lv) / sig))
             np.maximum(inner, 0.0, out=inner)
-            disk[:, srcs] = half_span * np.sum(inner[:, None] * dens[:, self._src_i[srcs], None],
-                                               axis=4)
+            disk[:, srcs] = half_span * np.sum(inner[:, None] * dens[:, i_levels, None], axis=4)
         return disk
 
     def _values_coupled(self, y: np.ndarray):

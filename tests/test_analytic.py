@@ -467,7 +467,7 @@ def test_chunked_panel_matches_unchunked(monkeypatch, n_q):
     bit; a 16-QAM panel is one call."""
     link, c = _link(8.0, n_q=n_q)
     whole = _SlotModel(c, link, "cmd")
-    # About a fifth of the default budget per threshold: five per call.
+    # A budget of five thresholds per call.
     monkeypatch.setattr(analytic, "_CHUNK_ELEMENTS", analytic._CHUNK_ELEMENTS * 5 // whole._chunk)
     split = _SlotModel(c, link, "cmd")
     whole_calls, split_calls = _call_lengths(whole), _call_lengths(split)
