@@ -3,7 +3,9 @@
 Four evaluation routes are supported: joint-average and separate-average
 numerical integration for the power-metric detector (CMD/JA, CMD/SA), and
 numerical integration or union bound for the matched-filter detector
-(IMD/NI, IMD/UB).
+(IMD/NI, IMD/UB).  Every route reads constellation's exact per-symbol QAM
+error probabilities, so it takes a grid (square or rectangular)
+constellation and raises ValueError for a cross shape.
 
 CMD/JA, CMD/SA and IMD/NI use an event decomposition over the number of
 noise slots entering the sorted top-w selection.  For the power-metric
@@ -183,10 +185,10 @@ class _SlotModel:
     distribution functions.  At threshold y, s is the mean probability that
     a signal-slot metric exceeds y, g additionally requires a correct QAM
     decision, and t weights decisions by their Gray bit-error count.  For
-    the power-metric detector on grid constellations these are coupled
-    through the joint distribution of the I/Q statistics; otherwise the
-    model takes the metric independent of the decision, exactly so for the
-    matched-filter detector, and they factorize.
+    the power-metric detector these are coupled through the joint
+    distribution of the I/Q statistics; for the matched-filter detector the
+    metric is independent of the decision and they factorize.  Only grid
+    constellations have a model: per_symbol_errors refuses a cross shape.
 
     record(y) is the only way in: it returns the threshold's _Threshold
     record, and every event integrand is a function of that record.  Every
@@ -200,7 +202,7 @@ class _SlotModel:
         self.s2 = link.sigma2
         self.sigma = math.sqrt(link.sigma2)
         pe_sym, nb_sym = per_symbol_errors(link, c)
-        self.pe_bar = float(np.mean(np.minimum(pe_sym, 1.0)))
+        self.pe_bar = float(np.mean(pe_sym))
         self.nb_bar = float(np.mean(nb_sym))
         self.pbar = 1.0 - self.pe_bar
         self._cache: dict[float, _Threshold] = {}
@@ -219,9 +221,9 @@ class _SlotModel:
             self.hi = (math.sqrt(base * float(c.energies.max()))
                        + _DOMAIN_SIGMAS * self.sigma) ** 2
             _, self._mix_w, self._mix_loc = _ring_mixture(c, link)
-            self._f_sl, self._F_sl = dist.f_sl_cmd, dist.F_sl_cmd
+            self._f_sl = dist.f_sl_cmd
             self._f_nsl, self._F_nsl = dist.f_nsl_cmd, dist.F_nsl_cmd
-            self.coupled = c.is_grid
+            self.coupled = True
         else:
             raise ValueError("detector must be 'cmd' or 'imd'")
         # Panels quad may evaluate next, by their centres: [lo, hi], then the
@@ -680,7 +682,6 @@ def _occupations(c: Constellation, link: LinkParams, method: str):
     """
     groups, probs, _ = _ring_mixture(c, link)
     pe, nb = per_symbol_errors(link, c)
-    pe = np.minimum(pe, 1.0)
     w = link.weight
     if method == "sa":
         counts = np.zeros((1, len(groups) + 1))
@@ -722,7 +723,7 @@ def _compose(code: MppmCode, c: Constellation, link: LinkParams, p, pc, corr, nb
         miss += kl * ((w - l) / w * wrong_nb + c.n_q / 2.0 * l * wrong)
     pb = (p @ (pc * nb) + ne_mppm(code.q_mppm) * wrong + miss) / total_bits(n, w, c.n_q)
     pe = 1.0 - p @ (pc * corr)
-    pe_qam = float(np.mean(np.minimum(per_symbol_errors(link, c)[0], 1.0)))
+    pe_qam = float(np.mean(per_symbol_errors(link, c)[0]))
     return AnalyticResult(pe=min(max(float(pe), 0.0), 1.0), pb=min(max(float(pb), 0.0), 1.0),
                           pc_mppm=float(p @ pc), pe_qam=pe_qam, quad_error=quad_error)
 

@@ -2,7 +2,9 @@
 
 Constellations are normalized so the mean symbol energy is exactly 1.
 Square shapes are used for even bit counts, a 4x2 rectangle for 3 bits,
-and cross shapes for odd bit counts >= 5.
+and cross shapes for odd bit counts >= 5.  The exact error probabilities
+rest on axis-aligned decision cells, so they exist for the grid (square and
+rectangular) shapes only.
 """
 
 from __future__ import annotations
@@ -164,22 +166,6 @@ def build_constellation(n_q: int) -> Constellation:
     return Constellation(n_q=n_q, m_q=m_q, points=pts / norm, labels=labels, kind="cross")
 
 
-def qam_ser_ub(i: int, scale: float, c: Constellation) -> float:
-    """Union-bound symbol error probability of point i.
-
-    scale is the ratio T_s*I_ph^2*m^2 / sigma_n^2 (equal to 4*Es_qam/N0);
-    the pairwise term is erfc(sqrt(scale*d^2/16))/2 for squared distance d^2
-    in normalized units.  The returned sum is not clamped.
-    """
-    from scipy.special import erfc
-
-    if scale < 0:
-        raise ValueError("scale must be >= 0")
-    d2 = np.sum((c.points - c.points[i]) ** 2, axis=1)
-    d2 = np.delete(d2, i)
-    return float(0.5 * np.sum(erfc(np.sqrt(scale * d2 / 16.0))))
-
-
 def _axis_crossover(levels: np.ndarray, kappa: float) -> np.ndarray:
     """Exact decision-level transition matrix for one PAM axis.
 
@@ -200,7 +186,8 @@ def _axis_crossover(levels: np.ndarray, kappa: float) -> np.ndarray:
 def qam_transition_matrices(scale: float, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis exact crossover matrices for grid constellations."""
     if not c.is_grid:
-        raise ValueError("exact transition matrices require a grid constellation")
+        raise ValueError(f"exact error probabilities need axis-aligned decision cells, and "
+                         f"{c.m_q}-QAM is a cross shape")
     kappa = np.sqrt(scale / 2.0)
     return _axis_crossover(c.i_levels, kappa), _axis_crossover(c.q_levels, kappa)
 
@@ -210,13 +197,9 @@ def qam_ser_exact(scale: float, c: Constellation) -> np.ndarray:
 
     Decision regions of the ML demapper are axis-aligned rectangles, so the
     probability of a correct decision factorizes over the I and Q axes.
-    Falls back to the clamped union bound for cross shapes.
     """
     if scale < 0:
         raise ValueError("scale must be >= 0")
-    if not c.is_grid:
-        ub = np.array([qam_ser_ub(i, scale, c) for i in range(c.m_q)])
-        return np.minimum(ub, 1.0)
     ti, tq = qam_transition_matrices(scale, c)
     pc = ti[c.col_idx, c.col_idx] * tq[c.row_idx, c.row_idx]
     return 1.0 - pc
@@ -227,10 +210,7 @@ def qam_bit_errors_exact(scale: float, c: Constellation) -> np.ndarray:
 
     Uses the per-axis crossover matrices and the per-axis Gray labels; the
     label Hamming distance splits over the axes for grid constellations.
-    For cross shapes the one-bit-per-symbol-error approximation is used.
     """
-    if not c.is_grid:
-        return qam_ser_exact(scale, c)
     ti, tq = qam_transition_matrices(scale, c)
 
     def axis_expected_bits(t: np.ndarray) -> np.ndarray:

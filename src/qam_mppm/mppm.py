@@ -184,8 +184,7 @@ def correct_patterns(supports: np.ndarray, code: MppmCode,
             sub.sort(axis=1)
         lone = np.concatenate(lone)
         members, counts = _nearest_members(supports[lone], np.concatenate(lone_inact), code)
-        for row, first, count in zip(lone, np.cumsum(counts) - counts, counts):
-            out[row] = members[first + rng.integers(count)]
+        out[lone] = members[np.cumsum(counts) - counts + rng.integers(counts)]
     return out
 
 

@@ -188,6 +188,10 @@ def build_spec(values: dict[str, str], overrides: dict | None = None) -> SweepSp
             problems.append(f"unknown method {meth!r}")
         elif owners[0] not in detectors:
             problems.append(f"method {meth!r} requires detector {owners[0]!r}")
+    # The analytic routes rest on axis-aligned decision cells.
+    if methods and n_q is not None and 2 <= n_q <= 10 and not build_constellation(n_q).is_grid:
+        problems.append(f"methods need a square or rectangular constellation; "
+                        f"sys.nQ = {n_q} is a cross shape")
     for key, names in (("detectors", detectors), ("methods", methods)):
         for dup in sorted({name for name in names if names.count(name) > 1}):
             problems.append(f"{key}: {dup!r} is listed more than once")

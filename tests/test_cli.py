@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -174,6 +175,53 @@ def test_sweep_line_and_value_problems_reported_together(tmp_path):
     assert any("sys.nQ" in ln for ln in errors), proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_line_and_link_problems_reported_together(tmp_path, capsys):
+    """An unknown key and a grid point whose noise variance is 0: exit 2 with
+    both diagnostics, no CSV."""
+    cfg = _write_cfg(tmp_path, **{"grid.start": "4000", "grid.stop": "4000"})
+    with cfg.open("a", encoding="utf-8") as fh:
+        fh.write("foo = 1\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: line 14: unknown key 'foo'",
+        "config error: grid point 4000 dB: sigma2 must be finite and positive, got 0",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
+@pytest.mark.parametrize("n_q, detectors, methods", [
+    ("5", "cmd", "ja"), ("7", "imd", "ni"), ("9", "cmd,imd", "sa,ub"),
+])
+def test_sweep_methods_refuse_cross_shapes(tmp_path, capsys, n_q, detectors, methods):
+    """Analytic methods on a cross-shaped constellation (odd nQ >= 5) plus
+    an unknown key: exit 2 with one diagnostic each before any point, and no
+    CSV."""
+    cfg = _write_cfg(tmp_path, **{"sys.nQ": n_q, "detectors": detectors, "methods": methods})
+    with cfg.open("a", encoding="utf-8") as fh:
+        fh.write("sim.worker = 1\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: line 14: unknown key 'sim.worker'",
+        "config error: methods need a square or rectangular constellation; "
+        f"sys.nQ = {n_q} is a cross shape",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
+def test_sweep_cross_shape_simulation_only(tmp_path):
+    """A cross-shaped constellation without methods is simulated: one row
+    per detector with simulated rates and empty analytic columns."""
+    cfg = _write_cfg(tmp_path, **{"sys.nQ": "5", "detectors": "cmd,imd", "methods": "",
+                                  "sim.trials": "2000", "sim.workers": "1"})
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    with (tmp_path / "out.csv").open(encoding="utf-8") as fh:
+        rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+    assert len(rows) == 2
+    for row in rows:
+        assert int(row["frames"]) > 0 and float(row["ser_sim"]) > 0.0
+        assert all(row[col] == "" for col in row if col.startswith(("pe_", "pb_")))
 
 
 def test_sweep_rank_capacity_exit_code(tmp_path):

@@ -9,7 +9,6 @@ from qam_mppm.constellation import (
     build_constellation,
     qam_bit_errors_exact,
     qam_ser_exact,
-    qam_ser_ub,
     qam_transition_matrices,
 )
 
@@ -54,6 +53,9 @@ def test_cross_shapes(n_q):
     assert not c.is_grid
     assert c.m_q == 1 << n_q
     assert np.mean(c.energies) == pytest.approx(1.0, abs=1e-12)
+    for exact in (qam_ser_exact, qam_bit_errors_exact, qam_transition_matrices):
+        with pytest.raises(ValueError, match=f"{c.m_q}-QAM is a cross shape"):
+            exact(4.0, c)
 
 
 def test_build_constellation_rejects_bad_sizes():
@@ -116,14 +118,6 @@ def test_bit_errors_bracketed_by_ser():
         nb = qam_bit_errors_exact(scale, c)
         assert np.all(nb >= ser - 1e-12)
         assert np.all(nb <= c.n_q * ser + 1e-12)
-
-
-def test_union_bound_dominates_exact():
-    c = build_constellation(4)
-    for scale in (1.0, 8.0, 32.0):
-        exact = qam_ser_exact(scale, c)
-        ub = np.array([qam_ser_ub(i, scale, c) for i in range(c.m_q)])
-        assert np.all(ub >= exact - 1e-12)
 
 
 def test_exact_ser_against_monte_carlo():
