@@ -15,10 +15,11 @@ evaluated jointly (decision cell intersected with the metric disk); the
 nearest-member pattern correction is accounted for through code-geometry
 averages (rescue probability, pattern-word Hamming distances, support
 alignment).  The decision-coupled expectations factorize over the i.i.d.
-symbol draw, so CMD/JA and CMD/SA are one evaluation.  Every event
-integrand is a function of one threshold record (_SlotModel.record), which
-holds the slot metrics' densities and survival, decision and Gray-bit
-quantities at that threshold.
+symbol draw, so CMD/JA and CMD/SA are one evaluation.  The event integrals
+run quadrature.qags, which hands its integrand the 21 nodes of one
+Gauss-Kronrod panel at a time, and every event integrand is an array
+expression over that panel's _Panel (_SlotModel.panel): the slot metrics'
+densities and survival, decision and Gray-bit quantities at each node.
 
 pe_cmd_composition keeps the literal textbook compositions as a
 cross-check: there the joint and separate averages over the QAM symbols
@@ -28,37 +29,30 @@ w signal slots (_occupations): the joint average has one row per
 ring-count vector, the separate average and the union bound the one row
 drawn from the ring mixture.  The compositions read their correct-sorting
 probabilities from one vector quadrature (_sorting_pc) over the rows' count
-matrix; the union bound takes its bound on the pattern error instead.
+matrix, scipy's quad_vec, imported where it runs; the union bound takes
+its bound on the pattern error instead.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, quad_vec
 from scipy.special import ndtr
 
 from . import distributions as dist
 from .constellation import Constellation, qam_bit_errors_exact, qam_ser_exact
 from .link import LinkParams, total_bits
 from .mppm import CapacityError, MppmCode, correction_stats, k_l, mppm_ser_ub, ne_mppm
+from .quadrature import qags
 
 _COMBINATION_BUDGET = 10**7
 _DOMAIN_SIGMAS = 12.0
 _GL_NODES = np.polynomial.legendre.leggauss(96)
 _GL_ARC = np.polynomial.legendre.leggauss(16)
-# The 21 nodes of QUADPACK's Gauss-Kronrod rule qk21 on [-1, 1] (xgk and
-# its mirror images); quad evaluates centr + hlgth * x on each panel.
-_XGK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
-                 0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
-                 0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
-                 0.14887433898163122])
-_GK21 = np.concatenate(([0.0], -_XGK, _XGK))
 # The coupled slot model takes as many thresholds per call as its largest
 # per-threshold temporary fits in _CHUNK_ELEMENTS (8 MB of floats), and at
 # least one.  That temporary is the chord-node product of one Q level's
@@ -122,6 +116,8 @@ def _sorting_pc(counts, c: Constellation, link: LinkParams, tol: float):
     with q the survival functions.  One vector quadrature (scipy quad_vec,
     max norm) serves every row.  Returns (probabilities, error estimate).
     """
+    from scipy.integrate import quad_vec
+
     _, wgt, oms = _ring_mixture(c, link)
     s2 = link.sigma2
     n_noise = link.n_slots - link.weight
@@ -143,24 +139,27 @@ def _sorting_pc(counts, c: Constellation, link: LinkParams, tol: float):
     return np.clip(pc, 0.0, 1.0), float(err)
 
 
-class _Threshold(NamedTuple):
-    """Slot-model quantities at one threshold y (see _SlotModel.record)."""
+class _Panel(NamedTuple):
+    """Slot-model quantities at a vector of thresholds y (see
+    _SlotModel.panel), one array over y each."""
 
-    s: float  # survival
-    g: float  # correct-decision survival
-    t: float  # bit-weighted survival
-    at_rate: float  # expected erroneous bits of a signal slot with metric y
-    gram: tuple | None  # Gray-bit conditioning of the coupled model (mis_bits)
-    f_nsl: float  # non-signal slot metric density
-    F_nsl: float  # and its CDF
-    signal_pdf: float  # marginal signal-slot metric density (symbol averaged)
+    s: np.ndarray  # survival
+    g: np.ndarray  # correct-decision survival
+    t: np.ndarray  # bit-weighted survival
+    at_rate: np.ndarray  # expected erroneous bits of a signal slot with metric y
+    # Gray-bit conditioning of the coupled model (mis_bits): per threshold the
+    # (3, 6) Gram matrix of words and demaps and their (3,) and (6,) row sums
+    gram: tuple | None
+    f_nsl: np.ndarray  # non-signal slot metric density
+    F_nsl: np.ndarray  # and its CDF
+    signal_pdf: np.ndarray  # marginal signal-slot metric density (symbol averaged)
     # Expected erroneous bits of an aligned slot, split by slot fate: its
     # metric above y (retained in the sorted selection) or below y
     # (displaced, re-included by the correction).  An uncoupled model does
     # not condition the decision on the metric, so there both equal the
     # unconditional mean.
-    rate_v: float
-    rate_p: float
+    rate_v: np.ndarray
+    rate_p: np.ndarray
 
 
 def _crossings(fn, bounds: np.ndarray, radius: np.ndarray):
@@ -190,10 +189,9 @@ class _SlotModel:
     metric is independent of the decision and they factorize.  Only grid
     constellations have a model: per_symbol_errors refuses a cross shape.
 
-    record(y) is the only way in: it returns the threshold's _Threshold
-    record, and every event integrand is a function of that record.  Every
-    quantity is computed for a vector of thresholds, one Gauss-Kronrod panel
-    of ``quad`` at a time, and kept as one record per threshold.
+    panel(ys) is the only way in: it returns the _Panel of a vector of
+    thresholds, one Gauss-Kronrod panel of qags at a time, and every event
+    integrand is an array expression over that panel.
     """
 
     def __init__(self, c: Constellation, link: LinkParams, detector: str):
@@ -205,7 +203,7 @@ class _SlotModel:
         self.pe_bar = float(np.mean(pe_sym))
         self.nb_bar = float(np.mean(nb_sym))
         self.pbar = 1.0 - self.pe_bar
-        self._cache: dict[float, _Threshold] = {}
+        self._panels: dict[bytes, _Panel] = {}
         # The distribution functions are taken from ``dist`` here, once.
         if detector == "imd":
             mu = math.sqrt(link.t_s) * link.i_ph
@@ -226,9 +224,6 @@ class _SlotModel:
             self.coupled = True
         else:
             raise ValueError("detector must be 'cmd' or 'imd'")
-        # Panels quad may evaluate next, by their centres: [lo, hi], then the
-        # halves of every panel computed (see record).
-        self._halves = {0.5 * (self.lo + self.hi): (self.lo, self.hi)}
         if not self.coupled:
             return
         amp = math.sqrt(link.t_s / 2.0) * link.i_ph * link.m
@@ -287,41 +282,20 @@ class _SlotModel:
             (c.labels[None, :] >> np.arange(c.n_q)[:, None]) & 1
         ).astype(float)  # (n_q, M)
 
-    # -- one record per threshold, made one quadrature panel at a time -------
-    def record(self, y: float) -> _Threshold:
-        """Everything the event integrands read at threshold y.
-
-        Every event integral is a ``quad`` over [lo, hi], and QUADPACK's QAGS
-        applies the 21-point Gauss-Kronrod rule to pieces of it found by
-        repeated bisection, evaluating each piece's centre first: [lo, hi]
-        first, then only halves of pieces it has evaluated.  So a miss at the
-        centre of [lo, hi] or of a half of a computed panel computes the
-        records of all 21 of the panel's nodes in one vector call; any other
-        threshold is computed alone through the same code, and a record is
-        the same bit for bit either way.  The records are cached, so each
-        distinct y is evaluated once.  The nodes are computed with QUADPACK's
-        own arithmetic, so they are the very floats quad visits and quad
-        returns what it would with one threshold at a time: integrating on
-        other nodes would move the results by far more than the 1e-9
-        relative agreement the analytic values are held to.
-        """
-        got = self._cache.get(y)
+    # -- one panel of thresholds at a time ------------------------------------
+    def panel(self, ys: np.ndarray) -> _Panel:
+        """Everything the event integrands read at the thresholds ys, one
+        array per quantity.  The integrals of one evaluation bisect [lo, hi]
+        alike, so a panel is computed once and kept for the next integral."""
+        key = ys.tobytes()
+        got = self._panels.get(key)
         if got is None:
-            panel = self._halves.pop(y, None)
-            if panel is None:
-                self._records(np.array([y], dtype=float))
-            else:
-                a, b = panel
-                self._halves.update({0.5 * (a + y): (a, y), 0.5 * (y + b): (y, b)})
-                self._records(y + 0.5 * (b - a) * _GK21)
-            got = self._cache[y]
+            got = self._panels[key] = self._evaluate(ys)
         return got
 
-    def _records(self, ys: np.ndarray) -> None:
-        """Compute the records of the thresholds ys and cache them.
-
-        Each distribution function is called once per call, with all of ys.
-        """
+    def _evaluate(self, ys: np.ndarray) -> _Panel:
+        """The panel of the thresholds ys.  Each distribution function is
+        called once, with all of ys."""
         nb = self.nb_bar
         if self.coupled:
             n = self._chunk
@@ -336,22 +310,18 @@ class _SlotModel:
             # the Gram matrix W D^T and the row sums of W and D.
             words = np.concatenate((bp_tx, bp_at_tx[:, None]), axis=1)
             demaps = np.concatenate((bp_det, bp_at_det[:, None]), axis=1)
-            grams = zip((words @ demaps.swapaxes(1, 2)).tolist(),
-                        words.sum(axis=2).tolist(), demaps.sum(axis=2).tolist())
+            gram = (words @ demaps.swapaxes(1, 2), words.sum(axis=2), demaps.sum(axis=2))
             # Erroneous bits of an aligned slot with its metric above y and below y.
             rate_v = np.divide(t, s, out=np.full_like(s, nb), where=s > 1e-300)
             rate_p = np.divide(nb - t, 1.0 - s, out=np.full_like(s, nb), where=s < 1.0 - 1e-12)
-            rate_v, rate_p = (np.clip(r, 0.0, self.c.n_q).tolist() for r in (rate_v, rate_p))
-            at_rate = at_rate.tolist()
+            rate_v, rate_p = (np.clip(r, 0.0, self.c.n_q) for r in (rate_v, rate_p))
         else:
             s, g, t = self._values_uncoupled(ys)
-            at_rate = rate_v = rate_p = itertools.repeat(nb)
-            grams = itertools.repeat(None)
+            at_rate = rate_v = rate_p = np.full(len(ys), nb)
+            gram = None
         f, cdf = self._f_nsl(ys, self.s2), self._F_nsl(ys, self.s2)
         pdf = sum(a * self._f_sl(ys, o, self.s2) for a, o in zip(self._mix_w, self._mix_loc))
-        for y, *fields in zip(ys.tolist(), s.tolist(), g.tolist(), t.tolist(), at_rate, grams,
-                              f.tolist(), cdf.tolist(), pdf.tolist(), rate_v, rate_p):
-            self._cache[y] = _Threshold(*fields)
+        return _Panel(s, g, t, at_rate, gram, f, cdf, pdf, rate_v, rate_p)
 
     # -- signal slot metric/decision, per vector of thresholds ---------------
     def _values_uncoupled(self, y: np.ndarray):
@@ -516,10 +486,10 @@ class _SlotModel:
         bp_at_det = np.where(has_f[:, None], bp[:, 8], bp[:, 4])
         return s_bar, g_bar, t_bar, bp[:, 0:2], bp[:, 2:7], bp_at_tx, bp_at_det, rate_at
 
-    def mis_bits(self, rec: _Threshold, classes: np.ndarray, circle_frac: float,
-                 at_frac: float = 0.0) -> float:
-        """Expected erroneous bits over misaligned positions at the threshold
-        of record rec.
+    def mis_bits(self, panel: _Panel, classes: np.ndarray, circle_frac: float,
+                 at_frac: float = 0.0):
+        """Expected erroneous bits over misaligned positions at each
+        threshold of panel.
 
         classes is the (2, 4) count matrix from the code-geometry averages
         for an l-swap event; each class pairs a transmitted-side word
@@ -532,28 +502,35 @@ class _SlotModel:
         threshold metric is a signal slot).  Cross-Hamming factorizes per
         Gray bit.
         """
-        gram = rec.gram
-        if gram is None:
+        if panel.gram is None:
             return float(np.sum(classes)) * self.c.n_q / 2.0
         # Rows and columns are affine in at_frac/circle_frac over three word
         # and six demap distributions, so their cross terms come from the
         # Gram matrix.  Rows: the retained word (1 - a) W0 + a W2 and the
         # displaced word W1.
-        gm, s_w, s_d = gram
+        gm, s_w, s_d = panel.gram
         a, b = at_frac, circle_frac
 
         def cols(v):  # columns: b D0 + (1 - b) D4, D1, (1 - a) D2 + a D5, D3
-            return (b * v[0] + (1.0 - b) * v[4], v[1], (1.0 - a) * v[2] + a * v[5], v[3])
+            return (b * v[:, 0] + (1.0 - b) * v[:, 4], v[:, 1],
+                    (1.0 - a) * v[:, 2] + a * v[:, 5], v[:, 3])
 
-        retained = [(1.0 - a) * x + a * z for x, z in zip(gm[0], gm[2])]
-        rows = (((1.0 - a) * s_w[0] + a * s_w[2], retained), (s_w[1], gm[1]))
+        retained = (1.0 - a) * gm[:, 0] + a * gm[:, 2]
+        rows = (((1.0 - a) * s_w[:, 0] + a * s_w[:, 2], retained), (s_w[:, 1], gm[:, 1]))
         s_d = cols(s_d)
         total = 0.0
         for counts, (s_t, cross) in zip(np.asarray(classes, dtype=float).tolist(), rows):
             # H[t, d] = sum_bits p + q - 2 p q
             for n, s_c, x in zip(counts, s_d, cols(cross)):
-                total += n * (s_t + s_c - 2.0 * x)
+                total = total + n * (s_t + s_c - 2.0 * x)
         return total
+
+
+def _pow(x: np.ndarray, k: int) -> np.ndarray:
+    """x ** k elementwise with Python's scalar power: numpy's vector power
+    rounds differently in the last bit, and the event integrands keep the
+    scalar values."""
+    return np.array([v**k for v in x.tolist()])
 
 
 def _events_route(model: _SlotModel, code: MppmCode, tol: float) -> AnalyticResult:
@@ -571,39 +548,37 @@ def _events_route(model: _SlotModel, code: MppmCode, tol: float) -> AnalyticResu
     errs = []
 
     def integral(fn):
-        """Integral over the threshold of fn of its record."""
-        # roundoff warnings are redundant with the explicit residual check
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, err = quad(lambda y: fn(model.record(y)), model.lo, model.hi,
-                            epsabs=tol, epsrel=1e-9, limit=400)
+        """Integral over the threshold of fn of its panels.  The residual
+        check stands in for qags's error flag."""
+        val, err, _ = qags(lambda ys: fn(model.panel(ys)), model.lo, model.hi,
+                           epsabs=tol, epsrel=1e-9, limit=400)
         _check_residual(val, err, tol)
         errs.append(err)
         return val
 
     # P(no noise slot in the selection), plain and decision-coupled, and the
     # expected erroneous QAM bits accumulated in that event.
-    a0 = nn * integral(lambda e: e.f_nsl * e.F_nsl ** (nn - 1) * e.s ** w)
-    a_dec = nn * integral(lambda e: e.f_nsl * e.F_nsl ** (nn - 1) * e.g ** w)
+    a0 = nn * integral(lambda e: e.f_nsl * _pow(e.F_nsl, nn - 1) * _pow(e.s, w))
+    a_dec = nn * integral(lambda e: e.f_nsl * _pow(e.F_nsl, nn - 1) * _pow(e.g, w))
     e0_bits = w * nn * integral(
-        lambda e: e.f_nsl * e.F_nsl ** (nn - 1) * e.t * e.s ** (w - 1)
+        lambda e: e.f_nsl * _pow(e.F_nsl, nn - 1) * e.t * _pow(e.s, w - 1)
     )
 
     # decision-coupled analogues of P(>=1), P(>=2) for the rescue term
     pbar = model.pbar
 
     def dec_ge1(e):
-        return max(pbar**w - e.g ** w, 0.0)
+        return np.maximum(pbar**w - _pow(e.g, w), 0.0)
 
     def dec_ge2(e):
         g = e.g
-        return max(pbar**w - g**w - w * (pbar - g) * g ** (w - 1), 0.0)
+        return np.maximum(pbar**w - _pow(g, w) - w * (pbar - g) * _pow(g, w - 1), 0.0)
 
-    g1d = nn * integral(lambda e: e.f_nsl * e.F_nsl ** (nn - 1) * dec_ge1(e))
+    g1d = nn * integral(lambda e: e.f_nsl * _pow(e.F_nsl, nn - 1) * dec_ge1(e))
     g2d = 0.0
     if nn >= 2 and w >= 2:
         g2d = nn * (nn - 1) * integral(
-            lambda e: e.f_nsl * e.F_nsl ** (nn - 2) * (1.0 - e.F_nsl) * dec_ge2(e)
+            lambda e: e.f_nsl * _pow(e.F_nsl, nn - 2) * (1.0 - e.F_nsl) * dec_ge2(e)
         )
 
     # Exact event-l decomposition over the threshold metric (the w-th
@@ -614,13 +589,13 @@ def _events_route(model: _SlotModel, code: MppmCode, tol: float) -> AnalyticResu
     # single integrals over the threshold in this decomposition.
     def dens_a(e, l, c_a):
         s, fy = e.s, e.F_nsl
-        return (c_a * e.signal_pdf * s ** (w - l - 1) * (1.0 - s) ** l
-                * (1.0 - fy) ** l * fy ** (nn - l))
+        return (c_a * e.signal_pdf * _pow(s, w - l - 1) * _pow(1.0 - s, l)
+                * _pow(1.0 - fy, l) * _pow(fy, nn - l))
 
     def dens_b(e, l, c_b):
         s, fy = e.s, e.F_nsl
-        return (c_b * e.f_nsl * fy ** (nn - l) * (1.0 - fy) ** (l - 1)
-                * (1.0 - s) ** l * s ** (w - l))
+        return (c_b * e.f_nsl * _pow(fy, nn - l) * _pow(1.0 - fy, l - 1)
+                * _pow(1.0 - s, l) * _pow(s, w - l))
 
     def bits_at(e, l, c_a, c_b, cls, av, ap):
         rv, rp = e.rate_v, e.rate_p

@@ -326,9 +326,9 @@ def run(spec: SweepSpec, log=None) -> Path:
     if "ub" in spec.methods:
         _table(distance_spectrum, code, ["ub"])
     if spec.methods:
-        # scipy loads with the analytic module, in set-up and after the
-        # tables (a smaller peak), not inside a point; a simulation-only
-        # sweep never loads it.
+        # scipy.special loads with the analytic module, in set-up and after
+        # the tables (a smaller peak), not inside a point; a simulation-only
+        # sweep never loads it, and no sweep loads scipy.integrate.
         from . import analytic  # noqa: F401
     out_path = Path(spec.out_csv)
     # One pool for the whole sweep; its workers exit when the `with` closes.

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, quad_vec
+import scipy.integrate
+from scipy.integrate import quad
 from scipy.special import ndtr
 
 from qam_mppm import analytic, distributions, sweep
@@ -139,16 +140,17 @@ def test_sorting_pc_residual_rule(monkeypatch, method):
     other integral: an error estimate above max(100 tol, 1e-7)."""
     code = make_code(12, 6)
     link, c = _link(12.0)
-    real = analytic.quad_vec
+    real = scipy.integrate.quad_vec
 
     def reporting(err):
         def fake(*args, **kwargs):
             return real(*args, **kwargs)[0], err
         return fake
 
-    monkeypatch.setattr(analytic, "quad_vec", reporting(0.9e-7))
+    # _sorting_pc imports quad_vec from scipy.integrate where it runs.
+    monkeypatch.setattr(scipy.integrate, "quad_vec", reporting(0.9e-7))
     assert pe_cmd_composition(code, c, link, method=method).quad_error == 0.9e-7
-    monkeypatch.setattr(analytic, "quad_vec", reporting(1.1e-7))
+    monkeypatch.setattr(scipy.integrate, "quad_vec", reporting(1.1e-7))
     for tol in (1e-10, 1e-9):
         with pytest.raises(QuadratureError, match="residual 1.10e-07"):
             pe_cmd_composition(code, c, link, tol=tol, method=method)
@@ -226,12 +228,14 @@ def test_composition_mode_runs_and_brackets(monkeypatch):
     link, c = _link(12.0)
     estimates = []
 
+    real = scipy.integrate.quad_vec
+
     def recording(*args, **kwargs):
-        out = quad_vec(*args, **kwargs)
+        out = real(*args, **kwargs)
         estimates.append(out[1])
         return out
 
-    monkeypatch.setattr(analytic, "quad_vec", recording)
+    monkeypatch.setattr(scipy.integrate, "quad_vec", recording)
     for method in ("ja", "sa"):
         res = pe_cmd_composition(code, c, link, method=method)
         assert 0.0 <= res.pe <= 1.0
@@ -416,7 +420,14 @@ def _first_panel(lo, hi):
     panel already meets the tolerance (a zero integrand), centre first."""
     nodes = []
     quad(lambda y: nodes.append(y) or 0.0, lo, hi)
-    return nodes
+    return np.array(nodes)
+
+
+def _rows(panel):
+    """Every quantity of a _SlotModel panel per threshold, as Python floats."""
+    fields = [v for name, v in panel._asdict().items() if name != "gram"]
+    fields += list(panel.gram or ())
+    return [tuple(np.asarray(v)[i].tolist() for v in fields) for i in range(len(panel.s))]
 
 
 @pytest.mark.parametrize("n_q", [2, 3, 4, 6, 8])
@@ -424,7 +435,7 @@ def test_slot_model_per_level_matches_per_source(n_q):
     """Masses computed once per constellation level, for a vector of
     thresholds, give bit for bit the values of the per-source evaluation on
     a whole quadrature panel and on single thresholds; and a threshold's
-    record is the same computed alone as inside its panel."""
+    values are the same computed alone as inside its panel."""
     link, c = _link(8.0, n_q=n_q)
     model = _SlotModel(c, link, "cmd")
     ref = _SlotModel(c, link, "cmd")
@@ -436,23 +447,25 @@ def test_slot_model_per_level_matches_per_source(n_q):
 
     ref._values_coupled = per_source
     panel = _first_panel(model.lo, model.hi)
-    singles = [0.0, 1e-4 * model.hi, 0.3 * model.hi, 1.5 * model.hi]
+    singles = [np.array([y]) for y in (0.0, 1e-4 * model.hi, 0.3 * model.hi, 1.5 * model.hi)]
     classes = np.arange(1.0, 9.0).reshape(2, 4)
-    for y in panel + singles:
-        got, want = model.record(y), ref.record(y)
-        assert (got.s, got.g, got.t) == (want.s, want.g, want.t)
-        assert (got.rate_v, got.rate_p) == (want.rate_v, want.rate_p)
-        assert got.at_rate == want.at_rate
-        assert model.mis_bits(got, classes, 0.5) == ref.mis_bits(want, classes, 0.5)
-        assert model.mis_bits(got, classes, 0.0, 0.25) == ref.mis_bits(want, classes, 0.0, 0.25)
-    # The panel's records were made at its centre, each single alone, and
-    # the patched reference made every one of the reference's records.
-    assert sorted(model._cache) == sorted(panel + singles)
-    assert sum(lengths) == len(ref._cache) == len(panel) + len(singles)
+    for ys in [panel] + singles:
+        got, want = model.panel(ys), ref.panel(ys)
+        for name in ("s", "g", "t", "rate_v", "rate_p", "at_rate"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(model.mis_bits(got, classes, 0.5), ref.mis_bits(want, classes, 0.5))
+        assert np.array_equal(model.mis_bits(got, classes, 0.0, 0.25),
+                              ref.mis_bits(want, classes, 0.0, 0.25))
+        assert model.panel(ys) is got
+    # The panel and each single were made once, and the patched reference
+    # made every one of the reference's thresholds.
+    assert len(model._panels) == len(ref._panels) == 1 + len(singles)
+    assert sum(lengths) == len(panel) + len(singles)
     alone = _SlotModel(c, link, "cmd")
-    for y in panel[1::4]:
-        assert alone.record(y) == model.record(y)
-    assert len(alone._cache) == len(panel[1::4])
+    whole = _rows(model.panel(panel))
+    for i in range(1, len(panel), 4):
+        assert _rows(alone.panel(panel[i:i + 1])) == [whole[i]]
+    assert len(alone._panels) == len(panel[1::4])
 
 
 def _call_lengths(model):
@@ -471,7 +484,7 @@ def _call_lengths(model):
 @pytest.mark.parametrize("n_q", [3, 4, 6])
 def test_chunked_panel_matches_unchunked(monkeypatch, n_q):
     """A quadrature panel split across several _values_coupled calls gives
-    every record of the model with its default thresholds per call, bit for
+    every value of the model with its default thresholds per call, bit for
     bit; a 16-QAM panel is one call."""
     link, c = _link(8.0, n_q=n_q)
     whole = _SlotModel(c, link, "cmd")
@@ -480,8 +493,7 @@ def test_chunked_panel_matches_unchunked(monkeypatch, n_q):
     split = _SlotModel(c, link, "cmd")
     whole_calls, split_calls = _call_lengths(whole), _call_lengths(split)
     panel = _first_panel(whole.lo, whole.hi)
-    for y in panel:
-        assert split.record(y) == whole.record(y)
+    assert _rows(split.panel(panel)) == _rows(whole.panel(panel))
     assert split_calls == [5, 5, 5, 5, 1]
     assert sum(whole_calls) == 21
     if n_q == 4:
@@ -494,11 +506,11 @@ def test_slot_model_panel_memory_is_bounded(n_q, cap_mib):
     peaks within 4 MiB for 16-QAM and 16 MiB for 256-QAM."""
     link, c = _link(12.0, n_q=n_q)
     model = _SlotModel(c, link, "cmd")
-    panel = np.array(_first_panel(model.lo, model.hi))
-    model._records(0.5 * panel)  # warm caches
+    panel = _first_panel(model.lo, model.hi)
+    model.panel(0.5 * panel)  # warm caches
     tracemalloc.start()
     try:
-        model._records(panel)
+        model.panel(panel)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -540,7 +552,8 @@ def test_mis_bits_gram_form_matches_stacked(n_q):
     for y in (0.0, 1e-4 * model.hi, 0.3 * model.hi, 1.5 * model.hi):
         for classes in class_sets:
             for circle_frac, at_frac in fracs:
-                got = model.mis_bits(model.record(y), classes, circle_frac, at_frac)
+                got = model.mis_bits(model.panel(np.array([y])), classes, circle_frac,
+                                     at_frac)[0]
                 want = _mis_bits_stacked(model, y, classes, circle_frac, at_frac)
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
@@ -575,8 +588,7 @@ def test_distributions_run_once_per_threshold(monkeypatch):
             assert names["f_sl_cmd"] == 3 * names["f_nsl_cmd"]  # three energy rings
         repeated = [key for key, n in nodes.items() if n > 1]
         assert repeated == []
-        # Every call carries a whole panel: quad visited no threshold that
-        # the panels of its bisection tree did not predict.
+        # Every call carries a whole panel of qags.
         assert {name: 21 * n for name, n in calls.items()} == dict(names)
 
 

@@ -467,6 +467,12 @@ sweep.run_point = recording(sweep.run_point)
 sweep.run(sweep.build_spec(dict(values, methods="ni", **{"out.csv": str(tmp / "ni.csv")})))
 assert analytic_at_point == [True, True], analytic_at_point
 
+# Every sweep method integrates in the package: none loads scipy.integrate.
+sweep.run(sweep.build_spec(dict(values, detectors="cmd,imd", methods="ja,sa,ni,ub",
+                                **{"out.csv": str(tmp / "all.csv")})))
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.integrate"))
+assert not loaded, loaded
+
 for name in qam_mppm.__all__:
     getattr(qam_mppm, name)
 """
@@ -476,7 +482,8 @@ def test_simulation_only_process_never_loads_scipy(tmp_path):
     """In a fresh interpreter, the package, the CLI, a simulation-only sweep,
     the complexity report and a config error load no scipy module; a sweep
     with an analytic method loads the analytic module in set-up, before its
-    first point; and every exported name resolves."""
+    first point; a sweep with every method loads no scipy.integrate module;
+    and every exported name resolves."""
     env = dict(os.environ, PYTHONPATH=str(Path(qam_mppm.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS_CHECKS, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120)

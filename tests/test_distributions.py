@@ -103,6 +103,6 @@ def test_mixture_normalizes_and_saturates():
     c = build_constellation(4)
     link = LinkParams.from_normalized(12, 6, 0.5, 0.05)
     model = _SlotModel(c, link, "cmd")
-    val, _ = quad(lambda y: model.record(y).signal_pdf, 0, np.inf, limit=300)
+    val, _ = quad(lambda y: model.panel(np.array([y])).signal_pdf[0], 0, np.inf, limit=300)
     assert val == pytest.approx(1.0, abs=1e-8)
-    assert model.record(50.0).s == pytest.approx(0.0, abs=1e-9)
+    assert model.panel(np.array([50.0])).s[0] == pytest.approx(0.0, abs=1e-9)
