@@ -522,7 +522,7 @@ class _SlotModel:
         for counts, (s_t, cross) in zip(np.asarray(classes, dtype=float).tolist(), rows):
             # H[t, d] = sum_bits p + q - 2 p q
             for n, s_c, x in zip(counts, s_d, cols(cross)):
-                total = total + n * (s_t + s_c - 2.0 * x)
+                total += n * (s_t + s_c - 2.0 * x)
         return total
 
 

@@ -418,23 +418,6 @@ def _swap_events(code: MppmCode, l: int, rng: np.random.Generator):
         yield tx, sup, np.sort(det, axis=1)
 
 
-def _event_means(code: MppmCode, l: int, rng: np.random.Generator, table):
-    """Means over the l-swap events: (exact, the (2, 4) class means, and the
-    means of a_v, a_p, rescue and pattern bits).  The per-event arrays are
-    freed on return, before the next l's are made."""
-    count, exact = _swap_count(code, l)
-    cls = np.empty((count, 8))
-    per_event = np.empty((4, count))  # a_v, a_p, rescue, pattern bits
-    lo = 0
-    for tx, sup, det in _swap_events(code, l, rng):
-        means = _decode_swap_rows(tx, sup, det, code, table)
-        cls[lo : lo + len(tx)] = means[:, :8]
-        per_event[:, lo : lo + len(tx)] = means[:, 8:].T
-        lo += len(tx)
-    class_means = tuple(tuple(float(v) for v in row) for row in cls.mean(axis=0).reshape(2, 4))
-    return exact, class_means, tuple(float(v.mean()) for v in per_event)
-
-
 def correction_stats(code: MppmCode) -> CorrectionStats:
     """Sorted-detection error geometry averages for the usable set.
 
@@ -464,15 +447,32 @@ def correction_stats(code: MppmCode) -> CorrectionStats:
     align_v: list[float] = []
     align_p: list[float] = []
     classes: list[tuple] = []
-    for l in range(1, min(w, n - w) + 1):
-        exact_l, cls, (av, ap, resc, pb) = _event_means(code, l, rng, table)
+    swaps = [_swap_count(code, l) for l in range(1, min(w, n - w) + 1)]
+    # Every l writes its per-event means into one buffer sized for the
+    # largest l, so no l's arrays outlive it.  Allocating and freeing them
+    # per l instead left about 20 MB of freed heap resident after the call
+    # (glibc raises its mmap threshold as large blocks are freed).
+    largest = max(count for count, _ in swaps)
+    cls_buf = np.empty((largest, 8))
+    event_buf = np.empty((4, largest))  # a_v, a_p, rescue, pattern bits
+    for l, (count, exact_l) in enumerate(swaps, start=1):
         exact = exact and exact_l
+        cls, per_event = cls_buf[:count], event_buf[:, :count]
+        lo = 0
+        for tx, sup, det in _swap_events(code, l, rng):
+            means = _decode_swap_rows(tx, sup, det, code, table)
+            cls[lo : lo + len(tx)] = means[:, :8]
+            per_event[:, lo : lo + len(tx)] = means[:, 8:].T
+            lo += len(tx)
+        av, ap, resc, pb = per_event
         if l == 1:
-            rescue = resc
-        pat_bits.append(pb)
-        align_v.append(av)
-        align_p.append(ap)
-        classes.append(cls)
+            rescue = float(resc.mean())
+        pat_bits.append(float(pb.mean()))
+        align_v.append(float(av.mean()))
+        align_p.append(float(ap.mean()))
+        classes.append(
+            tuple(tuple(float(v) for v in row) for row in cls.mean(axis=0).reshape(2, 4))
+        )
 
     stats = CorrectionStats(
         rescue_prob=rescue,

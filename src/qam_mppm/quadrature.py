@@ -76,7 +76,8 @@ def qags(f, a: float, b: float, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8
     alist[1], blist[1] = a, b
     ier = ierro = 0
 
-    # First approximation to the integral and test on accuracy.
+    # First approximation to the integral and test on accuracy.  dqagse
+    # names qk21's integrals of |f| and |f - mean| defabs and resabs.
     result, abserr, defabs, resabs = _qk21(f, a, b)
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
