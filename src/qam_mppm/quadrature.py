@@ -119,7 +119,7 @@ def qags(f, a: float, b: float, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8
         errsum = errsum + erro12 - errmax
         area = area + area12 - rlist[maxerr]
         if defab1 != error1 and defab2 != error2:
-            if abs(rlist[maxerr] - area12) <= 1e-5 * abs(area12) and erro12 >= 0.99 * errmax:
+            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12) or erro12 < 0.99 * errmax):
                 if extrap:
                     iroff2 += 1
                 else:
@@ -408,7 +408,7 @@ def _qelg(n: int, epstab: list, res3la: list, nres: int) -> tuple[int, float, fl
             epstab[k1] = res
             k1 -= 2
             error = err2 + abs(res - e2) + err3
-            if error <= abserr:
+            if not error > abserr:
                 abserr = error
                 result = res
 
