@@ -24,18 +24,18 @@ densities and survival, decision and Gray-bit quantities at each node.
 pe_cmd_composition keeps the literal textbook compositions as a
 cross-check: there the joint and separate averages over the QAM symbols
 differ, and comparing the two is what shows that difference is negligible.
-They and IMD/UB are one composition (_compose) over occupation rows of the
-w signal slots (_occupations): the joint average has one row per
-ring-count vector, the separate average and the union bound the one row
-drawn from the ring mixture.  The compositions read their correct-sorting
-probabilities from one vector quadrature (_sorting_pc) over the rows' count
-matrix, scipy's quad_vec, imported where it runs; the union bound takes
-its bound on the pattern error instead.
+They and IMD/UB are one composition (_compose) of a correct-sorting
+probability with the QAM decisions of the w signal slots.  By the
+multinomial theorem the joint average's sum over ring-count vectors is
+three one-dimensional integrals over the largest noise-slot metric, powers
+of ring mixtures of the survival functions; the separate average needs the
+first of them only, and the union bound takes its bound on the pattern
+error instead.  Every integral, events and compositions alike, runs qags
+under one residual rule (_integrate).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -49,7 +49,6 @@ from .link import LinkParams, total_bits
 from .mppm import CapacityError, MppmCode, correction_stats, k_l, mppm_ser_ub, ne_mppm
 from .quadrature import qags
 
-_COMBINATION_BUDGET = 10**7
 _DOMAIN_SIGMAS = 12.0
 _GL_NODES = np.polynomial.legendre.leggauss(96)
 _GL_ARC = np.polynomial.legendre.leggauss(16)
@@ -88,11 +87,15 @@ def per_symbol_errors(link: LinkParams, c: Constellation) -> tuple[np.ndarray, n
     return qam_ser_exact(s, c), qam_bit_errors_exact(s, c)
 
 
-def _check_residual(val, err: float, tol: float) -> None:
-    """The quadrature rule of every integral: a finite value whose error
+def _integrate(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Integral of f over [lo, hi] by qags, which hands f one panel of
+    nodes at a time, and its error estimate.  The rule of every integral,
+    which stands in for qags's error flag: a finite value whose error
     estimate is at most max(100 * tol, 1e-7)."""
-    if not np.all(np.isfinite(val)) or err > max(100 * tol, 1e-7):
+    val, err, _ = qags(f, lo, hi, epsabs=tol, epsrel=1e-9, limit=400)
+    if not math.isfinite(val) or err > max(100 * tol, 1e-7):
         raise QuadratureError(f"integral residual {err:.2e} exceeds tolerance")
+    return val, err
 
 
 def _ring_mixture(c: Constellation, link: LinkParams):
@@ -102,41 +105,6 @@ def _ring_mixture(c: Constellation, link: LinkParams):
     energies, groups = c.energy_rings()
     base = link.slot_energy * link.m**2 / 2.0
     return groups, np.array([len(g) / c.m_q for g in groups]), base * energies
-
-
-def _sorting_pc(counts, c: Constellation, link: LinkParams, tol: float):
-    """Correct-sorting probability of each row of a count matrix.
-
-    Column r of counts is the number of signal slots whose metric has the
-    distribution of energy ring r of _ring_mixture, and its last column the
-    number drawn from the mixture of the rings.  A row integrates the
-    density of its weakest signal-slot metric against all its other signal
-    metrics above it and all N - w noise metrics below it:
-    sum_r c_r f_r q_r^(c_r - 1) prod_{r' != r} q_r'^c_r' F_nsl^(N - w),
-    with q the survival functions.  One vector quadrature (scipy quad_vec,
-    max norm) serves every row.  Returns (probabilities, error estimate).
-    """
-    from scipy.integrate import quad_vec
-
-    _, wgt, oms = _ring_mixture(c, link)
-    s2 = link.sigma2
-    n_noise = link.n_slots - link.weight
-    counts = np.asarray(counts, dtype=float)
-    # less[r]: the rows with one slot of distribution r taken out (at 0 where
-    # a row has none, whose term has the factor c_r = 0)
-    less = np.maximum(counts - np.eye(counts.shape[1])[:, None], 0.0)
-    x_max = (math.sqrt(oms.max()) + _DOMAIN_SIGMAS * math.sqrt(s2)) ** 2
-
-    def integrand(x):
-        f = np.array([dist.f_sl_cmd(x, o, s2) for o in oms])
-        q = np.array([1.0 - dist.F_sl_cmd(x, o, s2) for o in oms])
-        f, q = np.append(f, wgt @ f), np.append(q, wgt @ q)
-        terms = counts * f * np.prod(q**less, axis=2).T
-        return terms.sum(axis=1) * dist.F_nsl_cmd(x, s2) ** n_noise
-
-    pc, err = quad_vec(integrand, 0.0, x_max, epsabs=tol, epsrel=1e-9, norm="max", limit=400)
-    _check_residual(pc, err, tol)
-    return np.clip(pc, 0.0, 1.0), float(err)
 
 
 class _Panel(NamedTuple):
@@ -548,11 +516,8 @@ def _events_route(model: _SlotModel, code: MppmCode, tol: float) -> AnalyticResu
     errs = []
 
     def integral(fn):
-        """Integral over the threshold of fn of its panels.  The residual
-        check stands in for qags's error flag."""
-        val, err, _ = qags(lambda ys: fn(model.panel(ys)), model.lo, model.hi,
-                           epsabs=tol, epsrel=1e-9, limit=400)
-        _check_residual(val, err, tol)
+        """Integral over the threshold of fn of its panels."""
+        val, err = _integrate(lambda ys: fn(model.panel(ys)), model.lo, model.hi, tol)
         errs.append(err)
         return val
 
@@ -644,63 +609,40 @@ def _events_route(model: _SlotModel, code: MppmCode, tol: float) -> AnalyticResu
     )
 
 
-def _occupations(c: Constellation, link: LinkParams, method: str):
-    """Occupation rows of the w signal slots of the textbook composition.
+def _compose(code: MppmCode, c: Constellation, link: LinkParams, pc: float, pc_corr: float,
+             good_nb: float, wrong_nb: float, quad_error: float) -> AnalyticResult:
+    """Textbook composition P_e = 1 - E[Pc_sort * Pc_QAM] of the w signal slots.
 
-    Returns the _sorting_pc count matrix (ring columns, then the mixture
-    column) and, per row, its probability p, the probability corr that all
-    w QAM decisions are correct and the expected number nb of erroneous QAM
-    bits.  The joint average (ja) has one row per ring-count vector:
-    conditioned on it, the symbols are independent and uniform inside their
-    rings, so products and sums factorize per ring.  The separate average
-    (sa) has the single row of w slots drawn from the ring mixture.
-    """
-    groups, probs, _ = _ring_mixture(c, link)
-    pe, nb = per_symbol_errors(link, c)
-    w = link.weight
-    if method == "sa":
-        counts = np.zeros((1, len(groups) + 1))
-        counts[0, -1] = w
-        corr = (1.0 - float(np.mean(pe))) ** w
-        return counts, np.ones(1), np.array([corr]), np.array([w * float(np.mean(nb))])
-    if method != "ja":
-        raise ValueError("method must be 'ja' or 'sa'")
-    if math.comb(len(groups) + w - 1, w) > _COMBINATION_BUDGET:
-        raise CapacityError(
-            "joint-average combination budget exceeded; use the separate-average route"
-        )
-    mean_corr = np.array([np.mean(1.0 - pe[g]) for g in groups])
-    mean_nb = np.array([np.mean(nb[g]) for g in groups])
-    counts = np.array([np.bincount(combo, minlength=len(groups)) for combo in
-                       itertools.combinations_with_replacement(range(len(groups)), w)])
-    orders = [math.factorial(w) // math.prod(map(math.factorial, row)) for row in counts.tolist()]
-    p = np.array(orders) * np.prod(probs**counts, axis=1)
-    return (np.column_stack((counts, np.zeros(len(counts)))), p,
-            np.prod(mean_corr**counts, axis=1), counts @ mean_nb)
-
-
-def _compose(code: MppmCode, c: Constellation, link: LinkParams, p, pc, corr, nb,
-             quad_error: float) -> AnalyticResult:
-    """Textbook composition P_e = 1 - E[Pc_sort * Pc_QAM] over occupation rows.
-
-    Row i occurs with probability p[i], sorts correctly with probability
-    pc[i], decides all w QAM symbols correctly with probability corr[i] and
-    has nb[i] erroneous QAM bits on average (see _occupations).  Wrong
-    patterns are treated as uniform over the remaining set (the K_l
-    weights), which overstates the scrambling of real sorting errors.
-    quad_error is the error estimate of pc (0 when it was not integrated).
+    The pattern sorts correctly with probability pc, and pc_corr =
+    E[Pc_sort * Pc_QAM] also has all w QAM decisions correct; good_nb and
+    wrong_nb are the expected erroneous QAM bits of the correctly and the
+    wrongly sorted frames.  Wrong patterns are treated as uniform over the
+    remaining set (the K_l weights), which overstates the scrambling of real
+    sorting errors.  quad_error is the error estimate of the integrals (0
+    when nothing was integrated).
     """
     w, n = link.weight, link.n_slots
-    wrong_nb, wrong = p @ ((1.0 - pc) * nb), p @ (1.0 - pc)
+    wrong = 1.0 - pc
     miss = 0.0
     for l in range(1, min(w, n - w) + 1):
         kl = float(k_l(n, w, l))
         miss += kl * ((w - l) / w * wrong_nb + c.n_q / 2.0 * l * wrong)
-    pb = (p @ (pc * nb) + ne_mppm(code.q_mppm) * wrong + miss) / total_bits(n, w, c.n_q)
-    pe = 1.0 - p @ (pc * corr)
+    pb = (good_nb + ne_mppm(code.q_mppm) * wrong + miss) / total_bits(n, w, c.n_q)
     pe_qam = float(np.mean(per_symbol_errors(link, c)[0]))
-    return AnalyticResult(pe=min(max(float(pe), 0.0), 1.0), pb=min(max(float(pb), 0.0), 1.0),
-                          pc_mppm=float(p @ pc), pe_qam=pe_qam, quad_error=quad_error)
+    return AnalyticResult(pe=min(max(1.0 - pc_corr, 0.0), 1.0), pb=min(max(pb, 0.0), 1.0),
+                          pc_mppm=pc, pe_qam=pe_qam, quad_error=quad_error)
+
+
+def _separate_average(code: MppmCode, c: Constellation, link: LinkParams, pc: float,
+                      quad_error: float) -> AnalyticResult:
+    """_compose for QAM decisions independent of the sorting: each of the w
+    slots decides correctly with the symbol-mean probability and has the
+    symbol-mean erroneous bits, whichever way the pattern sorts."""
+    pe_sym, nb_sym = per_symbol_errors(link, c)
+    w = link.weight
+    nb = w * float(np.mean(nb_sym))
+    corr = (1.0 - float(np.mean(pe_sym))) ** w
+    return _compose(code, c, link, pc, pc * corr, pc * nb, (1.0 - pc) * nb, quad_error)
 
 
 def pe_cmd_ja(code: MppmCode, c: Constellation, link: LinkParams,
@@ -729,26 +671,63 @@ def pe_cmd_composition(code: MppmCode, c: Constellation, link: LinkParams,
                        tol: float = 1e-10, method: str = "ja") -> AnalyticResult:
     """Uncoupled composition P_e = 1 - E[Pc_sort*Pc_QAM] (cross-check mode).
 
-    The joint average (ja) takes one sorting probability per ring-count
-    vector of the w signal slots, the separate average (sa) one for w slots
-    drawn from the ring mixture: rows of the same _sorting_pc count matrix.
+    The pattern sorts correctly when every signal-slot metric is above the
+    largest of the nn = N - w noise-slot metrics.  With q_r the survival
+    function of energy ring r's metric, w slots in rings r_1..r_w sort
+    correctly with probability nn int f_nsl F_nsl^(nn - 1) prod_i q_(r_i) dx.
+    The separate average (sa) draws the slots from the ring mixture of
+    weights pi_r, which makes the product (sum_r pi_r q_r)^w.  The joint
+    average (ja) averages the product with the slots' QAM decisions over the
+    ring-count vectors.  Given its ring a symbol is uniform in it, so with
+    a_r a ring's mean probability of a correct decision and b_r its mean
+    erroneous bits, the multinomial theorem sums the vectors into powers of
+    mixtures: E[Pc_sort * Pc_QAM] integrates (sum_r pi_r a_r q_r)^w, and the
+    QAM bits of correctly sorted frames w (sum_r pi_r b_r q_r)
+    (sum_r pi_r q_r)^(w - 1).  Both averages have the same pc_mppm.
     """
-    counts, p, corr, nb = _occupations(c, link, method)
-    pc, err = _sorting_pc(counts, c, link, tol)
-    return _compose(code, c, link, p, pc, corr, nb, err)
+    if method not in ("ja", "sa"):
+        raise ValueError("method must be 'ja' or 'sa'")
+    groups, wgt, oms = _ring_mixture(c, link)
+    w, nn, s2 = link.weight, link.n_slots - link.weight, link.sigma2
+    x_max = (math.sqrt(oms.max()) + _DOMAIN_SIGMAS * math.sqrt(s2)) ** 2
+    errs = []
+
+    def integral(power):
+        """nn int f_nsl F_nsl^(nn - 1) power(q) dx, q the rings' survival
+        functions at one panel's nodes, (rings, nodes)."""
+        def f(x):
+            q = np.array([1.0 - dist.F_sl_cmd(x, o, s2) for o in oms])
+            return nn * dist.f_nsl_cmd(x, s2) * dist.F_nsl_cmd(x, s2) ** (nn - 1) * power(q)
+
+        val, err = _integrate(f, 0.0, x_max, tol)
+        errs.append(err)
+        return val
+
+    pc = min(max(integral(lambda q: (wgt @ q) ** w), 0.0), 1.0)
+    if method == "sa":
+        return _separate_average(code, c, link, pc, errs[0])
+    # The symbol means scaled out, the rings' weights a and b sum to 1, so
+    # these integrals are near pc and meet qags's absolute tolerance
+    # relative to their values too, however few the erroneous bits.
+    pe_sym, nb_sym = per_symbol_errors(link, c)
+    pc_bar, nb_bar = 1.0 - float(np.mean(pe_sym)), float(np.mean(nb_sym))
+    a = wgt * np.array([np.mean(1.0 - pe_sym[g]) for g in groups]) / pc_bar
+    b = wgt * np.array([np.mean(nb_sym[g]) for g in groups]) / (nb_bar or 1.0)
+    pc_corr = pc_bar**w * integral(lambda q: (a @ q) ** w)
+    good_nb = w * nb_bar * integral(lambda q: (b @ q) * (wgt @ q) ** (w - 1))
+    return _compose(code, c, link, pc, pc_corr, good_nb, w * nb_bar - good_nb, max(errs))
 
 
 def pe_imd(code: MppmCode, c: Constellation, link: LinkParams,
            tol: float = 1e-10, mppm_route: str = "ni") -> AnalyticResult:
     """IMD error probabilities; pattern part via integration or union bound.
 
-    The union bound composes the separate-average row with the bound's
+    The union bound composes the separate average with the bound's
     correct-pattern probability.
     """
     if mppm_route == "ni":
         return _events_route(_SlotModel(c, link, "imd"), code, tol)
     if mppm_route != "ub":
         raise ValueError("mppm_route must be 'ni' or 'ub'")
-    _, p, corr, nb = _occupations(c, link, "sa")
     pc = 1.0 - mppm_ser_ub(code, link.slot_energy / link.sigma2)
-    return _compose(code, c, link, p, np.array([pc]), corr, nb, 0.0)
+    return _separate_average(code, c, link, pc, 0.0)

@@ -9,8 +9,8 @@ the integrand: f receives the 21 nodes of one panel as one array, the
 centre first, then centre - hlgth * xgk and centre + hlgth * xgk, and
 returns their 21 values.  The panel sums, the error formula, the bisection
 order and the extrapolation run on Python floats in QUADPACK's own order,
-so the value and error estimate are those of ``scipy.integrate.quad`` bit
-for bit.  Arrays are 1-based, as in the Fortran: element 0 is unused.
+so the value and error estimate are those of scipy's ``quad`` bit for
+bit.  Arrays are 1-based, as in the Fortran: element 0 is unused.
 """
 
 from __future__ import annotations

@@ -328,7 +328,7 @@ def run(spec: SweepSpec, log=None) -> Path:
     if spec.methods:
         # scipy.special loads with the analytic module, in set-up and after
         # the tables (a smaller peak), not inside a point; a simulation-only
-        # sweep never loads it, and no sweep loads scipy.integrate.
+        # sweep never loads it.
         from . import analytic  # noqa: F401
     out_path = Path(spec.out_csv)
     # One pool for the whole sweep; its workers exit when the `with` closes.
