@@ -120,6 +120,7 @@ def test_sorting_pc_matches_per_vector_oracle(db):
         link, c = _link(db, n_q=n_q)
         counts, omegas, p = _ring_rows(c, link)
         assert len(counts) == rows
+        assert p.sum() == pytest.approx(1.0, rel=1e-14)
         groups, _, _ = analytic._ring_mixture(c, link)
         pe, nb = per_symbol_errors(link, c)
         ring_corr = np.array([np.mean(1.0 - pe[g]) for g in groups])
