@@ -370,6 +370,13 @@ class _SlotModel:
         densities, one Q level at a time: the level's (radii, rows, cols, K)
         row masses times the weighted column densities of the sources on
         that level, summed over the chord nodes.
+
+        The row masses mirror across the Q axis: a grid has an even number of
+        columns, its column bounds are antisymmetric and the rule's nodes
+        too, so the chord nodes of the right half's columns are exactly the
+        negated ones of the left half's, in reverse order, and their chord
+        heights g are the same floats.  So the row masses are computed for
+        the left half and reversed into the right half, bit for bit.
         """
         sig = self.sigma
         nodes, wts = _GL_NODES
@@ -377,12 +384,13 @@ class _SlotModel:
         hi_u = np.minimum(self._col_hi, r[:, None])
         span = np.maximum(hi_u - lo_u, 0.0)  # (radii, cols)
         u = 0.5 * span[..., None] * nodes + 0.5 * (lo_u + hi_u)[..., None]
+        u_left = u[:, : len(self._col_lo) // 2]
         rr = r[:, None, None]
-        g = np.sqrt(np.maximum(rr * rr - u * u, 0.0))[:, None]  # (radii, 1, cols, K)
+        g = np.sqrt(np.maximum(rr * rr - u_left * u_left, 0.0))[:, None]  # (radii, 1, cols / 2, K)
         # A disk-clipped row extent stops at its row bound or at the chord
         # +-g, so its normal CDF per Q level comes from the row-bound table
         # or from one ndtr per level and chord node, as the row bound lies
-        # inside or outside the chord: (radii, rows, cols, K).
+        # inside or outside the chord: (radii, rows, cols / 2, K).
         hi_row = self._row_hi[:, None, None] < g
         lo_row = self._row_lo[:, None, None] > -g
         dens = np.exp(-((u[:, None] - self._lv_i0[:, None, None]) ** 2) / (2 * self.s2))
@@ -392,9 +400,11 @@ class _SlotModel:
         disk = np.empty((len(r), self.c.m_q + 1, len(self._row_lo), len(self._col_lo)))
         for q, (srcs, i_levels) in enumerate(self._q_level_srcs):
             lv = self._lv_q0[q]
-            inner = np.where(hi_row, self._cdf_row_hi[q, :, None, None], ndtr((g - lv) / sig))
-            inner -= np.where(lo_row, self._cdf_row_lo[q, :, None, None], ndtr((-g - lv) / sig))
-            np.maximum(inner, 0.0, out=inner)
+            inner_left = np.where(hi_row, self._cdf_row_hi[q, :, None, None], ndtr((g - lv) / sig))
+            inner_left -= np.where(lo_row, self._cdf_row_lo[q, :, None, None],
+                                   ndtr((-g - lv) / sig))
+            np.maximum(inner_left, 0.0, out=inner_left)
+            inner = np.concatenate([inner_left, inner_left[:, :, ::-1, ::-1]], axis=2)
             disk[:, srcs] = half_span * np.sum(inner[:, None] * dens[:, i_levels, None], axis=4)
         return disk
 

@@ -423,7 +423,8 @@ def correction_stats(code: MppmCode) -> CorrectionStats:
 
     Exact enumeration for small codes; large codes are sampled with a fixed
     internal seed so the result is still deterministic.  Events are decoded
-    a block at a time; per event and l, the means are kept in event order.
+    a block at a time; per l, four of the per-event means are kept in event
+    order and the eight class means are summed as the blocks go.
     """
     key = (code.n_slots, code.weight)
     if key in _STATS_CACHE:
@@ -448,20 +449,28 @@ def correction_stats(code: MppmCode) -> CorrectionStats:
     align_p: list[float] = []
     classes: list[tuple] = []
     swaps = [_swap_count(code, l) for l in range(1, min(w, n - w) + 1)]
-    # Every l writes its per-event means into one buffer sized for the
-    # largest l, so no l's arrays outlive it.  Allocating and freeing them
-    # per l instead left about 20 MB of freed heap resident after the call
-    # (glibc raises its mmap threshold as large blocks are freed).
+    # The mean of a contiguous row is a pairwise sum, so a_v, a_p, rescue and
+    # pattern bits keep every event's value: each l writes them into one
+    # buffer sized for the largest l, so no l's arrays outlive it.
+    # Allocating and freeing them per l instead left about 20 MB of freed
+    # heap resident after the call (glibc raises its mmap threshold as large
+    # blocks are freed).  The class means need only a running sum: numpy
+    # sums axis 0 of a C-ordered (rows, 8) array one row at a time, so adding
+    # the running sum into a block's first row and reducing the block adds
+    # every event in order, as one reduction over all of them would.
     largest = max(count for count, _ in swaps)
-    cls_buf = np.empty((largest, 8))
     event_buf = np.empty((4, largest))  # a_v, a_p, rescue, pattern bits
     for l, (count, exact_l) in enumerate(swaps, start=1):
         exact = exact and exact_l
-        cls, per_event = cls_buf[:count], event_buf[:, :count]
+        per_event = event_buf[:, :count]
+        cls_sum = np.zeros(8)
         lo = 0
         for tx, sup, det in _swap_events(code, l, rng):
             means = _decode_swap_rows(tx, sup, det, code, table)
-            cls[lo : lo + len(tx)] = means[:, :8]
+            # means is F-ordered; reduced as it is, its columns sum pairwise.
+            block = np.ascontiguousarray(means[:, :8])
+            block[0] += cls_sum
+            cls_sum = np.add.reduce(block, axis=0)
             per_event[:, lo : lo + len(tx)] = means[:, 8:].T
             lo += len(tx)
         av, ap, resc, pb = per_event
@@ -471,7 +480,7 @@ def correction_stats(code: MppmCode) -> CorrectionStats:
         align_v.append(float(av.mean()))
         align_p.append(float(ap.mean()))
         classes.append(
-            tuple(tuple(float(v) for v in row) for row in cls.mean(axis=0).reshape(2, 4))
+            tuple(tuple(float(v) for v in row) for row in (cls_sum / count).reshape(2, 4))
         )
 
     stats = CorrectionStats(

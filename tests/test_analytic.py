@@ -534,6 +534,23 @@ def test_slot_model_per_level_matches_per_source(n_q):
     assert len(alone._panels) == len(panel[1::4])
 
 
+@pytest.mark.parametrize("n_q", [2, 3, 4, 6, 8, 10])
+def test_disk_mirror_preconditions_are_exact(n_q):
+    """_disk_masses computes the row masses of the left half of the
+    columns and mirrors them into the right half.  That is bit for bit
+    because every grid has an even number of columns, its column bounds are
+    exact negations of each other and the chord rule's nodes too (its
+    weights symmetric): each must hold with ==, on every supported numpy."""
+    link, c = _link(12.0, n_q=n_q)
+    amp = math.sqrt(link.t_s / 2.0) * link.i_ph * link.m
+    bounds = c.grid_cells(amp).i_bounds
+    assert (len(bounds) + 1) % 2 == 0
+    assert np.array_equal(bounds, -bounds[::-1])
+    nodes, wts = analytic._GL_NODES
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(wts, wts[::-1])
+
+
 def _call_lengths(model):
     """Record the number of thresholds of each _values_coupled call of model."""
     lengths = []

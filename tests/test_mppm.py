@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -518,6 +519,42 @@ def test_correction_stats_deterministic():
     b = correction_stats(make_code(12, 6))
     assert a == b
 
+
+def _stats_bits(st_):
+    """Every value of a CorrectionStats, as the bytes of its floats."""
+    return np.hstack([st_.rescue_prob, st_.pat_bits, st_.align_v, st_.align_p,
+                      np.ravel(st_.classes)]).tobytes()
+
+
+@pytest.mark.parametrize("block", [777, 1000])
+def test_correction_stats_do_not_depend_on_the_block_size(block, monkeypatch):
+    """The statistics take the events a block at a time and sum them in
+    event order, so every block size gives the same values bit for bit.  At
+    777 events per block the 924 patterns of (12, 6) are more than one
+    block, so each block builds the member table of its own detections."""
+    codes = [make_code(12, 6), make_code(9, 5)]
+    monkeypatch.setattr("qam_mppm.mppm._STATS_CACHE", {})
+    want = [_stats_bits(correction_stats(code)) for code in codes]
+    monkeypatch.setattr("qam_mppm.mppm._STATS_CACHE", {})
+    monkeypatch.setattr("qam_mppm.mppm._STATS_BLOCK", block)
+    assert [_stats_bits(correction_stats(code)) for code in codes] == want
+
+
+def test_correction_stats_memory_is_bounded(monkeypatch):
+    """correction_stats holds one per-event buffer, the four per-event
+    means of the largest l's events, and the temporaries of one block: the
+    class means are summed as the blocks go.  For (12, 6), l = 3 has
+    512 * 20 * 20 events, and one block's temporaries measured 13.4 MiB."""
+    monkeypatch.setattr("qam_mppm.mppm._STATS_CACHE", {})
+    code = make_code(12, 6)
+    events = code.size * math.comb(6, 3) ** 2
+    tracemalloc.start()
+    try:
+        correction_stats(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * events * 8 + 16 * 2**20
 
 
 # (exact, float.hex of every value) of correction_stats, in field order:
