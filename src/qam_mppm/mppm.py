@@ -26,8 +26,9 @@ _MAX_SLOTS = int(np.iinfo(np.int16).max)
 # the chunk fixes the random stream.
 _CORRECTION_CHUNK = 2048
 # Single swaps (rows * w * (N - w)) per block of a chunk's usable-swap test
-# and draw: bounds their memory; the draws are the chunk's, in order.
-_SWAP_ENTRIES = 1 << 19
+# and draw: bounds their memory (1 MiB of uniforms); the blocks draw the
+# chunk's uniforms in row order, so the stream does not depend on the size.
+_SWAP_ENTRIES = 1 << 17
 # Slot entries per block of a nearest-member scan: bounds its memory, and
 # blocks that fit in cache rank faster than larger ones.
 _SHELL_BLOCK = 1 << 18

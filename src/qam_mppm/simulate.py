@@ -89,18 +89,19 @@ class TrialCounters:
 
 def _detect(metric_of, n_frames: int, step: int, code: MppmCode,
             rng: np.random.Generator):
-    """Top-w slot selection, a block of ``step`` frames at a time, then the
-    nearest-member correction of every out-of-set row of the batch at once;
-    returns the decoded sorted supports and their ranks.  ``metric_of(lo,
-    hi)`` gives the flat metric of frames lo .. hi - 1."""
+    """Top-w slot selection and ranking, a block of ``step`` frames at a
+    time, then the nearest-member correction of every out-of-set row of the
+    batch at once; returns the decoded sorted supports and their ranks.
+    ``metric_of(lo, hi)`` gives the flat metric of frames lo .. hi - 1."""
     n, w = code.n_slots, code.weight
     support = np.empty((n_frames, w), dtype=np.int16)
+    rank = np.empty(n_frames, dtype=np.int64)
     for lo in range(0, n_frames, step):
         hi = min(lo + step, n_frames)
         rows = support[lo:hi]
         rows[:] = np.argpartition(metric_of(lo, hi).reshape(-1, n), n - w, axis=1)[:, n - w:]
         rows.sort(axis=1)
-    rank = rank_supports(support, code)
+        rank[lo:hi] = rank_supports(rows, code)
     bad = rank >= code.size
     if bad.any():
         support[bad] = correct_patterns(support[bad], code, rng)
@@ -128,33 +129,37 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
                    seed_key) -> dict[str, TrialCounters]:
     """Simulate n_frames frames and count errors for each requested detector.
 
-    The three statistics are drawn for the whole batch; everything after
-    them runs in blocks of at most _BLOCK_ENTRIES slot entries, so a batch
-    holds its draws and about one block's worth of temporaries.
+    The three statistics are drawn for the whole batch, in turn.  All else
+    runs in blocks of at most _BLOCK_ENTRIES slot entries, the placing of
+    each statistic's signal means included, except the nearest-member
+    correction of the out-of-set rows, which runs once per batch so that
+    the random stream does not depend on the blocks.  So a batch holds its
+    draws, its (frames, w) supports and symbols, and one block's
+    temporaries.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_key)))
     n, w, m_q = link.n_slots, link.weight, c.m_q
     tx_rank = rng.integers(0, code.size, n_frames)
     tx_support = unrank_supports(tx_rank, code)
-    qam_idx = rng.integers(0, m_q, (n_frames, w))
+    qam_idx = rng.integers(0, m_q, (n_frames, w)).astype(np.int16)  # M <= 1024
     amp = math.sqrt(link.t_s / 2.0) * link.i_ph * link.m
     sigma = math.sqrt(link.sigma2)
     # int32 flat indices cover any batch whose statistics fit in memory.
     offsets = np.arange(0, n_frames * n, n, dtype=np.int32)
-    tx_flat = offsets[:, None] + tx_support
+    step = max(1, _BLOCK_ENTRIES // n)
 
-    def statistic(mean):  # Gaussian noise, plus mean in the sent slots
+    def statistic(means):  # Gaussian noise, plus the symbol's mean in the sent slots
         r = rng.standard_normal(n_frames * n)
         r *= sigma
-        r[tx_flat] += mean
+        for lo in range(0, n_frames, step):
+            blk = slice(lo, lo + step)
+            r[offsets[blk, None] + tx_support[blk]] += means[qam_idx[blk]]
         return r
 
-    r_i = statistic((amp * c.points[:, 0])[qam_idx])
-    r_q = statistic((amp * c.points[:, 1])[qam_idx])
-    r_dc = statistic(math.sqrt(link.t_s) * link.i_ph) if "imd" in detectors else None
-    del tx_flat
+    r_i = statistic(amp * c.points[:, 0])
+    r_q = statistic(amp * c.points[:, 1])
+    r_dc = statistic(np.full(m_q, math.sqrt(link.t_s) * link.i_ph)) if "imd" in detectors else None
 
-    step = max(1, _BLOCK_ENTRIES // n)
     metrics = {"cmd": lambda lo, hi: r_i[lo * n:hi * n] ** 2 + r_q[lo * n:hi * n] ** 2,
                "imd": lambda lo, hi: r_dc[lo * n:hi * n]}
     decoded = {det: _detect(metrics[det], n_frames, step, code, rng) for det in detectors}

@@ -192,9 +192,14 @@ def test_simulate_batch_counters_are_pinned(case):
 
 @pytest.mark.parametrize("frames_per_block", [7, 1])
 def test_simulate_batch_counters_do_not_depend_on_blocks(frames_per_block, monkeypatch):
-    """Blocks of 7 frames, the last one shorter, and blocks of one frame
-    count what the default blocks do, for every pinned batch."""
-    for case, ((n, *_), _) in enumerate(_PINNED_BATCHES):
+    """Blocks of 7 frames, the last one shorter, count what the default
+    blocks do for every pinned batch.  Blocks of one frame do so for the
+    4000-frame batches, which cross as many block boundaries per frame as
+    the 50,000-frame one and take both detectors, fallback rows, rect and
+    cross shapes and 69-bit frames."""
+    for case, ((n, *_, frames), _) in enumerate(_PINNED_BATCHES):
+        if frames_per_block == 1 and frames > 4000:
+            continue
         whole = _pinned_batch(case)
         with monkeypatch.context() as m:
             m.setattr(simulate, "_BLOCK_ENTRIES", frames_per_block * n)
@@ -202,19 +207,22 @@ def test_simulate_batch_counters_do_not_depend_on_blocks(frames_per_block, monke
 
 
 def test_simulate_batch_memory_is_draws_plus_one_block():
-    """After its draws a batch holds about one block's worth of arrays: a
-    50k-frame (64, 8) batch of both detectors peaks within 24 MiB of its
-    three (frames * N) float statistics."""
-    code, c, link = _setup(n=64, w=8)
+    """Beside its (frames * N) float statistics a batch holds its (frames,
+    w) supports and symbols and one block's temporaries: a 50k-frame batch
+    peaks within 8 MiB of its statistics, its draws and its correction
+    included.  At 0 dB about a third of the (32, 6) rows are corrected."""
     frames = 50_000
-    simulate_batch(code, c, link, ("cmd", "imd"), 100, [1, 0, 0])  # warm caches
-    tracemalloc.start()
-    try:
-        simulate_batch(code, c, link, ("cmd", "imd"), frames, [1, 0, 0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 8 * frames * code.n_slots + 24 * 2**20
+    for n, w, db, detectors in [(64, 8, 10.0, ("cmd", "imd")), (32, 6, 0.0, ("cmd",))]:
+        code, c, link = _setup(db=db, n=n, w=w)
+        simulate_batch(code, c, link, detectors, 100, [1, 0, 0])  # warm caches
+        tracemalloc.start()
+        try:
+            simulate_batch(code, c, link, detectors, frames, [1, 0, 0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        statistics = (2 + ("imd" in detectors)) * 8 * frames * n
+        assert peak <= statistics + 8 * 2**20, (n, w)
 
 
 def test_batch_seed_depends_on_point_and_index():
