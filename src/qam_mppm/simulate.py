@@ -2,10 +2,12 @@
 
 Frames are simulated at the sufficient-statistic level: per slot the two
 QAM correlator outputs and the matched-filter output, each with independent
-Gaussian noise, one flat (frames * N) array per statistic whose frame f
-starts at f * N.  Batches draw their random streams from a counter-based
-generator keyed on (master seed, sweep point, batch index), so results are
-bitwise independent of the worker count.
+Gaussian noise, in flat arrays whose frame f starts at f * N: one
+(frames * N) array per correlator output, and one block of frames at a
+time for the matched-filter output, which only the IMD selection reads.
+Batches draw their random streams from a counter-based generator keyed on
+(master seed, sweep point, batch index), so results are bitwise independent
+of the worker count.
 """
 
 from __future__ import annotations
@@ -87,12 +89,11 @@ class TrialCounters:
         return self.qam_cond_errors / self.qam_cond_opportunities
 
 
-def _detect(metric_of, n_frames: int, step: int, code: MppmCode,
-            rng: np.random.Generator):
+def _select(metric_of, n_frames: int, step: int, code: MppmCode):
     """Top-w slot selection and ranking, a block of ``step`` frames at a
-    time, then the nearest-member correction of every out-of-set row of the
-    batch at once; returns the decoded sorted supports and their ranks.
-    ``metric_of(lo, hi)`` gives the flat metric of frames lo .. hi - 1."""
+    time; returns the sorted supports and their ranks, out-of-set rows
+    included.  ``metric_of(lo, hi)`` gives the flat metric of frames lo ..
+    hi - 1, and is called once per block in frame order."""
     n, w = code.n_slots, code.weight
     support = np.empty((n_frames, w), dtype=np.int16)
     rank = np.empty(n_frames, dtype=np.int64)
@@ -102,6 +103,12 @@ def _detect(metric_of, n_frames: int, step: int, code: MppmCode,
         rows[:] = np.argpartition(metric_of(lo, hi).reshape(-1, n), n - w, axis=1)[:, n - w:]
         rows.sort(axis=1)
         rank[lo:hi] = rank_supports(rows, code)
+    return support, rank
+
+
+def _detect(support, rank, code: MppmCode, rng: np.random.Generator):
+    """The nearest-member correction of every out-of-set row of the batch at
+    once, in place; returns the decoded sorted supports and their ranks."""
     bad = rank >= code.size
     if bad.any():
         support[bad] = correct_patterns(support[bad], code, rng)
@@ -129,13 +136,15 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
                    seed_key) -> dict[str, TrialCounters]:
     """Simulate n_frames frames and count errors for each requested detector.
 
-    The three statistics are drawn for the whole batch, in turn.  All else
-    runs in blocks of at most _BLOCK_ENTRIES slot entries, the placing of
-    each statistic's signal means included, except the nearest-member
-    correction of the out-of-set rows, which runs once per batch so that
-    the random stream does not depend on the blocks.  So a batch holds its
-    draws, its (frames, w) supports and symbols, and one block's
-    temporaries.
+    The two correlator outputs are drawn for the whole batch, in turn, and
+    the matched-filter output a block at a time inside the IMD selection,
+    which reads the generator's stream on in the same order.  All else runs
+    in blocks of at most _BLOCK_ENTRIES slot entries, the placing of each
+    statistic's signal means included, except the nearest-member correction
+    of the out-of-set rows, which runs once per batch, after every
+    selection, so that the random stream does not depend on the blocks.  So
+    a batch holds its two correlator draws, its (frames, w) supports and
+    symbols, and one block's temporaries.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_key)))
     n, w, m_q = link.n_slots, link.weight, c.m_q
@@ -148,21 +157,31 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
     offsets = np.arange(0, n_frames * n, n, dtype=np.int32)
     step = max(1, _BLOCK_ENTRIES // n)
 
-    def statistic(means):  # Gaussian noise, plus the symbol's mean in the sent slots
-        r = rng.standard_normal(n_frames * n)
+    # Noise r of frames lo .. hi - 1, scaled in place, plus the symbol's
+    # mean in the sent slots.
+    def signal(r, lo, hi, means):
         r *= sigma
+        r[offsets[:hi - lo, None] + tx_support[lo:hi]] += means[qam_idx[lo:hi]]
+        return r
+
+    def statistic(means):
+        r = rng.standard_normal(n_frames * n)
         for lo in range(0, n_frames, step):
-            blk = slice(lo, lo + step)
-            r[offsets[blk, None] + tx_support[blk]] += means[qam_idx[blk]]
+            signal(r[lo * n:(lo + step) * n], lo, min(lo + step, n_frames), means)
         return r
 
     r_i = statistic(amp * c.points[:, 0])
     r_q = statistic(amp * c.points[:, 1])
-    r_dc = statistic(np.full(m_q, math.sqrt(link.t_s) * link.i_ph)) if "imd" in detectors else None
+    dc = np.full(m_q, math.sqrt(link.t_s) * link.i_ph)
 
+    # Only the IMD selection reads the matched-filter output, so it draws
+    # each block's noise as it goes.  Consecutive draws continue one stream
+    # and equal a whole-batch draw after r_q, since every selection runs
+    # before the first correction reads the generator.
     metrics = {"cmd": lambda lo, hi: r_i[lo * n:hi * n] ** 2 + r_q[lo * n:hi * n] ** 2,
-               "imd": lambda lo, hi: r_dc[lo * n:hi * n]}
-    decoded = {det: _detect(metrics[det], n_frames, step, code, rng) for det in detectors}
+               "imd": lambda lo, hi: signal(rng.standard_normal((hi - lo) * n), lo, hi, dc)}
+    selected = {det: _select(metrics[det], n_frames, step, code) for det in detectors}
+    decoded = {det: _detect(*selected[det], code, rng) for det in detectors}
 
     # A frame's bits are its pattern word and one QAM word per slot in
     # support order; errors are counted per field, since a frame can carry

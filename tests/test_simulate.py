@@ -128,7 +128,8 @@ def test_simulate_batch_deterministic():
 # qam_cond_errors, qam_cond_opportunities).  They pin the random stream and
 # the kernel bit for bit.  The (12, 8) batch at -3 dB sends 154 rows without
 # a usable single swap to the nearest-member fallback; (40, 10) frames carry
-# 69 bits.
+# 69 bits.  The last batch runs IMD alone (8 fallback rows), so its
+# matched-filter blocks follow the symbol draws with no CMD selection between.
 _PINNED_BATCHES = [
     # (N, w, n_q, mode, x in dB or dBm, detectors, frames), counters
     ((12, 6, 4, "ebn0", 0.0, ("cmd", "imd"), 4000), {
@@ -166,6 +167,9 @@ _PINNED_BATCHES = [
         "cmd": (4000, 4000, 131182, 4384148, 4000, 11155, 16442),
         "imd": (4000, 4000, 78698, 1836774, 2045, 28876, 37580),
     }),
+    ((12, 8, 4, "ebn0", -3.0, ("imd",), 4000), {
+        "imd": (4000, 4000, 61784, 1014816, 2443, 24576, 29044),
+    }),
 ]
 
 
@@ -195,8 +199,9 @@ def test_simulate_batch_counters_do_not_depend_on_blocks(frames_per_block, monke
     """Blocks of 7 frames, the last one shorter, count what the default
     blocks do for every pinned batch.  Blocks of one frame do so for the
     4000-frame batches, which cross as many block boundaries per frame as
-    the 50,000-frame one and take both detectors, fallback rows, rect and
-    cross shapes and 69-bit frames."""
+    the 50,000-frame one and take both detectors and IMD alone, fallback
+    rows, rect and cross shapes and 69-bit frames.  The IMD selection then
+    draws its matched-filter output 7 or 1 frames at a time."""
     for case, ((n, *_, frames), _) in enumerate(_PINNED_BATCHES):
         if frames_per_block == 1 and frames > 4000:
             continue
@@ -207,12 +212,15 @@ def test_simulate_batch_counters_do_not_depend_on_blocks(frames_per_block, monke
 
 
 def test_simulate_batch_memory_is_draws_plus_one_block():
-    """Beside its (frames * N) float statistics a batch holds its (frames,
-    w) supports and symbols and one block's temporaries: a 50k-frame batch
-    peaks within 8 MiB of its statistics, its draws and its correction
-    included.  At 0 dB about a third of the (32, 6) rows are corrected."""
+    """Beside its two (frames * N) float correlator statistics a batch holds
+    its (frames, w) supports and symbols and one block's temporaries, the
+    block's matched-filter output included: a 50k-frame batch peaks within
+    8 MiB of the two statistics, its draws and its correction included,
+    whatever its detectors.  At 0 dB about a third of the (32, 6) rows are
+    corrected."""
     frames = 50_000
-    for n, w, db, detectors in [(64, 8, 10.0, ("cmd", "imd")), (32, 6, 0.0, ("cmd",))]:
+    for n, w, db, detectors in [(64, 8, 10.0, ("cmd", "imd")), (32, 6, 0.0, ("cmd",)),
+                                (12, 6, 10.0, ("cmd", "imd")), (12, 6, 0.0, ("imd",))]:
         code, c, link = _setup(db=db, n=n, w=w)
         simulate_batch(code, c, link, detectors, 100, [1, 0, 0])  # warm caches
         tracemalloc.start()
@@ -221,8 +229,8 @@ def test_simulate_batch_memory_is_draws_plus_one_block():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        statistics = (2 + ("imd" in detectors)) * 8 * frames * n
-        assert peak <= statistics + 8 * 2**20, (n, w)
+        statistics = 2 * 8 * frames * n
+        assert peak <= statistics + 8 * 2**20, (n, w, detectors)
 
 
 def test_batch_seed_depends_on_point_and_index():
