@@ -21,13 +21,10 @@ import numpy as np
 _RANK_LIMIT = 1 << 63
 # Supports are int16 slot indices, so codes have at most this many slots.
 _MAX_SLOTS = int(np.iinfo(np.int16).max)
-# Rows per chunk of the nearest-member correction.  The rows of a chunk
-# that have no usable single swap draw after all its single-swap draws, so
-# the chunk fixes the random stream.
-_CORRECTION_CHUNK = 2048
-# Single swaps (rows * w * (N - w)) per block of a chunk's usable-swap test
-# and draw: bounds their memory (1 MiB of uniforms); the blocks draw the
-# chunk's uniforms in row order, so the stream does not depend on the size.
+# Single swaps (rows * w * (N - w)) per block of the nearest-member
+# correction's usable-swap test and draw: bounds their memory (1 MiB of
+# uniforms).  Every row reads w * (N - w) uniforms, so the stream does not
+# depend on the size.
 _SWAP_ENTRIES = 1 << 17
 # Slot entries per block of a nearest-member scan: bounds its memory, and
 # blocks that fit in cache rank faster than larger ones.
@@ -162,30 +159,35 @@ def correct_patterns(supports: np.ndarray, code: MppmCode,
                      rng: np.random.Generator) -> np.ndarray:
     """Vectorized nearest-member correction for out-of-set sorted supports.
 
-    A uniform random usable single swap (squared distance 2) is taken; rows
-    with none take a uniform random member among all the nearest ones.
+    Each row reads w * (N - w) uniforms from rng, one per single swap, in
+    row order, so the picks and the stream do not depend on how the rows
+    are split between calls.  The usable single swap (squared distance 2)
+    with the largest uniform is taken; a row with none takes member
+    floor(u * count) of its nearest members in rank order, with u its first
+    uniform.
     """
     n, w = code.n_slots, code.weight
     out = supports.copy()
     step = max(1, _SWAP_ENTRIES // (w * (n - w)))
-    for lo in range(0, len(supports), _CORRECTION_CHUNK):
-        hi = min(lo + _CORRECTION_CHUNK, len(supports))
-        lone, lone_inact = [], []
-        for start in range(lo, hi, step):
-            sub = out[start : min(start + step, hi)]
-            rows = np.arange(len(sub))
-            inact, ok = _usable_swaps(sub, code)
-            u = rng.random(ok.shape)
-            u[~ok] = -1.0
-            pick = np.argmax(u, axis=1)
-            alone = ~ok.any(axis=1)
-            lone.append(start + np.flatnonzero(alone))
-            lone_inact.append(inact[alone])
-            sub[rows, pick // (n - w)] = inact[rows, pick % (n - w)]
-            sub.sort(axis=1)
-        lone = np.concatenate(lone)
-        members, counts = _nearest_members(supports[lone], np.concatenate(lone_inact), code)
-        out[lone] = members[np.cumsum(counts) - counts + rng.integers(counts)]
+    alone = np.zeros(len(supports), dtype=bool)
+    first = np.empty(len(supports))
+    for lo in range(0, len(supports), step):
+        sub = out[lo : lo + step]
+        rows = np.arange(len(sub))
+        inact, ok = _usable_swaps(sub, code)
+        u = rng.random(ok.shape)
+        alone[lo : lo + step] = ~ok.any(axis=1)
+        first[lo : lo + step] = u[:, 0]
+        u[~ok] = -1.0
+        pick = np.argmax(u, axis=1)
+        sub[rows, pick // (n - w)] = inact[rows, pick % (n - w)]
+        sub.sort(axis=1)
+    lone = np.flatnonzero(alone)
+    if len(lone):
+        sup = supports[lone]
+        members, counts = _nearest_members(sup, _usable_swaps(sup, code)[0], code)
+        pick = (first[lone] * counts).astype(np.int64)
+        out[lone] = members[np.cumsum(counts) - counts + pick]
     return out
 
 

@@ -2,12 +2,12 @@
 
 Frames are simulated at the sufficient-statistic level: per slot the two
 QAM correlator outputs and the matched-filter output, each with independent
-Gaussian noise, in flat arrays whose frame f starts at f * N: one
-(frames * N) array per correlator output, and one block of frames at a
-time for the matched-filter output, which only the IMD selection reads.
-Batches draw their random streams from a counter-based generator keyed on
-(master seed, sweep point, batch index), so results are bitwise independent
-of the worker count.
+Gaussian noise, in flat arrays whose frame f starts at f * N, one block of
+frames at a time.  Batches draw their random streams from a counter-based
+generator keyed on (master seed, sweep point, batch index), and each
+statistic and each detector's correction reads its own stream spawned from
+that key, so results are bitwise independent of the worker count, the block
+size and the set of detectors run beside one another.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from .link import LinkParams
 from .mppm import MppmCode, correct_patterns, rank_supports, unrank_supports
 
 BATCH_FRAMES = 50_000
-# A batch holds at most _BATCH_ENTRIES slot entries (frames * N) per
-# statistic, 64 MB of floats, and at least one frame.
+# A batch covers at most _BATCH_ENTRIES slot entries (frames * N), and at
+# least one frame; it holds only its (frames, w) ranks, supports and
+# symbols whole.
 _BATCH_ENTRIES = 2**23
 # A point stops early once it has run MIN_FRAMES frames (or its whole
 # budget) and every detector has counted MIN_ERRORS symbol errors.
@@ -39,8 +40,8 @@ MAX_WORKERS = 64
 # a time as keep each (rows, w, M) distance array within _DEMAP_ELEMENTS
 # floats (8 MB), and at least one row.
 _DEMAP_ELEMENTS = 2**20
-# After its draws, a batch runs in blocks of at most _BLOCK_ENTRIES slot
-# entries (1 MiB per float array), and at least one frame.
+# A batch runs in blocks of at most _BLOCK_ENTRIES slot entries (1 MiB per
+# float array), and at least one frame.
 _BLOCK_ENTRIES = 2**17
 
 
@@ -89,26 +90,14 @@ class TrialCounters:
         return self.qam_cond_errors / self.qam_cond_opportunities
 
 
-def _select(metric_of, n_frames: int, step: int, code: MppmCode):
-    """Top-w slot selection and ranking, a block of ``step`` frames at a
-    time; returns the sorted supports and their ranks, out-of-set rows
-    included.  ``metric_of(lo, hi)`` gives the flat metric of frames lo ..
-    hi - 1, and is called once per block in frame order."""
+def _detect(metric, code: MppmCode, rng: np.random.Generator):
+    """Top-w slot selection of each row of a block's (frames, N) metric, with
+    the nearest-member correction of its out-of-set rows from ``rng``;
+    returns the decoded sorted supports and their ranks."""
     n, w = code.n_slots, code.weight
-    support = np.empty((n_frames, w), dtype=np.int16)
-    rank = np.empty(n_frames, dtype=np.int64)
-    for lo in range(0, n_frames, step):
-        hi = min(lo + step, n_frames)
-        rows = support[lo:hi]
-        rows[:] = np.argpartition(metric_of(lo, hi).reshape(-1, n), n - w, axis=1)[:, n - w:]
-        rows.sort(axis=1)
-        rank[lo:hi] = rank_supports(rows, code)
-    return support, rank
-
-
-def _detect(support, rank, code: MppmCode, rng: np.random.Generator):
-    """The nearest-member correction of every out-of-set row of the batch at
-    once, in place; returns the decoded sorted supports and their ranks."""
+    support = np.argpartition(metric, n - w, axis=1)[:, n - w:].astype(np.int16)
+    support.sort(axis=1)
+    rank = rank_supports(support, code)
     bad = rank >= code.size
     if bad.any():
         support[bad] = correct_patterns(support[bad], code, rng)
@@ -136,72 +125,68 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
                    seed_key) -> dict[str, TrialCounters]:
     """Simulate n_frames frames and count errors for each requested detector.
 
-    The two correlator outputs are drawn for the whole batch, in turn, and
-    the matched-filter output a block at a time inside the IMD selection,
-    which reads the generator's stream on in the same order.  All else runs
-    in blocks of at most _BLOCK_ENTRIES slot entries, the placing of each
-    statistic's signal means included, except the nearest-member correction
-    of the out-of-set rows, which runs once per batch, after every
-    selection, so that the random stream does not depend on the blocks.  So
-    a batch holds its two correlator draws, its (frames, w) supports and
-    symbols, and one block's temporaries.
+    The batch generator draws the transmitted ranks, then the QAM symbols.
+    Five role streams are then spawned from the batch's seed sequence, in
+    this order whatever the detectors: the two correlator outputs r_i and
+    r_q, the matched-filter output r_dc, and the CMD and IMD corrections.
+    The batch runs in blocks of at most _BLOCK_ENTRIES slot entries, each
+    end to end: its statistics are drawn from their streams in frame order
+    (r_dc only when IMD is requested) and their signal means placed; then
+    per detector the top-w selection, the ranking, the correction of the
+    out-of-set rows from the detector's stream (each row reads a fixed
+    count of uniforms), the demap and the counting.  So a batch holds its
+    (frames, w) ranks, supports and symbols, and one block's temporaries.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_key)))
+    seq = np.random.SeedSequence(seed_key)
+    rng = np.random.Generator(np.random.Philox(seq))
     n, w, m_q = link.n_slots, link.weight, c.m_q
     tx_rank = rng.integers(0, code.size, n_frames)
     tx_support = unrank_supports(tx_rank, code)
     qam_idx = rng.integers(0, m_q, (n_frames, w)).astype(np.int16)  # M <= 1024
+    rng_i, rng_q, rng_dc, rng_cmd, rng_imd = (
+        np.random.Generator(np.random.Philox(s)) for s in seq.spawn(5))
+    corrections = {"cmd": rng_cmd, "imd": rng_imd}
     amp = math.sqrt(link.t_s / 2.0) * link.i_ph * link.m
     sigma = math.sqrt(link.sigma2)
-    # int32 flat indices cover any batch whose statistics fit in memory.
-    offsets = np.arange(0, n_frames * n, n, dtype=np.int32)
+    means_i, means_q = amp * c.points[:, 0], amp * c.points[:, 1]
+    means_dc = np.full(m_q, math.sqrt(link.t_s) * link.i_ph)
     step = max(1, _BLOCK_ENTRIES // n)
-
-    # Noise r of frames lo .. hi - 1, scaled in place, plus the symbol's
-    # mean in the sent slots.
-    def signal(r, lo, hi, means):
-        r *= sigma
-        r[offsets[:hi - lo, None] + tx_support[lo:hi]] += means[qam_idx[lo:hi]]
-        return r
-
-    def statistic(means):
-        r = rng.standard_normal(n_frames * n)
-        for lo in range(0, n_frames, step):
-            signal(r[lo * n:(lo + step) * n], lo, min(lo + step, n_frames), means)
-        return r
-
-    r_i = statistic(amp * c.points[:, 0])
-    r_q = statistic(amp * c.points[:, 1])
-    dc = np.full(m_q, math.sqrt(link.t_s) * link.i_ph)
-
-    # Only the IMD selection reads the matched-filter output, so it draws
-    # each block's noise as it goes.  Consecutive draws continue one stream
-    # and equal a whole-batch draw after r_q, since every selection runs
-    # before the first correction reads the generator.
-    metrics = {"cmd": lambda lo, hi: r_i[lo * n:hi * n] ** 2 + r_q[lo * n:hi * n] ** 2,
-               "imd": lambda lo, hi: signal(rng.standard_normal((hi - lo) * n), lo, hi, dc)}
-    selected = {det: _select(metrics[det], n_frames, step, code) for det in detectors}
-    decoded = {det: _detect(*selected[det], code, rng) for det in detectors}
-
+    # int32 flat indices of each frame's first slot within a block.
+    offsets = np.arange(0, min(step, n_frames) * n, n, dtype=np.int32)[:, None]
     # A frame's bits are its pattern word and one QAM word per slot in
     # support order; errors are counted per field, since a frame can carry
     # more than 64 bits.  Labels have at most 10 bits.
     labels = c.labels.astype(np.uint16)
     out = {det: TrialCounters() for det in detectors}
-    for lo in range(0, n_frames, step):
-        hi = min(lo + step, n_frames)
-        rows = np.arange(hi - lo)[:, None]
+
+    # A block runs in a function, so that its arrays are freed before the
+    # next block draws.
+    def block(lo, hi):
+        tx, idx = tx_rank[lo:hi], qam_idx[lo:hi]
+        tx_flat = offsets[:hi - lo] + tx_support[lo:hi]
+
+        # The block's noise from ``stream``, scaled in place, plus the
+        # symbol's mean in the sent slots.
+        def statistic(stream, means):
+            r = stream.standard_normal((hi - lo) * n)
+            r *= sigma
+            r[tx_flat] += means[idx]
+            return r
+
+        r_i, r_q = statistic(rng_i, means_i), statistic(rng_q, means_q)
         # The QAM symbol sent in each slot of the block, -1 where none was.
-        sent = np.full((hi - lo, n), -1, dtype=np.int16)
-        sent[rows, tx_support[lo:hi]] = qam_idx[lo:hi]
-        tx_labels = labels[qam_idx[lo:hi]]
-        for det, (support, rank) in decoded.items():
-            det_sup, det_rank, tx = support[lo:hi], rank[lo:hi], tx_rank[lo:hi]
-            det_flat = offsets[lo:hi, None] + det_sup
+        sent = np.full((hi - lo) * n, -1, dtype=np.int16)
+        sent[tx_flat] = idx
+        tx_labels = labels[idx]
+        for det in detectors:
+            metric = r_i ** 2 + r_q ** 2 if det == "cmd" else statistic(rng_dc, means_dc)
+            det_sup, det_rank = _detect(metric.reshape(-1, n), code, corrections[det])
+            del metric  # before the next detector's metric
+            det_flat = offsets[:hi - lo] + det_sup
             det_idx = _demap(r_i[det_flat], r_q[det_flat], c, amp)
             diff = np.bitwise_count(tx ^ det_rank).astype(np.int64)
             diff += np.bitwise_count(tx_labels ^ labels[det_idx]).sum(axis=1, dtype=np.int64)
-            tx_at_det = sent[rows, det_sup]
+            tx_at_det = sent[det_flat]
             common = tx_at_det >= 0  # detected slot that was also sent
             out[det].merge(TrialCounters(
                 frames=hi - lo,
@@ -212,6 +197,9 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
                 qam_cond_errors=np.count_nonzero((tx_at_det != det_idx) & common),
                 qam_cond_opportunities=np.count_nonzero(common),
             ))
+
+    for lo in range(0, n_frames, step):
+        block(lo, min(lo + step, n_frames))
     return out
 
 

@@ -6,7 +6,8 @@ import numpy as np
 
 from qam_mppm.constellation import Constellation
 from qam_mppm.link import LinkParams, frame_energies
-from qam_mppm.mppm import MppmCode
+from qam_mppm.mppm import MppmCode, correct_patterns
+from qam_mppm.simulate import TrialCounters
 
 
 def ebn0_at_target(ebn0_db: np.ndarray, values: np.ndarray, target: float) -> float:
@@ -115,3 +116,72 @@ def waveform_crosscheck(support, qam_indices, c: Constellation, link: LinkParams
     r_q = np.sum(sl * sin_corr.reshape(n, ns), axis=1) * dt
     r_dc = np.sum(sl * rect, axis=1) * dt
     return r_i, r_q, r_dc
+
+
+def replay_batch(code: MppmCode, c: Constellation, link: LinkParams,
+                 detectors, n_frames: int, seed_key) -> dict[str, TrialCounters]:
+    """Reference simulator for simulate.simulate_batch on the same streams.
+
+    The batch generator draws the ranks and the symbols; five streams are
+    spawned from the batch's seed sequence for r_i, r_q, r_dc and the CMD
+    and IMD corrections, and each statistic is drawn whole, as (frames, N).
+    Each frame's top w slots come from a full sort; the out-of-set rows of
+    each detector go to correct_patterns in row order; ranks, decisions and
+    bit counts are taken one frame at a time in Python integers.
+    """
+    n, w = code.n_slots, code.weight
+    seq = np.random.SeedSequence(seed_key)
+    rng = np.random.Generator(np.random.Philox(seq))
+    tx_rank = rng.integers(0, code.size, n_frames)
+    tx_idx = rng.integers(0, c.m_q, (n_frames, w))
+    streams = dict(zip(("r_i", "r_q", "r_dc", "cmd", "imd"),
+                       (np.random.Generator(np.random.Philox(s)) for s in seq.spawn(5))))
+    amp = math.sqrt(link.t_s / 2.0) * link.i_ph * link.m
+    mu = math.sqrt(link.t_s) * link.i_ph
+    sigma = math.sqrt(link.sigma2)
+    tx_support = [unrank(int(r), code) for r in tx_rank]
+
+    def statistic(role, mean_of):
+        r = streams[role].standard_normal((n_frames, n)) * sigma
+        for f, support in enumerate(tx_support):
+            for slot, k in zip(support, tx_idx[f]):
+                r[f, slot] += mean_of(int(k))
+        return r
+
+    r_i = statistic("r_i", lambda k: amp * c.points[k, 0])
+    r_q = statistic("r_q", lambda k: amp * c.points[k, 1])
+    metrics = {"cmd": r_i ** 2 + r_q ** 2}
+    if "imd" in detectors:
+        metrics["imd"] = statistic("r_dc", lambda k: mu)
+
+    def word(rank, idx):
+        v = int(rank)
+        for k in idx:
+            v = (v << c.n_q) | int(c.labels[k])
+        return v
+
+    out = {}
+    for det in detectors:
+        det_sup = np.array([sorted(sorted(range(n), key=lambda s: row[s])[n - w:])
+                            for row in metrics[det]], dtype=np.int16)
+        bad = [f for f in range(n_frames) if rank_support(det_sup[f], code) >= code.size]
+        if bad:
+            det_sup[bad] = correct_patterns(det_sup[bad], code, streams[det])
+        t = TrialCounters()
+        for f in range(n_frames):
+            support = [int(s) for s in det_sup[f]]
+            rank = rank_support(support, code)
+            idx = [demap_ml((r_i[f, s] / amp, r_q[f, s] / amp), c) for s in support]
+            sent = dict(zip(tx_support[f], (int(k) for k in tx_idx[f])))
+            d = bin(word(tx_rank[f], tx_idx[f]) ^ word(rank, idx)).count("1")
+            # (sent, decided) symbol of each detected slot that was sent
+            pairs = [(sent[s], k) for s, k in zip(support, idx) if s in sent]
+            t.frames += 1
+            t.sym_errors += d > 0
+            t.bit_errors += d
+            t.bit_errors_sq += d * d
+            t.mppm_errors += rank != tx_rank[f]
+            t.qam_cond_errors += sum(a != b for a, b in pairs)
+            t.qam_cond_opportunities += len(pairs)
+        out[det] = t
+    return out

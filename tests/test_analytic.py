@@ -676,11 +676,11 @@ def test_distributions_run_once_per_threshold(monkeypatch):
 
 
 @pytest.mark.xfail(strict=True, raises=QuadratureError,
-                   reason="bits_at integrals at -30 dBm end with residual 1.21e-07 (ROADMAP item 1)")
+                   reason="bits_at integrals at -30 dBm end with residual 1.21e-07 (ROADMAP item 2)")
 def test_popt_12_6_16qam_first_point_evaluates():
     """The first point of the bundled popt_12_6_16qam config, -30 dBm,
     evaluates at the sweep's default tolerance.  Today its per-event bit
-    integrals do not converge; smoothing the slot model is to mend it."""
+    integrals do not converge; the piecewise chord rule is to mend it."""
     cfg = Path(__file__).resolve().parents[1] / "scripts" / "popt_12_6_16qam.cfg"
     spec = sweep.build_spec(sweep.parse_config(cfg))
     assert spec.grid()[0] == -30.0

@@ -25,7 +25,6 @@ from qam_mppm.mppm import (
     unrank_supports,
 )
 from qam_mppm.mppm import (
-    _CORRECTION_CHUNK,
     _SUM_COLUMNS,
     _classify_positions,
     _nearest_members,
@@ -189,14 +188,15 @@ def _shell_scan(support, code):
     raise AssertionError("no usable pattern")
 
 
-def _nearest_member_by_scan(support, code, rng, enumerate_members):
-    """Reference fallback: a uniform draw over the nearest usable patterns
-    in rank order, found by enumerating the usable set or by the shell scan."""
+def _nearest_member_by_scan(support, code, u, enumerate_members):
+    """Reference fallback: member floor(u * count) of the nearest usable
+    patterns in rank order, found by enumerating the usable set or by the
+    shell scan."""
     if enumerate_members:
         members = _max_overlap(support, _lex_supports(code))
     else:
         members = sorted(_shell_scan(support, code), key=lambda m: rank_support(m, code))
-    return members[rng.integers(len(members))]
+    return members[int(u * len(members))]
 
 
 def _falls_back(sup, code):
@@ -250,19 +250,16 @@ def test_nearest_members_without_table(n, w, n_lone, block, monkeypatch):
 
 def _correct_patterns_by_ranking(supports, code, rng, enumerate_members):
     """Reference correction: every single swap of every row is built, sorted
-    and ranked, and a uniform random usable one is taken."""
-    out = supports.copy()
-    for lo in range(0, len(supports), _CORRECTION_CHUNK):
-        sub = supports[lo : lo + _CORRECTION_CHUNK]
-        cands = _single_swaps(sub, code.n_slots)
-        ranks = rank_supports(cands.reshape(-1, code.weight), code).reshape(cands.shape[:2])
-        ok = ranks < code.size
-        u = rng.random(ok.shape)
-        u[~ok] = -1.0
-        chosen = cands[np.arange(len(sub)), np.argmax(u, axis=1)]
-        for row in np.flatnonzero(~ok.any(axis=1)):
-            chosen[row] = _nearest_member_by_scan(sub[row], code, rng, enumerate_members)
-        out[lo : lo + _CORRECTION_CHUNK] = chosen
+    and ranked, and the usable one with the largest of the row's uniforms,
+    one per swap, is taken; a row with none takes a nearest member by its
+    first uniform."""
+    cands = _single_swaps(supports, code.n_slots)
+    ranks = rank_supports(cands.reshape(-1, code.weight), code).reshape(cands.shape[:2])
+    ok = ranks < code.size
+    u = rng.random(ok.shape)
+    out = cands[np.arange(len(supports)), np.argmax(np.where(ok, u, -1.0), axis=1)]
+    for row in np.flatnonzero(~ok.any(axis=1)):
+        out[row] = _nearest_member_by_scan(supports[row], code, u[row, 0], enumerate_members)
     return out
 
 
@@ -292,25 +289,43 @@ def _assert_matches_ranking(sup, code, enumerate_members):
 ])
 def test_correct_patterns_matches_ranking_every_swap(n, w, enumerate_members, falls_back):
     """The membership test picks the same supports and leaves the random
-    stream where ranking every single swap leaves it, across chunk
-    boundaries, and on rows without a usable single swap, whose nearest
-    members the reference finds by enumerating the usable set or by the
-    shell scan."""
+    stream where ranking every single swap leaves it, also on rows without
+    a usable single swap, whose nearest members the reference finds by
+    enumerating the usable set or by the shell scan."""
     code = make_code(n, w)
-    sup = _out_of_set(code, _CORRECTION_CHUNK + 300, n * 100 + w)
+    sup = _out_of_set(code, 2348, n * 100 + w)
     assert bool(np.any(_falls_back(sup, code))) == falls_back
     _assert_matches_ranking(sup, code, enumerate_members)
 
 
 @pytest.mark.parametrize("n, w", [(12, 8), (40, 10), (9, 5)])
 def test_correct_patterns_in_swap_blocks(n, w, monkeypatch):
-    """Usable-swap blocks of 37 rows, the last of each chunk shorter, pick
-    the same supports and leave the random stream where whole chunks do,
-    also with rows that have no usable single swap ((12, 8), (9, 5))."""
+    """Usable-swap blocks of 37 rows, the last one shorter, pick the same
+    supports and leave the random stream where one block does, also with
+    rows that have no usable single swap ((12, 8), (9, 5))."""
     monkeypatch.setattr("qam_mppm.mppm._SWAP_ENTRIES", 37 * w * (n - w))
     code = make_code(n, w)
-    sup = _out_of_set(code, _CORRECTION_CHUNK + 300, n * 100 + w)
+    sup = _out_of_set(code, 2348, n * 100 + w)
     _assert_matches_ranking(sup, code, enumerate_members=False)
+
+
+@pytest.mark.parametrize("n, w", [(12, 8), (9, 5), (40, 10)])
+def test_correct_patterns_do_not_depend_on_the_row_split(n, w):
+    """Rows corrected in several calls, split at arbitrary points and around
+    rows without a usable single swap, give the supports of one call and
+    leave the generator in the same state: each row reads w * (N - w)
+    uniforms."""
+    code = make_code(n, w)
+    sup = _out_of_set(code, 500, n * 100 + w)
+    lone = np.flatnonzero(_falls_back(sup, code))
+    assert bool(len(lone)) == ((n, w) != (40, 10))
+    cuts = set(np.random.default_rng(n).integers(1, len(sup), 6).tolist())
+    cuts |= {i + d for i in lone[:3].tolist() for d in (0, 1)}
+    rng_whole, rng_split = np.random.default_rng(3), np.random.default_rng(3)
+    whole = correct_patterns(sup, code, rng_whole)
+    parts = [correct_patterns(part, code, rng_split) for part in np.split(sup, sorted(cuts))]
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert rng_whole.random() == rng_split.random()
 
 
 def test_correct_patterns_tableless_shell_scan():

@@ -22,7 +22,7 @@ from qam_mppm.link import (
 from qam_mppm.mppm import correct_patterns, make_code
 from qam_mppm.simulate import TrialCounters, _demap, run_point, simulate_batch
 
-from oracles import demap_ml, waveform_crosscheck
+from oracles import demap_ml, replay_batch, waveform_crosscheck
 
 
 def _setup(db=10.0, n=12, w=6, n_q=4, m=0.5):
@@ -71,47 +71,14 @@ def test_noiseless_detection_recovers_frame():
         assert (t.sym_errors, t.bit_errors, t.mppm_errors, t.qam_cond_errors) == (0, 0, 0, 0)
 
 
-def test_bit_errors_counted_over_frames_beyond_64_bits(monkeypatch):
+def test_bit_errors_counted_over_frames_beyond_64_bits():
     """A (40, 10) 16-QAM frame carries 29 + 10 * 4 = 69 bits.  The counters
-    equal a count over each whole frame word (pattern word, then the QAM
-    words in slot order) in Python integers."""
+    equal the replay's count over each whole frame word (pattern word, then
+    the QAM words in slot order) in Python integers."""
     code, c, link = _setup(db=0.0, n=40, w=10)
     assert total_bits(40, 10, c.n_q) == 69
-    seen = {"rank": [], "idx": []}
-    detect, demap = simulate._detect, simulate._demap
-
-    def spy_detect(*args):
-        out = detect(*args)
-        seen["rank"].append(out[1])
-        return out
-
-    def spy_demap(*args):
-        out = demap(*args)
-        seen["idx"].append(out)
-        return out
-
-    monkeypatch.setattr(simulate, "_detect", spy_detect)
-    monkeypatch.setattr(simulate, "_demap", spy_demap)
-    n_frames, key = 2000, [5, 0, 0]
-    got = simulate_batch(code, c, link, ("cmd", "imd"), n_frames, key)
-    # the batch's first two draws: the pattern words, then the QAM symbols
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
-    tx_rank = rng.integers(0, code.size, n_frames)
-    tx_idx = rng.integers(0, c.m_q, (n_frames, code.weight))
-
-    def word(rank, idx):
-        v = int(rank)
-        for i in idx:
-            v = (v << c.n_q) | int(c.labels[i])
-        return v
-
-    for det, det_rank, det_idx in zip(("cmd", "imd"), seen["rank"], seen["idx"]):
-        diffs = [bin(word(*tx) ^ word(*rx)).count("1")
-                 for tx, rx in zip(zip(tx_rank, tx_idx), zip(det_rank, det_idx))]
-        t = got[det]
-        assert t.sym_errors == sum(d > 0 for d in diffs)
-        assert t.bit_errors == sum(diffs)
-        assert t.bit_errors_sq == sum(d * d for d in diffs)
+    args = (code, c, link, ("cmd", "imd"), 2000, [5, 0, 0])
+    assert simulate_batch(*args) == replay_batch(*args)
 
 
 def test_simulate_batch_deterministic():
@@ -125,56 +92,55 @@ def test_simulate_batch_deterministic():
 
 # Counters of one batch per operating point, at key [41, case, 0]: each
 # tuple is (frames, sym_errors, bit_errors, bit_errors_sq, mppm_errors,
-# qam_cond_errors, qam_cond_opportunities).  They pin the random stream and
-# the kernel bit for bit.  The (12, 8) batch at -3 dB sends 154 rows without
+# qam_cond_errors, qam_cond_opportunities).  They pin the random streams and
+# the kernel bit for bit.  The (12, 8) batch at -3 dB sends 143 rows without
 # a usable single swap to the nearest-member fallback; (40, 10) frames carry
-# 69 bits.  The last batch runs IMD alone (8 fallback rows), so its
-# matched-filter blocks follow the symbol draws with no CMD selection between.
+# 69 bits.  The last batch runs IMD alone (8 fallback rows).
 _PINNED_BATCHES = [
     # (N, w, n_q, mode, x in dB or dBm, detectors, frames), counters
     ((12, 6, 4, "ebn0", 0.0, ("cmd", "imd"), 4000), {
-        "cmd": (4000, 4000, 58704, 902534, 3957, 10984, 14621),
-        "imd": (4000, 4000, 37543, 402807, 980, 18161, 22943),
+        "cmd": (4000, 4000, 58703, 904301, 3953, 11014, 14619),
+        "imd": (4000, 4000, 37556, 402260, 986, 18222, 22929),
     }),
     ((12, 6, 4, "ebn0", 23.0, ("cmd", "imd"), 50_000), {
-        "cmd": (50_000, 1, 6, 36, 1, 0, 299998),
-        "imd": (50_000, 0, 0, 0, 0, 0, 300000),
+        "cmd": (50_000, 7, 40, 378, 4, 3, 299996),
+        "imd": (50_000, 3, 3, 3, 0, 3, 300000),
     }),
     ((12, 8, 4, "ebn0", -3.0, ("cmd", "imd"), 4000), {
-        "cmd": (4000, 4000, 72484, 1357860, 3972, 18834, 22623),
-        "imd": (4000, 4000, 62348, 1032624, 2406, 24697, 29081),
+        "cmd": (4000, 4000, 72733, 1367851, 3972, 18823, 22683),
+        "imd": (4000, 4000, 62168, 1027048, 2439, 24636, 29048),
     }),
     ((32, 6, 4, "popt", -32.0, ("cmd",), 4000), {
-        "cmd": (4000, 3998, 68833, 1275305, 3924, 7081, 14747),
+        "cmd": (4000, 3999, 69447, 1296205, 3916, 7137, 14685),
     }),
     ((32, 2, 2, "ebn0", 8.0, ("cmd", "imd"), 4000), {
-        "cmd": (4000, 2511, 12503, 71699, 2441, 93, 4980),
-        "imd": (4000, 317, 322, 332, 0, 321, 8000),
+        "cmd": (4000, 2462, 12289, 70593, 2411, 88, 4958),
+        "imd": (4000, 304, 316, 340, 0, 310, 8000),
     }),
     ((12, 6, 3, "ebn0", 6.0, ("cmd", "imd"), 4000), {
-        "cmd": (4000, 3986, 39357, 438133, 3761, 7012, 17212),
-        "imd": (4000, 3893, 12512, 48818, 4, 10768, 23996),
+        "cmd": (4000, 3989, 39729, 442589, 3790, 7110, 17052),
+        "imd": (4000, 3883, 12755, 50457, 2, 11002, 23998),
     }),
     ((12, 6, 5, "ebn0", 6.0, ("cmd", "imd"), 4000), {
-        "cmd": (4000, 4000, 59102, 956690, 3528, 13202, 18437),
-        "imd": (4000, 4000, 34105, 325203, 0, 17748, 24000),
+        "cmd": (4000, 4000, 58979, 953497, 3504, 13142, 18415),
+        "imd": (4000, 3998, 33754, 320144, 1, 17684, 23999),
     }),
     ((12, 6, 4, "ebn0", 4.0, ("imd", "cmd"), 4000), {
-        "imd": (4000, 3996, 23335, 154327, 27, 16388, 23971),
-        "cmd": (4000, 3999, 52055, 732713, 3853, 10706, 16663),
+        "imd": (4000, 3991, 23165, 152719, 25, 16241, 23974),
+        "cmd": (4000, 3999, 51889, 729931, 3836, 10607, 16712),
     }),
     ((40, 10, 4, "ebn0", 0.0, ("cmd", "imd"), 4000), {
-        "cmd": (4000, 4000, 131182, 4384148, 4000, 11155, 16442),
-        "imd": (4000, 4000, 78698, 1836774, 2045, 28876, 37580),
+        "cmd": (4000, 4000, 131236, 4383466, 4000, 11238, 16460),
+        "imd": (4000, 4000, 79616, 1873664, 2098, 28891, 37523),
     }),
     ((12, 8, 4, "ebn0", -3.0, ("imd",), 4000), {
-        "imd": (4000, 4000, 61784, 1014816, 2443, 24576, 29044),
+        "imd": (4000, 4000, 62407, 1035385, 2469, 24552, 28989),
     }),
 ]
 
 
-def _pinned_batch(case):
-    """Counters of pinned batch ``case`` as simulated now."""
+def _pinned_args(case):
+    """simulate_batch's arguments for pinned batch ``case``."""
     (n, w, n_q, mode, x, detectors, frames), _ = _PINNED_BATCHES[case]
     c = build_constellation(n_q)
     if mode == "ebn0":
@@ -183,7 +149,12 @@ def _pinned_batch(case):
     else:
         link = link_from_popt(1e-3 * 10.0 ** (x / 10.0), DEFAULT_RECEIVER, n, w, 50e6,
                               total_bits(n, w, n_q), 0.5)
-    return simulate_batch(make_code(n, w), c, link, detectors, frames, [41, case, 0])
+    return make_code(n, w), c, link, detectors, frames, [41, case, 0]
+
+
+def _pinned_batch(case):
+    """Counters of pinned batch ``case`` as simulated now."""
+    return simulate_batch(*_pinned_args(case))
 
 
 @pytest.mark.parametrize("case", range(len(_PINNED_BATCHES)))
@@ -192,6 +163,32 @@ def test_simulate_batch_counters_are_pinned(case):
     got = _pinned_batch(case)
     assert list(got) == list(detectors)
     assert got == {det: TrialCounters(*vals) for det, vals in want.items()}
+
+
+@pytest.mark.parametrize("case", range(len(_PINNED_BATCHES)))
+def test_simulate_batch_matches_replay(case, monkeypatch):
+    """Every counter of a 2000-frame batch at each pinned operating point
+    equals the plain replay's, in one block and in blocks of 7 frames: both
+    detectors and IMD alone, fallback rows ((12, 8) at -3 dB), rect 8-QAM,
+    cross 32-QAM and 69-bit frames."""
+    code, c, link, detectors, _, key = _pinned_args(case)
+    args = (code, c, link, detectors, 2000, [43, *key[1:]])
+    want = replay_batch(*args)
+    assert simulate_batch(*args) == want
+    monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 7 * code.n_slots)
+    assert simulate_batch(*args) == want
+
+
+@pytest.mark.parametrize("case", [0, 2, 5])
+def test_detector_counters_do_not_depend_on_the_other_detector(case):
+    """Each detector counts the same errors run alone, beside the other
+    detector, or after it: each statistic and each correction reads its
+    own stream.  (12, 8) at -3 dB has fallback rows for both detectors."""
+    code, c, link, _, frames, key = _pinned_args(case)
+    alone = {det: simulate_batch(code, c, link, (det,), frames, key)[det]
+             for det in ("cmd", "imd")}
+    for dets in [("cmd", "imd"), ("imd", "cmd")]:
+        assert simulate_batch(code, c, link, dets, frames, key) == alone, dets
 
 
 @pytest.mark.parametrize("frames_per_block", [7, 1])
@@ -212,12 +209,12 @@ def test_simulate_batch_counters_do_not_depend_on_blocks(frames_per_block, monke
 
 
 def test_simulate_batch_memory_is_draws_plus_one_block():
-    """Beside its two (frames * N) float correlator statistics a batch holds
-    its (frames, w) supports and symbols and one block's temporaries, the
-    block's matched-filter output included: a 50k-frame batch peaks within
-    8 MiB of the two statistics, its draws and its correction included,
-    whatever its detectors.  At 0 dB about a third of the (32, 6) rows are
-    corrected."""
+    """A batch holds its (frames, w) ranks, supports and symbols whole, and
+    draws the symbols as int64 before it stores them as int16; all else,
+    the three statistics included, lives one block at a time.  So a
+    50k-frame batch peaks within six blocks' floats of those draws, its
+    correction included, whatever its detectors.  At 0 dB about a third of
+    the (32, 6) rows are corrected."""
     frames = 50_000
     for n, w, db, detectors in [(64, 8, 10.0, ("cmd", "imd")), (32, 6, 0.0, ("cmd",)),
                                 (12, 6, 10.0, ("cmd", "imd")), (12, 6, 0.0, ("imd",))]:
@@ -229,8 +226,8 @@ def test_simulate_batch_memory_is_draws_plus_one_block():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        statistics = 2 * 8 * frames * n
-        assert peak <= statistics + 8 * 2**20, (n, w, detectors)
+        draws = frames * (8 + (2 + 8 + 2) * w)  # ranks; symbols int64, int16; supports
+        assert peak <= draws + 6 * 8 * simulate._BLOCK_ENTRIES, (n, w, detectors)
 
 
 def test_batch_seed_depends_on_point_and_index():

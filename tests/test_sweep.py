@@ -305,11 +305,11 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # analytic methods, on a 0/12/24 dB grid, and so pins the analytic columns
 # byte for byte.
 CSV_SHA256 = {
-    "popt_32_6_16qam": "f95e62ce5b3194815f58853ee9d91d1e2ddc16c14f769fce07d502bd8b3ef1c2",
-    "popt_32_2_4qam": "1a558ac6fe342a075e27bb2a24b62f9f6bffd8ca188dd9a0f7c5c8a097e54c81",
-    "ebn0_12_6_16qam": "4d527c6bea0b515d7c10ac912dd0a552ff93ae10b777c05de246f29936702f81",
-    "ebn0_12_6_16qam_full": "92267530e7ebf91d311a98e5ce29dd57eaa1ee528680a1c1c39c8cc21a57bbc9",
-    "ebn0_12_8_16qam": "50538e45b2c66d8cbb4b58ff089cf1c724951ce9f57ba0f11c30b7c43b6c08bc",
+    "popt_32_6_16qam": "ca6d4272ce88cb7c078e5a6b3b86e8eed3f855fd60edcb0b14087046c371630b",
+    "popt_32_2_4qam": "8ac4253bca0b9374b522afe93fa3cf62e14bc15b35dc91f8332936a791be76ab",
+    "ebn0_12_6_16qam": "728361b61003e9af1ae0712d07105fb1f508b26825b3ff9ab6aef479b99d534b",
+    "ebn0_12_6_16qam_full": "3a9d6144ab99e51cb8037e454926f84bd31a4a6a0eecef71775bf3945205508b",
+    "ebn0_12_8_16qam": "bd65a175217ee85477037b0efca17420de26775fd9405e56f5b8fcac7ccff0aa",
 }
 
 
