@@ -174,7 +174,7 @@ class _SlotModel:
         self._panels: dict[bytes, _Panel] = {}
         # The distribution functions are taken from ``dist`` here, once.
         if detector == "imd":
-            mu = math.sqrt(link.t_s) * link.i_ph
+            mu = link.dc_mean
             self.lo = -_DOMAIN_SIGMAS * self.sigma
             self.hi = mu + _DOMAIN_SIGMAS * self.sigma
             self._mix_w, self._mix_loc = np.ones(1), np.array([mu])
@@ -194,7 +194,7 @@ class _SlotModel:
             raise ValueError("detector must be 'cmd' or 'imd'")
         if not self.coupled:
             return
-        amp = math.sqrt(link.t_s / 2.0) * link.i_ph * link.m
+        amp = link.qam_amplitude
         ci, ri = c.col_idx, c.row_idx
         # Statistic means per I/Q level; a source's means are its levels'.
         self._lv_i = amp * c.i_levels

@@ -39,6 +39,17 @@ class LinkParams:
     def slot_energy(self) -> float:
         return self.t_s * self.i_ph**2
 
+    @property
+    def qam_amplitude(self) -> float:
+        """Mean of a pulsed slot's correlator outputs per unit of its QAM
+        point's coordinate: sqrt(T_s/2) * I_ph * m."""
+        return math.sqrt(self.t_s / 2.0) * self.i_ph * self.m
+
+    @property
+    def dc_mean(self) -> float:
+        """Mean of a pulsed slot's matched-filter output: sqrt(T_s) * I_ph."""
+        return math.sqrt(self.t_s) * self.i_ph
+
     def with_sigma2(self, sigma2: float) -> "LinkParams":
         return replace(self, sigma2=sigma2)
 

@@ -21,10 +21,13 @@ import numpy as np
 _RANK_LIMIT = 1 << 63
 # Supports are int16 slot indices, so codes have at most this many slots.
 _MAX_SLOTS = int(np.iinfo(np.int16).max)
+# Entries w * (N + 1) of a code's int64 rank table (128 MiB), each one
+# Python binomial.
+_PREFIX_ENTRIES = 1 << 24
 # Single swaps (rows * w * (N - w)) per block of the nearest-member
-# correction's usable-swap test and draw: bounds their memory (1 MiB of
-# uniforms).  Every row reads w * (N - w) uniforms, so the stream does not
-# depend on the size.
+# correction's usable-swap test and pick: bounds their memory (512 KiB of
+# int32 counts).  Every row reads one uniform, drawn before the blocks, so
+# the stream does not depend on the size.
 _SWAP_ENTRIES = 1 << 17
 # Slot entries per block of a nearest-member scan: bounds its memory, and
 # blocks that fit in cache rank faster than larger ones.
@@ -65,6 +68,9 @@ def make_code(n_slots: int, weight: int) -> MppmCode:
     if n > _MAX_SLOTS:
         raise CapacityError(f"supports are 16-bit slot indices, so codes need N <= {_MAX_SLOTS}; "
                             f"got N = {n}")
+    if 0 < w < n and w * (n + 1) > _PREFIX_ENTRIES:  # else bits_per_mppm refuses w
+        raise CapacityError(f"the rank table holds w * (N + 1) entries, at most {_PREFIX_ENTRIES}; "
+                            f"({n}, {w}) needs {w * (n + 1)}")
     q = bits_per_mppm(n, w)
     size = 1 << q
     if math.comb(n, w) >= _RANK_LIMIT:
@@ -159,35 +165,31 @@ def correct_patterns(supports: np.ndarray, code: MppmCode,
                      rng: np.random.Generator) -> np.ndarray:
     """Vectorized nearest-member correction for out-of-set sorted supports.
 
-    Each row reads w * (N - w) uniforms from rng, one per single swap, in
-    row order, so the picks and the stream do not depend on how the rows
-    are split between calls.  The usable single swap (squared distance 2)
-    with the largest uniform is taken; a row with none takes member
-    floor(u * count) of its nearest members in rank order, with u its first
-    uniform.
+    Each row reads one uniform u from rng, in row order, so the picks and the
+    stream do not depend on how the rows are split between calls.  A row
+    takes member floor(u * count) of its nearest members in _member_table's
+    order: its usable single swaps (squared distance 2) in (support
+    position, inactive slot) order, or, when it has none, its nearest
+    members in rank order.
     """
     n, w = code.n_slots, code.weight
+    u = rng.random(len(supports))
     out = supports.copy()
     step = max(1, _SWAP_ENTRIES // (w * (n - w)))
-    alone = np.zeros(len(supports), dtype=bool)
-    first = np.empty(len(supports))
-    for lo in range(0, len(supports), step):
-        sub = out[lo : lo + step]
-        rows = np.arange(len(sub))
+    for lo in range(0, len(out), step):
+        sub, v = out[lo : lo + step], u[lo : lo + step]
         inact, ok = _usable_swaps(sub, code)
-        u = rng.random(ok.shape)
-        alone[lo : lo + step] = ~ok.any(axis=1)
-        first[lo : lo + step] = u[:, 0]
-        u[~ok] = -1.0
-        pick = np.argmax(u, axis=1)
-        sub[rows, pick // (n - w)] = inact[rows, pick % (n - w)]
+        seen = np.cumsum(ok, axis=1, dtype=np.int32)
+        count = seen[:, -1]
+        # The picked swap is the first whose running count passes floor(u * count).
+        jk = np.argmax(seen > (v * count).astype(np.int32)[:, None], axis=1)
+        rows = np.flatnonzero(count)
+        sub[rows, jk[rows] // (n - w)] = inact[rows, jk[rows] % (n - w)]
+        lone = np.flatnonzero(count == 0)
+        if len(lone):
+            members, counts = _nearest_members(sub[lone], inact[lone], code)
+            sub[lone] = members[np.cumsum(counts) - counts + (v[lone] * counts).astype(np.int64)]
         sub.sort(axis=1)
-    lone = np.flatnonzero(alone)
-    if len(lone):
-        sup = supports[lone]
-        members, counts = _nearest_members(sup, _usable_swaps(sup, code)[0], code)
-        pick = (first[lone] * counts).astype(np.int64)
-        out[lone] = members[np.cumsum(counts) - counts + pick]
     return out
 
 

@@ -24,9 +24,10 @@ from .link import LinkParams
 from .mppm import MppmCode, correct_patterns, rank_supports, unrank_supports
 
 BATCH_FRAMES = 50_000
-# A batch covers at most _BATCH_ENTRIES slot entries (frames * N), and at
-# least one frame; it holds only its (frames, w) ranks, supports and
-# symbols whole.
+# A batch covers at most _BATCH_ENTRIES symbol entries (frames * w), and at
+# least one frame: it holds only its ranks and (frames, w) symbols whole,
+# since each block unranks its own supports and its corrections read one
+# uniform per row.
 _BATCH_ENTRIES = 2**23
 # A point stops early once it has run MIN_FRAMES frames (or its whole
 # budget) and every detector has counted MIN_ERRORS symbol errors.
@@ -133,23 +134,22 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
     end to end: its statistics are drawn from their streams in frame order
     (r_dc only when IMD is requested) and their signal means placed; then
     per detector the top-w selection, the ranking, the correction of the
-    out-of-set rows from the detector's stream (each row reads a fixed
-    count of uniforms), the demap and the counting.  So a batch holds its
-    (frames, w) ranks, supports and symbols, and one block's temporaries.
+    out-of-set rows from the detector's stream (one uniform per row), the
+    demap and the counting.  So a batch holds its ranks and (frames, w)
+    symbols, and one block's temporaries, its unranked supports included.
     """
     seq = np.random.SeedSequence(seed_key)
     rng = np.random.Generator(np.random.Philox(seq))
     n, w, m_q = link.n_slots, link.weight, c.m_q
     tx_rank = rng.integers(0, code.size, n_frames)
-    tx_support = unrank_supports(tx_rank, code)
     qam_idx = rng.integers(0, m_q, (n_frames, w)).astype(np.int16)  # M <= 1024
     rng_i, rng_q, rng_dc, rng_cmd, rng_imd = (
         np.random.Generator(np.random.Philox(s)) for s in seq.spawn(5))
     corrections = {"cmd": rng_cmd, "imd": rng_imd}
-    amp = math.sqrt(link.t_s / 2.0) * link.i_ph * link.m
+    amp = link.qam_amplitude
     sigma = math.sqrt(link.sigma2)
     means_i, means_q = amp * c.points[:, 0], amp * c.points[:, 1]
-    means_dc = np.full(m_q, math.sqrt(link.t_s) * link.i_ph)
+    means_dc = np.full(m_q, link.dc_mean)
     step = max(1, _BLOCK_ENTRIES // n)
     # int32 flat indices of each frame's first slot within a block.
     offsets = np.arange(0, min(step, n_frames) * n, n, dtype=np.int32)[:, None]
@@ -163,7 +163,7 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
     # next block draws.
     def block(lo, hi):
         tx, idx = tx_rank[lo:hi], qam_idx[lo:hi]
-        tx_flat = offsets[:hi - lo] + tx_support[lo:hi]
+        tx_flat = offsets[:hi - lo] + unrank_supports(tx, code)
 
         # The block's noise from ``stream``, scaled in place, plus the
         # symbol's mean in the sent slots.
@@ -230,7 +230,7 @@ def run_point(code: MppmCode, c: Constellation, link: LinkParams,
     """
     if budget < 1:
         raise ValueError("budget must be at least one frame")
-    batch_frames = min(BATCH_FRAMES, max(1, _BATCH_ENTRIES // code.n_slots))
+    batch_frames = min(BATCH_FRAMES, max(1, _BATCH_ENTRIES // code.weight))
     calls = map if pool is None else pool.map
     totals = {det: TrialCounters() for det in detectors}
     batches = range(0, budget, batch_frames)  # each batch's first frame

@@ -126,8 +126,9 @@ def replay_batch(code: MppmCode, c: Constellation, link: LinkParams,
     spawned from the batch's seed sequence for r_i, r_q, r_dc and the CMD
     and IMD corrections, and each statistic is drawn whole, as (frames, N).
     Each frame's top w slots come from a full sort; the out-of-set rows of
-    each detector go to correct_patterns in row order; ranks, decisions and
-    bit counts are taken one frame at a time in Python integers.
+    each detector go to correct_patterns in row order, which reads one
+    uniform per row; ranks, decisions and bit counts are taken one frame at
+    a time in Python integers.
     """
     n, w = code.n_slots, code.weight
     seq = np.random.SeedSequence(seed_key)

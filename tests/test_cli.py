@@ -257,6 +257,21 @@ def test_sweep_slot_capacity_exit_code(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_sweep_rank_table_capacity_exit_code(tmp_path):
+    """A code that passes the slot and rank limits but whose rank table
+    would hold 2^30 entries, (32767, 32766): exit 3 naming the limit, no
+    traceback, no CSV."""
+    cfg = _write_cfg(tmp_path, **{"sys.N": "32767", "sys.w": "32766", "detectors": "cmd",
+                                  "methods": "", "sim.workers": "1"})
+    env = dict(os.environ, PYTHONPATH=str(Path(qam_mppm.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "qam_mppm", "sweep", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert "rank table" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sweep_capacity_limit_exit_code(tmp_path):
     """Analytic methods on a code too large for its support table: exit 3
     naming the 2^20 limit, no traceback, no CSV. The simulation alone runs."""

@@ -28,6 +28,7 @@ from qam_mppm.mppm import (
     _SUM_COLUMNS,
     _classify_positions,
     _nearest_members,
+    _member_table,
     _swap_events,
     _usable_swaps,
 )
@@ -250,16 +251,19 @@ def test_nearest_members_without_table(n, w, n_lone, block, monkeypatch):
 
 def _correct_patterns_by_ranking(supports, code, rng, enumerate_members):
     """Reference correction: every single swap of every row is built, sorted
-    and ranked, and the usable one with the largest of the row's uniforms,
-    one per swap, is taken; a row with none takes a nearest member by its
-    first uniform."""
+    and ranked.  A row reads one uniform u and takes its usable swap
+    floor(u * count) in (support position, inactive slot) order; a row with
+    none takes a nearest member by u."""
     cands = _single_swaps(supports, code.n_slots)
     ranks = rank_supports(cands.reshape(-1, code.weight), code).reshape(cands.shape[:2])
     ok = ranks < code.size
-    u = rng.random(ok.shape)
-    out = cands[np.arange(len(supports)), np.argmax(np.where(ok, u, -1.0), axis=1)]
-    for row in np.flatnonzero(~ok.any(axis=1)):
-        out[row] = _nearest_member_by_scan(supports[row], code, u[row, 0], enumerate_members)
+    u = rng.random(len(supports))
+    out = np.empty_like(supports)
+    for row, (cand, usable, v) in enumerate(zip(cands, ok, u)):
+        if usable.any():
+            out[row] = cand[usable][int(v * np.count_nonzero(usable))]
+        else:
+            out[row] = _nearest_member_by_scan(supports[row], code, v, enumerate_members)
     return out
 
 
@@ -313,8 +317,7 @@ def test_correct_patterns_in_swap_blocks(n, w, monkeypatch):
 def test_correct_patterns_do_not_depend_on_the_row_split(n, w):
     """Rows corrected in several calls, split at arbitrary points and around
     rows without a usable single swap, give the supports of one call and
-    leave the generator in the same state: each row reads w * (N - w)
-    uniforms."""
+    leave the generator in the same state: each row reads one uniform."""
     code = make_code(n, w)
     sup = _out_of_set(code, 500, n * 100 + w)
     lone = np.flatnonzero(_falls_back(sup, code))
@@ -326,6 +329,43 @@ def test_correct_patterns_do_not_depend_on_the_row_split(n, w):
     parts = [correct_patterns(part, code, rng_split) for part in np.split(sup, sorted(cuts))]
     assert np.array_equal(np.concatenate(parts), whole)
     assert rng_whole.random() == rng_split.random()
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 37])
+@pytest.mark.parametrize("n, w, falls_back", [
+    (12, 8, True), (9, 5, True), (67, 65, True), (40, 30, True), (32, 6, False),
+])
+def test_correct_patterns_pick_from_member_table(n, w, falls_back, rows_per_block, monkeypatch):
+    """Each out-of-set row reads one uniform u and decodes to member
+    floor(u * count) of the members that correction_stats averages over
+    (_member_table), in one usable-swap block and in blocks of 37 rows, also
+    on rows without a usable single swap; the generator ends one uniform
+    per row further on."""
+    if rows_per_block:
+        monkeypatch.setattr("qam_mppm.mppm._SWAP_ENTRIES", rows_per_block * w * (n - w))
+    code = make_code(n, w)
+    sup = _out_of_set(code, 300, n * 100 + w)
+    assert bool(np.any(_falls_back(sup, code))) == falls_back
+    pats, first, which = np.unique(rank_supports(sup, code), return_index=True,
+                                   return_inverse=True)
+    members, _, counts, starts = _member_table(pats, sup[first], code)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    fixed = correct_patterns(sup, code, rng)
+    u = ref.random(len(sup))
+    assert np.array_equal(fixed, members[starts[which] + (u * counts[which]).astype(np.int64)])
+    assert rng.random() == ref.random()
+
+
+def test_rank_table_limit_is_checked_before_the_binomial(monkeypatch):
+    """(32767, 32766) passes the slot and rank limits, but its rank table
+    would hold 2^30 int64 entries (8 GiB), each a Python binomial: it is
+    refused at once, without computing any."""
+    def no_comb(*args):
+        raise AssertionError("math.comb called for a code past the rank-table limit")
+
+    monkeypatch.setattr(math, "comb", no_comb)
+    with pytest.raises(CapacityError, match="rank table"):
+        make_code(32767, 32766)
 
 
 def test_correct_patterns_tableless_shell_scan():

@@ -99,42 +99,42 @@ def test_simulate_batch_deterministic():
 _PINNED_BATCHES = [
     # (N, w, n_q, mode, x in dB or dBm, detectors, frames), counters
     ((12, 6, 4, "ebn0", 0.0, ("cmd", "imd"), 4000), {
-        "cmd": (4000, 4000, 58703, 904301, 3953, 11014, 14619),
-        "imd": (4000, 4000, 37556, 402260, 986, 18222, 22929),
+        "cmd": (4000, 4000, 58559, 900257, 3956, 10940, 14547),
+        "imd": (4000, 4000, 37597, 403067, 989, 18215, 22932),
     }),
     ((12, 6, 4, "ebn0", 23.0, ("cmd", "imd"), 50_000), {
-        "cmd": (50_000, 7, 40, 378, 4, 3, 299996),
+        "cmd": (50_000, 6, 27, 209, 3, 3, 299997),
         "imd": (50_000, 3, 3, 3, 0, 3, 300000),
     }),
     ((12, 8, 4, "ebn0", -3.0, ("cmd", "imd"), 4000), {
-        "cmd": (4000, 4000, 72733, 1367851, 3972, 18823, 22683),
-        "imd": (4000, 4000, 62168, 1027048, 2439, 24636, 29048),
+        "cmd": (4000, 4000, 72740, 1369558, 3971, 18809, 22645),
+        "imd": (4000, 4000, 62165, 1027663, 2441, 24655, 29056),
     }),
     ((32, 6, 4, "popt", -32.0, ("cmd",), 4000), {
-        "cmd": (4000, 3999, 69447, 1296205, 3916, 7137, 14685),
+        "cmd": (4000, 3999, 69451, 1298091, 3913, 7131, 14678),
     }),
     ((32, 2, 2, "ebn0", 8.0, ("cmd", "imd"), 4000), {
-        "cmd": (4000, 2462, 12289, 70593, 2411, 88, 4958),
+        "cmd": (4000, 2463, 12270, 70402, 2409, 90, 4983),
         "imd": (4000, 304, 316, 340, 0, 310, 8000),
     }),
     ((12, 6, 3, "ebn0", 6.0, ("cmd", "imd"), 4000), {
-        "cmd": (4000, 3989, 39729, 442589, 3790, 7110, 17052),
-        "imd": (4000, 3883, 12755, 50457, 2, 11002, 23998),
+        "cmd": (4000, 3989, 39672, 442164, 3777, 7098, 17072),
+        "imd": (4000, 3883, 12764, 50628, 3, 11002, 23997),
     }),
     ((12, 6, 5, "ebn0", 6.0, ("cmd", "imd"), 4000), {
-        "cmd": (4000, 4000, 58979, 953497, 3504, 13142, 18415),
+        "cmd": (4000, 4000, 59196, 960618, 3500, 13138, 18384),
         "imd": (4000, 3998, 33754, 320144, 1, 17684, 23999),
     }),
     ((12, 6, 4, "ebn0", 4.0, ("imd", "cmd"), 4000), {
-        "imd": (4000, 3991, 23165, 152719, 25, 16241, 23974),
-        "cmd": (4000, 3999, 51889, 729931, 3836, 10607, 16712),
+        "imd": (4000, 3991, 23173, 152951, 25, 16240, 23973),
+        "cmd": (4000, 3999, 51887, 729987, 3832, 10570, 16712),
     }),
     ((40, 10, 4, "ebn0", 0.0, ("cmd", "imd"), 4000), {
-        "cmd": (4000, 4000, 131236, 4383466, 4000, 11238, 16460),
-        "imd": (4000, 4000, 79616, 1873664, 2098, 28891, 37523),
+        "cmd": (4000, 4000, 131476, 4399108, 4000, 11229, 16442),
+        "imd": (4000, 4000, 79601, 1873157, 2096, 28892, 37520),
     }),
     ((12, 8, 4, "ebn0", -3.0, ("imd",), 4000), {
-        "imd": (4000, 4000, 62407, 1035385, 2469, 24552, 28989),
+        "imd": (4000, 4000, 62454, 1036982, 2472, 24524, 28975),
     }),
 ]
 
@@ -209,9 +209,9 @@ def test_simulate_batch_counters_do_not_depend_on_blocks(frames_per_block, monke
 
 
 def test_simulate_batch_memory_is_draws_plus_one_block():
-    """A batch holds its (frames, w) ranks, supports and symbols whole, and
-    draws the symbols as int64 before it stores them as int16; all else,
-    the three statistics included, lives one block at a time.  So a
+    """A batch holds its ranks and (frames, w) symbols whole, and draws the
+    symbols as int64 before it stores them as int16; all else, the supports
+    and the three statistics included, lives one block at a time.  So a
     50k-frame batch peaks within six blocks' floats of those draws, its
     correction included, whatever its detectors.  At 0 dB about a third of
     the (32, 6) rows are corrected."""
@@ -226,7 +226,7 @@ def test_simulate_batch_memory_is_draws_plus_one_block():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        draws = frames * (8 + (2 + 8 + 2) * w)  # ranks; symbols int64, int16; supports
+        draws = frames * (8 + (8 + 2) * w)  # ranks; symbols int64, int16
         assert peak <= draws + 6 * 8 * simulate._BLOCK_ENTRIES, (n, w, detectors)
 
 
@@ -301,8 +301,9 @@ def test_run_point_early_stop_and_budget(monkeypatch):
 
 
 def test_run_point_caps_batch_slot_entries(monkeypatch):
-    """A batch holds at most 2^23 slot entries: codes of up to 167 slots
-    keep the 50k-frame batches, and N = 20000 runs 419 frames a batch."""
+    """A batch holds at most 2^23 symbol entries (frames * w): codes of
+    weight up to 167 keep the 50k-frame batches whatever their N, and
+    (400, 398) runs 2^23 // 398 = 21076 frames a batch."""
     sizes = []
 
     def recorded(code, c, link, detectors, n_frames, seed_key):
@@ -310,11 +311,11 @@ def test_run_point_caps_batch_slot_entries(monkeypatch):
         return {det: TrialCounters(frames=n_frames) for det in detectors}
 
     monkeypatch.setattr(simulate, "simulate_batch", recorded)
-    for n, budget, expected in [(167, 100_001, [50_000, 50_000, 1]),
-                                (168, 100_000, [49_932, 49_932, 136]),
-                                (20_000, 1_000, [419, 419, 162])]:
+    for n, w, budget, expected in [(168, 2, 100_001, [50_000, 50_000, 1]),
+                                   (20_000, 2, 50_001, [50_000, 1]),
+                                   (400, 398, 50_000, [21_076, 21_076, 7_848])]:
         sizes.clear()
-        code, c, link = _setup(n=n, w=2)
+        code, c, link = _setup(n=n, w=w)
         res = run_point(code, c, link, ("cmd",), budget=budget, seed=1, point_index=0,
                         workers=1)
         assert sizes == expected

@@ -305,11 +305,11 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # analytic methods, on a 0/12/24 dB grid, and so pins the analytic columns
 # byte for byte.
 CSV_SHA256 = {
-    "popt_32_6_16qam": "ca6d4272ce88cb7c078e5a6b3b86e8eed3f855fd60edcb0b14087046c371630b",
-    "popt_32_2_4qam": "8ac4253bca0b9374b522afe93fa3cf62e14bc15b35dc91f8332936a791be76ab",
-    "ebn0_12_6_16qam": "728361b61003e9af1ae0712d07105fb1f508b26825b3ff9ab6aef479b99d534b",
-    "ebn0_12_6_16qam_full": "3a9d6144ab99e51cb8037e454926f84bd31a4a6a0eecef71775bf3945205508b",
-    "ebn0_12_8_16qam": "bd65a175217ee85477037b0efca17420de26775fd9405e56f5b8fcac7ccff0aa",
+    "popt_32_6_16qam": "04ad2519c730661f8ceabaf867a1d52981c3a12241c8be387aba5715a85a3ad5",
+    "popt_32_2_4qam": "a891b83198ea318a912bc41de30801c62f59705f44022abf88b3edd6293dac9f",
+    "ebn0_12_6_16qam": "05688f008a45f32ae7eddf1302d6a0cedc422e95e90973e2acd3962f5e1fc813",
+    "ebn0_12_6_16qam_full": "c83afdb84c87a025fba7ac2d11443d351ea427f39b9532e7b0feecd610d2ff4f",
+    "ebn0_12_8_16qam": "5d6a87a5a6fc17ee4e714a12fe2a4c72097b53d604c377fc4440e17c00206472",
 }
 
 
