@@ -11,8 +11,7 @@ import sys
 from pathlib import Path
 
 from .link import complexity
-from .mppm import CapacityError, make_code
-from .sweep import ConfigError, NumericFailure, build_spec, links_for, read_config, run
+from .sweep import ConfigError, NumericFailure, build_spec, read_config, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,17 +84,6 @@ def main(argv=None) -> int:
         )
     except ConfigError as exc:
         problems += exc.problems
-    else:
-        # The grid points' link problems too, once the slot limit has ruled
-        # out an N whose binomials would run for minutes; run reports a code
-        # past a capacity limit with exit 3.
-        try:
-            make_code(spec.n_slots, spec.weight)
-            links_for(spec)
-        except CapacityError:
-            pass
-        except ConfigError as exc:
-            problems += exc.problems
     try:
         # Line problems and value problems are reported together.
         if problems:

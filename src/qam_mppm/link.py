@@ -7,6 +7,7 @@ I_ph and the receiver noise PSD from optical power and bit rate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -93,8 +94,12 @@ DEFAULT_RECEIVER = ReceiverNoiseParams(
 )
 
 
+@functools.cache
 def total_bits(n_slots: int, weight: int, n_q: int) -> int:
-    """Information bits per frame: pattern bits plus w QAM words."""
+    """Information bits per frame: pattern bits plus w QAM words.
+
+    Kept per code: C(N, w) takes milliseconds for N in the thousands, and a
+    sweep's links read it at every grid point."""
     return bits_per_mppm(n_slots, weight) + weight * n_q
 
 

@@ -7,7 +7,6 @@ their sorted support lists, so a pattern's codeword is simply its rank.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +31,8 @@ _SWAP_ENTRIES = 1 << 17
 # Slot entries per block of a nearest-member scan: bounds its memory, and
 # blocks that fit in cache rank faster than larger ones.
 _SHELL_BLOCK = 1 << 18
+# Slot entries per row of one shell of a nearest-member scan: bounds its time.
+_SCAN_LIMIT = 1 << 27
 
 
 class CapacityError(RuntimeError):
@@ -161,6 +162,18 @@ def _usable_swaps(sup: np.ndarray, code: MppmCode):
     return inact, ~in_last[first].reshape(len(sup), w * (n - w))
 
 
+def _swapped(sup, inact, row, swap, l, code):
+    """Sorted sup[row] with the l support positions of combination a replaced
+    by the l slots of inact[row] of combination b, swap = a * C(N - w, l) + b,
+    a combination numbered by its lex rank (l = 1: _usable_swaps' order)."""
+    n, w = code.n_slots, code.weight
+    out, into = np.divmod(swap, math.comb(n - w, l))
+    det = np.take(sup, row, axis=0)
+    det[np.arange(len(det))[:, None], _unrank(out, w, _rank_prefix(w, l))] = (
+        inact[row[:, None], _unrank(into, n - w, _rank_prefix(n - w, l))])
+    return np.sort(det, axis=1)
+
+
 def correct_patterns(supports: np.ndarray, code: MppmCode,
                      rng: np.random.Generator) -> np.ndarray:
     """Vectorized nearest-member correction for out-of-set sorted supports.
@@ -172,10 +185,9 @@ def correct_patterns(supports: np.ndarray, code: MppmCode,
     position, inactive slot) order, or, when it has none, its nearest
     members in rank order.
     """
-    n, w = code.n_slots, code.weight
     u = rng.random(len(supports))
     out = supports.copy()
-    step = max(1, _SWAP_ENTRIES // (w * (n - w)))
+    step = max(1, _SWAP_ENTRIES // (code.weight * (code.n_slots - code.weight)))
     for lo in range(0, len(out), step):
         sub, v = out[lo : lo + step], u[lo : lo + step]
         inact, ok = _usable_swaps(sub, code)
@@ -184,12 +196,11 @@ def correct_patterns(supports: np.ndarray, code: MppmCode,
         # The picked swap is the first whose running count passes floor(u * count).
         jk = np.argmax(seen > (v * count).astype(np.int32)[:, None], axis=1)
         rows = np.flatnonzero(count)
-        sub[rows, jk[rows] // (n - w)] = inact[rows, jk[rows] % (n - w)]
+        sub[rows] = _swapped(sub, inact, rows, jk[rows], 1, code)
         lone = np.flatnonzero(count == 0)
         if len(lone):
             members, counts = _nearest_members(sub[lone], inact[lone], code)
             sub[lone] = members[np.cumsum(counts) - counts + (v[lone] * counts).astype(np.int64)]
-        sub.sort(axis=1)
     return out
 
 
@@ -197,9 +208,9 @@ def _nearest_members(sup: np.ndarray, inact: np.ndarray, code: MppmCode):
     """Usable patterns sharing the most slots with each row of sorted
     supports sup (inactive slots inact): those of the first distance shell
     (swap one slot, then two, ...) that has any, scanned for all rows still
-    without members at once, in blocks of about _SHELL_BLOCK slot entries.
-    Returns (members, counts): row i's counts[i] members follow those of the
-    rows before it, in rank order.
+    without members at once, in blocks of about _SHELL_BLOCK slot entries
+    (CapacityError past _SCAN_LIMIT).  Returns (members, counts): row i's
+    counts[i] members follow those of the rows before it, in rank order.
 
     A sorted candidate is usable when it equals the last usable pattern L
     or precedes it lexicographically, as in _usable_swaps: at the first
@@ -212,20 +223,21 @@ def _nearest_members(sup: np.ndarray, inact: np.ndarray, code: MppmCode):
     for shell in range(1, min(w, n - w) + 1):
         if not len(pending):
             break
-        rem = np.array(list(itertools.combinations(range(w), shell)))
-        add = np.array(list(itertools.combinations(range(n - w), shell)))
-        pairs = np.arange(len(pending) * len(rem))  # (row, removed slots)
-        for pair in np.array_split(pairs, 1 + len(pairs) * len(add) * w // _SHELL_BLOCK):
-            row, part = pending[pair // len(rem)], rem[pair % len(rem)]
-            cands = np.repeat(sup[row, None], len(add), axis=1)
-            cands[np.arange(len(pair))[:, None, None], np.arange(len(add))[:, None],
-                  part[:, None]] = inact[row][:, add]
-            cands = np.sort(cands.reshape(-1, w), axis=1)
+        swaps = math.comb(w, shell) * math.comb(n - w, shell)  # per row
+        if swaps * w > _SCAN_LIMIT:
+            raise CapacityError(f"the nearest-member scan of ({n}, {w}) needs {swaps * w:.3g} slot "
+                                f"entries per row in shell {shell}, more than its {_SCAN_LIMIT}")
+        step, total = max(1, _SHELL_BLOCK // w), len(pending) * swaps
+        for lo in range(0, total, step):
+            pair = np.arange(lo, min(lo + step, total))
+            row = pending[pair // swaps]
+            cands = _swapped(sup, inact, row, pair % swaps, shell, code)
             col = (cands != last).argmax(axis=1)  # 0 where a candidate is L
             usable = cands[np.arange(len(cands)), col] <= last[col]
-            found.append(cands[usable])
-            owner.append(np.repeat(row, len(add))[usable])
-            rank.append(rank_supports(found[-1], code))
+            if usable.any():  # ranking loops over the w columns, even for no rows
+                found.append(cands[usable])
+                owner.append(row[usable])
+                rank.append(rank_supports(found[-1], code))
         pending = np.setdiff1d(pending, np.concatenate(owner))
     owner = np.concatenate(owner)
     members = np.concatenate(found)[np.lexsort((np.concatenate(rank), owner))]
@@ -319,19 +331,17 @@ def _member_table(pats, sup, code):
     starts[i], after those of the patterns before it, in (self, j, k) order
     and then the nearest ones.
     """
-    n, w = code.n_slots, code.weight
     inset, outside = np.flatnonzero(pats < code.size), np.flatnonzero(pats >= code.size)
     inact, ok = _usable_swaps(sup[outside], code)
     swap_of, jk = np.nonzero(ok)
-    swaps = sup[outside[swap_of]]
-    swaps[np.arange(len(jk)), jk // (n - w)] = inact[swap_of, jk % (n - w)]
     # Without a usable single swap, the correction draws from all nearest
     # members. Such patterns need w > N/2: otherwise moving the first slot
     # to slot 0 gives a usable pattern.
     alone = ~ok.any(axis=1)
     near, n_near = _nearest_members(sup[outside[alone]], inact[alone], code)
     owner = np.concatenate([inset, outside[swap_of], np.repeat(outside[alone], n_near)])
-    members = np.concatenate([sup[inset], np.sort(swaps, axis=1), near])
+    swaps = _swapped(sup[outside], inact, swap_of, jk, 1, code)
+    members = np.concatenate([sup[inset], swaps, near])
     members = members[np.argsort(owner, kind="stable")]
     counts = np.bincount(owner, minlength=len(pats))
     return members, rank_supports(members, code), counts, np.cumsum(counts) - counts
@@ -392,35 +402,25 @@ def _swap_events(code: MppmCode, l: int, rng: np.random.Generator):
     """l-swap events in blocks of at most _STATS_BLOCK: transmitted ranks,
     their supports and the sorted detected supports.
 
-    An event replaces the active slots at one l-combination of the w support
-    positions by the inactive slots at one l-combination of the N - w
-    inactive ones, each combination given by its index in lexicographic
-    order.  Exact: all events in order of (rank, out, in) indices.
-    Sampled: _STATS_SAMPLES events, the three indices drawn in turn.
+    An event is a transmitted rank and a _swapped index.  Exact: all events
+    in order of (rank, swap).  Sampled: _STATS_SAMPLES events, the rank and
+    the swap's out and in combinations drawn in turn.
     """
     n, w = code.n_slots, code.weight
     n_out, n_in = math.comb(w, l), math.comb(n - w, l)
     count, exact = _swap_count(code, l)
     if not exact:
-        draws = (rng.integers(0, code.size, count), rng.integers(0, n_out, count),
-                 rng.integers(0, n_in, count))
-    out_prefix, in_prefix = _rank_prefix(w, l), _rank_prefix(n - w, l)
+        draws = (rng.integers(0, code.size, count),
+                 rng.integers(0, n_out, count) * n_in + rng.integers(0, n_in, count))
     for lo in range(0, count, _STATS_BLOCK):
-        if exact:
-            tx, rest = np.divmod(np.arange(lo, min(lo + _STATS_BLOCK, count)), n_out * n_in)
-            out, into = np.divmod(rest, n_in)
-        else:
-            tx, out, into = (d[lo : lo + _STATS_BLOCK] for d in draws)
+        tx, swap = (np.divmod(np.arange(lo, min(lo + _STATS_BLOCK, count)), n_out * n_in)
+                    if exact else (d[lo : lo + _STATS_BLOCK] for d in draws))
         ranks, which = np.unique(tx, return_inverse=True)
         sup_u = unrank_supports(ranks, code)
         mask = np.zeros((len(ranks), n), dtype=bool)
         mask[np.arange(len(ranks))[:, None], sup_u] = True
         inact = np.nonzero(~mask)[1].reshape(len(ranks), n - w).astype(sup_u.dtype)
-        sup = np.take(sup_u, which, axis=0)
-        det = sup.copy()
-        swapped_in = inact[which[:, None], _unrank(into, n - w, in_prefix)]
-        det[np.arange(len(tx))[:, None], _unrank(out, w, out_prefix)] = swapped_in
-        yield tx, sup, np.sort(det, axis=1)
+        yield tx, np.take(sup_u, which, axis=0), _swapped(sup_u, inact, which, swap, l, code)
 
 
 def correction_stats(code: MppmCode) -> CorrectionStats:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .constellation import build_constellation
 from .link import DEFAULT_RECEIVER, LinkParams, link_from_popt, sigma_from_ebn0, total_bits
-from .mppm import (CapacityError, correction_events, correction_stats, distance_spectrum,
-                   make_code)
+from .mppm import (_MAX_SLOTS, CapacityError, correction_events, correction_stats,
+                   distance_spectrum, make_code)
 from .simulate import MAX_WORKERS, max_workers, run_point
 
 CSV_COLUMNS = [
@@ -129,7 +129,13 @@ def read_config(path) -> tuple[dict[str, str], list[str]]:
 
 
 def build_spec(values: dict[str, str], overrides: dict | None = None) -> SweepSpec:
-    """Validate raw key/value pairs (plus CLI overrides) into a SweepSpec."""
+    """Validate raw key/value pairs (plus CLI overrides) into a SweepSpec.
+
+    Once the values pass, the grid points' link problems are reported too
+    (links_for), unless N is past the slot limit that make_code checks
+    first: the links of such an N would take binomials that run for
+    minutes, and run reports the limit instead.
+    """
     merged = dict(values)
     for key, val in (overrides or {}).items():
         if val is not None:
@@ -227,12 +233,15 @@ def build_spec(values: dict[str, str], overrides: dict | None = None) -> SweepSp
         problems.append(f"out.plot names the same file as out.csv, {out_csv!r}")
     if problems:
         raise ConfigError(problems)
-    return SweepSpec(
+    spec = SweepSpec(
         mode=mode, start=start, stop=stop, step=step, n_slots=n_slots,
         weight=weight, n_q=n_q, m=m, r_b=r_b, detectors=detectors,
         methods=methods, trials=trials, seed=seed, out_csv=out_csv,
         out_plot=out_plot, workers=workers,
     )
+    if n_slots <= _MAX_SLOTS:
+        links_for(spec)
+    return spec
 
 
 def links_for(spec: SweepSpec) -> list[LinkParams]:
@@ -302,7 +311,8 @@ def run(spec: SweepSpec, log=None) -> Path:
 
     A code past a capacity limit raises NumericFailure, and grid points
     whose link is degenerate ConfigError (links_for); both come before the
-    CSV is opened.
+    CSV is opened.  A capacity limit that a point's simulation reaches, in
+    a pool worker too, raises NumericFailure naming the point.
     """
     try:
         code = make_code(spec.n_slots, spec.weight)
@@ -342,10 +352,10 @@ def run(spec: SweepSpec, log=None) -> Path:
         for idx, (val, link) in enumerate(zip(grid, links)):
             try:
                 arow = analytic_row(code, const, link, spec.methods, spec.tol)
-            except NumericFailure as exc:
+                counters = run_point(code, const, link, spec.detectors, spec.trials,
+                                     spec.seed, idx, workers, pool=pool)
+            except (NumericFailure, CapacityError) as exc:
                 raise NumericFailure(f"sweep point {val:g}: {exc}") from exc
-            counters = run_point(code, const, link, spec.detectors, spec.trials,
-                                 spec.seed, idx, workers, pool=pool)
             for det in spec.detectors:
                 t = counters[det]
                 ser = t.ser()

@@ -1,5 +1,6 @@
 """Helpers that only the tests call."""
 
+import itertools
 import math
 
 import numpy as np
@@ -48,6 +49,57 @@ def unrank(r: int, code: MppmCode) -> tuple[int, ...]:
         support.append(c)
         c += 1
     return tuple(support)
+
+
+def listed_swaps(support, inactive, l: int) -> list[tuple[int, ...]]:
+    """Every sorted l-swap of a support: the active slots at each
+    l-combination of its positions replaced by the inactive slots at each
+    l-combination of inactive's, in (removed, added) order of itertools'
+    lexicographic combinations."""
+    support = [int(s) for s in support]
+    out = []
+    for rem in itertools.combinations(range(len(support)), l):
+        keep = [s for j, s in enumerate(support) if j not in rem]
+        for add in itertools.combinations([int(s) for s in inactive], l):
+            out.append(tuple(sorted(keep + list(add))))
+    return out
+
+
+def disk_cell_mass(mean, sigma: float, radius: float, col, row) -> float:
+    """Mass of the decision cell col x row ((lo, hi) pairs, infinite bounds
+    allowed) of a 2-D Gaussian with mean (mean_i, mean_q) and standard
+    deviation sigma per axis, inside the disk of the given radius about the
+    origin.
+
+    Adaptive quad over u of the column density times the row mass between
+    the row bounds clipped at the chord heights +-g(u), g = sqrt(r^2 - u^2).
+    The integrand has a kink wherever the clip switches between a row bound
+    b and the chord, at u = +-sqrt(r^2 - b^2), so these are breakpoints, as
+    is mean_i.  The range stops 40 sigma from mean_i, where the density has
+    underflowed.
+    """
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+
+    mean_i, mean_q = mean
+    lo = max(col[0], -radius, mean_i - 40.0 * sigma)
+    hi = min(col[1], radius, mean_i + 40.0 * sigma)
+    if not lo < hi:
+        return 0.0
+
+    def integrand(u):
+        g = math.sqrt(max(radius * radius - u * u, 0.0))
+        top, bottom = min(row[1], g), max(row[0], -g)
+        if top <= bottom:
+            return 0.0
+        dens = math.exp(-0.5 * ((u - mean_i) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+        return dens * (ndtr((top - mean_q) / sigma) - ndtr((bottom - mean_q) / sigma))
+
+    cuts = {mean_i} | {side * math.sqrt(radius * radius - b * b)
+                       for b in row if abs(b) < radius for side in (-1.0, 1.0)}
+    points = sorted(u for u in cuts if lo < u < hi)
+    return quad(integrand, lo, hi, points=points or None, epsabs=1e-15, epsrel=1e-13,
+                limit=500)[0]
 
 
 def demap_ml(point, c: Constellation) -> int:

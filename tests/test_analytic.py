@@ -33,7 +33,7 @@ from qam_mppm.constellation import build_constellation
 from qam_mppm.link import LinkParams, sigma_from_ebn0
 from qam_mppm.mppm import make_code
 
-from oracles import ebn0_at_target
+from oracles import disk_cell_mass, ebn0_at_target
 
 
 def _link(db, n=12, w=6, n_q=4, m=0.5):
@@ -673,6 +673,66 @@ def test_distributions_run_once_per_threshold(monkeypatch):
         assert repeated == []
         # Every call carries a whole panel of qags.
         assert {name: 21 * n for name, n in calls.items()} == dict(names)
+
+
+def _disk_model(n_q, db):
+    """A (12, 6) CMD slot model with its sources' means, the noise slot's
+    last, and the largest I level."""
+    link, c = _link(db, n_q=n_q)
+    model = _SlotModel(c, link, "cmd")
+    means = np.stack([np.append(model._m_i, 0.0), np.append(model._m_q, 0.0)], axis=1)
+    return model, means, float(np.max(np.abs(model._lv_i)))
+
+
+def _cell_bounds(model):
+    """(row, col, (col_lo, col_hi), (row_lo, row_hi)) of every decision cell."""
+    return [(a, b, (model._col_lo[b], model._col_hi[b]), (model._row_lo[a], model._row_hi[a]))
+            for a in range(len(model._row_lo)) for b in range(len(model._col_lo))]
+
+
+def _chord_rule_xfail(n_q, db, off):
+    return pytest.param(n_q, db, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason=f"the 96-node chord rule is off by up to {off} (ROADMAP item 2)"))
+
+
+@pytest.mark.parametrize("n_q, db", [
+    _chord_rule_xfail(2, 0.0, "3.3e-08"), _chord_rule_xfail(2, 12.0, "1.7e-08"),
+    _chord_rule_xfail(2, 24.0, "2.8e-09"), _chord_rule_xfail(4, 0.0, "2.5e-06"),
+    _chord_rule_xfail(4, 12.0, "5.5e-07"), _chord_rule_xfail(4, 24.0, "2.6e-12"),
+    _chord_rule_xfail(6, 0.0, "3.1e-06"), _chord_rule_xfail(6, 12.0, "8.0e-07"),
+    _chord_rule_xfail(6, 24.0, "1.1e-09"),
+])
+def test_disk_masses_match_quad(n_q, db):
+    """Record-level guard: every decision cell's mass inside the metric disk
+    (_disk_masses) agrees to 1e-12 absolute with an adaptive quad that
+    breaks at the chord's kinks (oracles.disk_cell_mass), for a corner
+    symbol, the symbol nearest the origin and the noise slot, at radii from
+    0.3 to 2.5 times the outermost I level."""
+    model, means, edge = _disk_model(n_q, db)
+    radii = np.array([0.3, 0.7, 1.0, 1.6, 2.5]) * edge
+    disk = model._disk_masses(radii)
+    sources = [0, int(np.argmin(np.sum(means[:-1] ** 2, axis=1))), len(means) - 1]
+    worst = max(abs(disk[k, s, a, b] - disk_cell_mass(means[s], model.sigma, r, col, row))
+                for k, r in enumerate(radii) for s in sources
+                for a, b, col, row in _cell_bounds(model))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("n_q, db", [(2, 0.0), (4, 12.0), (6, 24.0)])
+def test_disk_cell_mass_at_a_radius_past_every_cell_is_the_rectangle_mass(n_q, db):
+    """The oracle of the record-level guard: at a radius past every finite
+    cell bound and 40 standard deviations past every mean, a cell's mass
+    inside the disk is its closed-form rectangle mass (_p_rect per source
+    symbol, _rect0 for the noise slot) to 1e-12 absolute."""
+    model, means, edge = _disk_model(n_q, db)
+    radius = 2.0 * (edge + 40.0 * model.sigma)
+    rect = np.vstack([model._p_rect, model._rect0])
+    cell_of = {(a, b): d for d, (a, b) in enumerate(zip(model.c.row_idx, model.c.col_idx))}
+    for s, mean in enumerate(means):
+        for a, b, col, row in _cell_bounds(model):
+            want = rect[s, cell_of[a, b]]
+            assert abs(disk_cell_mass(mean, model.sigma, radius, col, row) - want) <= 1e-12
 
 
 @pytest.mark.xfail(strict=True, raises=QuadratureError,

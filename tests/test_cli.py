@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qam_mppm
+from qam_mppm import cli, mppm, sweep
 from qam_mppm.cli import complexity_report, main
 
 
@@ -270,6 +271,39 @@ def test_sweep_rank_table_capacity_exit_code(tmp_path):
     assert "rank table" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_nearest_member_scan_capacity_exit_code(tmp_path, workers):
+    """A one-point 1000-frame (2000, 1998) 4-QAM CMD sweep detects supports
+    whose nearest members lie two swaps away, where the scan would build
+    3.99e9 slot entries per row: exit 3 naming the point and the scan, in
+    this process and in a pool worker, with no traceback and no CSV."""
+    cfg = _write_cfg(tmp_path, **{"sys.N": "2000", "sys.w": "1998", "sys.nQ": "2",
+                                  "detectors": "cmd", "methods": "", "sim.trials": "1000",
+                                  "sim.workers": workers})
+    proc = _sweep_subprocess(cfg)
+    assert proc.returncode == 3
+    assert "sweep point 6: the nearest-member scan of (2000, 1998)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_builds_its_code_once(tmp_path, monkeypatch):
+    """A CLI sweep builds its code once: the configuration check reports
+    the grid points' link problems without building it, and the run builds
+    it for the points."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mppm.make_code(*args)
+
+    for module in (cli, sweep):
+        monkeypatch.setattr(module, "make_code", counted, raising=False)
+    cfg = _write_cfg(tmp_path, **{"sim.trials": "1000", "sim.workers": "1"})
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert calls == [(12, 6)]
 
 
 def test_sweep_capacity_limit_exit_code(tmp_path):

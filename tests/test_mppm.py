@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -30,10 +31,11 @@ from qam_mppm.mppm import (
     _nearest_members,
     _member_table,
     _swap_events,
+    _swapped,
     _usable_swaps,
 )
 
-from oracles import rank_support, unrank
+from oracles import listed_swaps, rank_support, unrank
 
 
 def _lex_supports(code):
@@ -228,12 +230,16 @@ def test_correct_patterns_full_scan_fallback():
 
 
 @pytest.mark.parametrize("block", [None, 64])
-@pytest.mark.parametrize("n, w, n_lone", [(9, 5, 1), (12, 8, 18)])
-def test_nearest_members_without_table(n, w, n_lone, block, monkeypatch):
-    """One batched shell scan over every support that has no usable single
-    swap finds, row by row, the members at the maximum overlap of the
-    enumerated usable set, in rank order, and the shell scan's candidates;
-    also when a shell is built in many blocks."""
+@pytest.mark.parametrize("n, w, n_lone, rows, deepest", [
+    pytest.param(9, 5, 1, 1, 2, id="9-5-1"), pytest.param(12, 8, 18, 18, 2, id="12-8-18"),
+    pytest.param(20, 15, 932, 40, 3, id="20-15-932"),
+])
+def test_nearest_members_without_table(n, w, n_lone, rows, deepest, block, monkeypatch):
+    """One batched shell scan over the last rows (in rank order) of the
+    supports that have no usable single swap finds, row by row, the members
+    at the maximum overlap of the enumerated usable set, in rank order, and
+    the shell scan's candidates; also when a shell is built in many blocks.
+    The deepest shell these rows reach is 3 for (20, 15)."""
     if block:
         monkeypatch.setattr("qam_mppm.mppm._SHELL_BLOCK", block)
     code = make_code(n, w)
@@ -241,12 +247,52 @@ def test_nearest_members_without_table(n, w, n_lone, block, monkeypatch):
     sups = sups[rank_supports(sups, code) >= code.size]
     lone = sups[_falls_back(sups, code)]
     assert len(lone) == n_lone
+    lone = lone[-rows:]
     members, counts = _nearest_members(lone, _usable_swaps(lone, code)[0], code)
     assert counts.sum() == len(members)
+    usable = _lex_supports(code)
+    shells = []
     for sup, near in zip(lone, np.split(members, np.cumsum(counts)[:-1])):
-        assert np.array_equal(near, _max_overlap(sup, _lex_supports(code)))
+        assert np.array_equal(near, _max_overlap(sup, usable))
         scanned = sorted(_shell_scan(sup, code), key=lambda m: rank_support(m, code))
         assert near.tolist() == [list(c) for c in scanned]
+        shells.append(w - np.count_nonzero(np.isin(near[0], sup)))
+    assert max(shells) == deepest
+
+
+@pytest.mark.parametrize("n, w, l", [(9, 5, 1), (12, 6, 1), (9, 5, 2), (12, 8, 2), (12, 6, 3),
+                                     (20, 15, 3)])
+def test_swapped_matches_listed_swaps(n, w, l):
+    """_swapped decodes swap index a * C(N - w, l) + b into the l-combination
+    a of the support positions and b of the inactive slots, each numbered by
+    its lexicographic rank: every swap of a few supports, taken in shuffled
+    order, is the sorted swap that itertools lists at that index."""
+    code = make_code(n, w)
+    rng = np.random.default_rng(n * 100 + w + l)
+    sup = np.sort(rng.random((5, n)).argsort(axis=1)[:, :w], axis=1).astype(np.int16)
+    inact = _usable_swaps(sup, code)[0]
+    listed = np.array([listed_swaps(s, i, l) for s, i in zip(sup, inact)], dtype=np.int16)
+    n_swaps = math.comb(w, l) * math.comb(n - w, l)
+    assert listed.shape == (len(sup), n_swaps, w)
+    order = rng.permutation(len(sup) * n_swaps)
+    row, swap = np.divmod(order, n_swaps)
+    got = _swapped(sup, inact, row, swap, l, code)
+    assert got.dtype == sup.dtype
+    assert np.array_equal(got, listed[row, swap])
+
+
+def test_nearest_member_scan_is_bounded():
+    """(2000, 1998) passes every limit of make_code, but support 2 .. 1999
+    has no usable single swap, and shell 2 of its scan would build 3.99e9
+    slot entries: CapacityError names the code and the shell within a
+    second, where the scan ran for minutes."""
+    code = make_code(2000, 1998)
+    sup = np.arange(2, 2000, dtype=np.int16)[None]
+    assert not _usable_swaps(sup, code)[1].any()
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=r"\(2000, 1998\).* shell 2"):
+        correct_patterns(sup, code, np.random.default_rng(0))
+    assert time.perf_counter() - start < 1.0
 
 
 def _correct_patterns_by_ranking(supports, code, rng, enumerate_members):

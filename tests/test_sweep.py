@@ -125,10 +125,12 @@ def test_grid_endpoints():
 
 def test_grid_point_limit():
     """The longest allowed grid builds; one point more, or a span that
-    overflows, is a configuration error."""
+    overflows, is a configuration error.  The grid that builds stays below
+    100 dB: past about 3200 dB the noise variance is 0, a link problem that
+    build_spec reports too."""
     vals = dict(GOOD)
-    vals.update({"grid.start": "0", "grid.stop": str(sweep.MAX_GRID_POINTS - 1),
-                 "grid.step": "1"})
+    vals.update({"grid.start": "0", "grid.stop": str((sweep.MAX_GRID_POINTS - 1) / 100),
+                 "grid.step": "0.01"})
     assert len(build_spec(vals).grid()) == sweep.MAX_GRID_POINTS
     for start, stop, step in [("0", str(sweep.MAX_GRID_POINTS), "1"),
                               ("-1e308", "1e308", "1e-300")]:
@@ -137,6 +139,18 @@ def test_grid_point_limit():
             build_spec(vals)
         assert len(exc.value.problems) == 1
         assert "allowed" in exc.value.problems[0]
+
+
+def test_build_spec_reports_link_problems():
+    """Once its own checks pass, build_spec reports the grid points whose
+    link is degenerate; for an N past the slot limit it leaves the links
+    alone, and run reports the limit."""
+    vals = dict(GOOD, **{"grid.start": "4000", "grid.stop": "4000"})
+    with pytest.raises(ConfigError) as exc:
+        build_spec(vals)
+    assert exc.value.problems == ["grid point 4000 dB: sigma2 must be finite and positive, got 0"]
+    vals["sys.N"] = "40000"
+    assert build_spec(vals).n_slots == 40000
 
 
 def test_links_for_modes(tmp_path):
