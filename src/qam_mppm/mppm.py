@@ -52,6 +52,8 @@ class MppmCode:
 
     size = 2^q patterns are usable.  rank_prefix[j][t] = -C(N-t, w-j), whose
     differences are the lex rank's per-position block sums (see make_code).
+    last is the sorted support of the last usable pattern, rank size - 1,
+    which the correction's membership tests compare against.
     """
 
     n_slots: int
@@ -59,6 +61,7 @@ class MppmCode:
     q_mppm: int
     size: int
     rank_prefix: np.ndarray = field(repr=False)
+    last: np.ndarray = field(repr=False)
 
 
 def make_code(n_slots: int, weight: int) -> MppmCode:
@@ -79,7 +82,9 @@ def make_code(n_slots: int, weight: int) -> MppmCode:
             "pattern ranks are 64-bit integers, so codes need C(N, w) < 2^63; "
             f"({n}, {w}) has C(N, w) >= 2^{q}"
         )
-    return MppmCode(n_slots=n, weight=w, q_mppm=q, size=size, rank_prefix=_rank_prefix(n, w))
+    prefix = _rank_prefix(n, w)
+    return MppmCode(n_slots=n, weight=w, q_mppm=q, size=size, rank_prefix=prefix,
+                    last=_unrank([size - 1], n, prefix)[0])
 
 
 def _rank_prefix(n: int, w: int) -> np.ndarray:
@@ -94,13 +99,22 @@ def _rank_prefix(n: int, w: int) -> np.ndarray:
 
 
 def rank_supports(supports: np.ndarray, code: MppmCode) -> np.ndarray:
-    """Vectorized lex rank for an (n, w) array of sorted supports."""
-    sup = supports.astype(np.int64)
-    prefix = code.rank_prefix
-    r = prefix[0, sup[:, 0]] - prefix[0, 0]
-    for j in range(1, code.weight):
-        r += prefix[j, sup[:, j]] - prefix[j, sup[:, j - 1] + 1]
-    return r
+    """Vectorized lex rank for an (n, w) array of sorted supports.
+
+    The rank is the sum over the columns j of prefix[j, sup[:, j]] -
+    prefix[j, sup[:, j - 1] + 1] (prefix[0, 0] for j = 0), gathered for all
+    columns at once from the flat table in (w, n) order, so that the sum
+    adds whole rows.  int64 sums wrap modulo 2^64, so the total is exact in
+    any order: the rank itself is below 2^63.
+    """
+    flat = code.rank_prefix.ravel()
+    col = supports.T
+    row = np.arange(code.weight)[:, None] * (code.n_slots + 1)  # prefix[j] is flat[row[j]:]
+    at = np.add(col, row, order="C")
+    r = np.take(flat, at)
+    np.add(col[:-1], row[1:] + 1, out=at[1:])
+    r[1:] -= np.take(flat, at[1:])
+    return r.sum(axis=0) - flat[0]
 
 
 def unrank_supports(ranks, code: MppmCode) -> np.ndarray:
@@ -127,6 +141,14 @@ def _unrank(ranks, n: int, rank_prefix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _inactive(sup: np.ndarray, n: int) -> np.ndarray:
+    """Each row's inactive slots, those of 0 .. n - 1 that the sorted
+    support sup[row] does not hold, in increasing order as sup's dtype."""
+    mask = np.ones((len(sup), n), dtype=bool)
+    mask[np.arange(len(sup))[:, None], sup] = False
+    return np.nonzero(mask)[1].reshape(len(sup), n - sup.shape[1]).astype(sup.dtype)
+
+
 def _usable_swaps(sup: np.ndarray, code: MppmCode):
     """Which single swaps of sorted supports give usable patterns.
 
@@ -144,22 +166,22 @@ def _usable_swaps(sup: np.ndarray, code: MppmCode):
     """
     n, w = code.n_slots, code.weight
     in_last = np.zeros(n + 1, dtype=bool)  # slot n stands for an empty difference
-    in_last[unrank_supports([code.size - 1], code)[0]] = True
-    mask = np.zeros((len(sup), n), dtype=bool)
-    mask[np.arange(len(sup))[:, None], sup] = True
-    inact = np.nonzero(~mask)[1].reshape(len(sup), n - w).astype(sup.dtype)
-    # Three smallest slots of S ^ L (n where it has fewer), then per swap
-    # (j, k) the smallest of them that the swap does not toggle away.
-    d = np.sort(np.where(mask ^ in_last[:n], np.arange(n, dtype=sup.dtype), n), axis=1)[:, :3]
-    d = np.pad(d, ((0, 0), (0, 3 - d.shape[1])), constant_values=n)[:, :, None, None]
+    in_last[code.last] = True
+    inact = _inactive(sup, n)
+    # Three smallest slots of S ^ L, the slots of S not in L and the
+    # inactive ones in L (n where it has fewer), then per swap (j, k) the
+    # smallest of them that the swap does not toggle away.
+    diff = np.concatenate([np.where(in_last[sup], n, sup), np.where(in_last[inact], inact, n),
+                           np.full((len(sup), 1), n, dtype=sup.dtype)], axis=1)
+    d = np.sort(diff, axis=1)[:, :3, None, None]
     s = sup[:, :, None]
     k = inact[:, None, :]
     first = np.where((d[:, 0] != s) & (d[:, 0] != k), d[:, 0],
                      np.where((d[:, 1] != s) & (d[:, 1] != k), d[:, 1], d[:, 2]))
     # s enters the difference when L holds it, k when L lacks it.
-    first = np.minimum(first, np.where(in_last[s], s, n))
-    first = np.minimum(first, np.where(in_last[k], n, k))
-    return inact, ~in_last[first].reshape(len(sup), w * (n - w))
+    np.minimum(first, np.where(in_last[s], s, n), out=first)
+    np.minimum(first, np.where(in_last[k], n, k), out=first)
+    return inact, np.take(~in_last, first).reshape(len(sup), w * (n - w))
 
 
 def _swapped(sup, inact, row, swap, l, code):
@@ -216,8 +238,7 @@ def _nearest_members(sup: np.ndarray, inact: np.ndarray, code: MppmCode):
     or precedes it lexicographically, as in _usable_swaps: at the first
     column where they differ it holds the smaller slot.  Only the usable
     candidates are ranked, to order them."""
-    n, w = code.n_slots, code.weight
-    last = unrank_supports([code.size - 1], code)[0]
+    n, w, last = code.n_slots, code.weight, code.last
     found, owner, rank = [sup[:0]], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
     pending = np.arange(len(sup))
     for shell in range(1, min(w, n - w) + 1):
@@ -234,7 +255,7 @@ def _nearest_members(sup: np.ndarray, inact: np.ndarray, code: MppmCode):
             cands = _swapped(sup, inact, row, pair % swaps, shell, code)
             col = (cands != last).argmax(axis=1)  # 0 where a candidate is L
             usable = cands[np.arange(len(cands)), col] <= last[col]
-            if usable.any():  # ranking loops over the w columns, even for no rows
+            if usable.any():
                 found.append(cands[usable])
                 owner.append(row[usable])
                 rank.append(rank_supports(found[-1], code))
@@ -417,10 +438,8 @@ def _swap_events(code: MppmCode, l: int, rng: np.random.Generator):
                     if exact else (d[lo : lo + _STATS_BLOCK] for d in draws))
         ranks, which = np.unique(tx, return_inverse=True)
         sup_u = unrank_supports(ranks, code)
-        mask = np.zeros((len(ranks), n), dtype=bool)
-        mask[np.arange(len(ranks))[:, None], sup_u] = True
-        inact = np.nonzero(~mask)[1].reshape(len(ranks), n - w).astype(sup_u.dtype)
-        yield tx, np.take(sup_u, which, axis=0), _swapped(sup_u, inact, which, swap, l, code)
+        yield tx, np.take(sup_u, which, axis=0), _swapped(sup_u, _inactive(sup_u, n), which,
+                                                           swap, l, code)
 
 
 def correction_stats(code: MppmCode) -> CorrectionStats:

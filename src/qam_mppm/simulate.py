@@ -3,11 +3,13 @@
 Frames are simulated at the sufficient-statistic level: per slot the two
 QAM correlator outputs and the matched-filter output, each with independent
 Gaussian noise, in flat arrays whose frame f starts at f * N, one block of
-frames at a time.  Batches draw their random streams from a counter-based
-generator keyed on (master seed, sweep point, batch index), and each
-statistic and each detector's correction reads its own stream spawned from
-that key, so results are bitwise independent of the worker count, the block
-size and the set of detectors run beside one another.
+frames at a time in a workspace that each batch allocates once; a batch
+holds only its transmitted ranks whole.  Batches draw their random streams
+from a counter-based generator keyed on (master seed, sweep point, batch
+index), and each statistic and each detector's correction reads its own
+stream spawned from that key, so results are bitwise independent of the
+worker count, the block size and the set of detectors run beside one
+another.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from .mppm import MppmCode, correct_patterns, rank_supports, unrank_supports
 
 BATCH_FRAMES = 50_000
 # A batch covers at most _BATCH_ENTRIES symbol entries (frames * w), and at
-# least one frame: it holds only its ranks and (frames, w) symbols whole,
-# since each block unranks its own supports and its corrections read one
-# uniform per row.
+# least one frame.  It holds only its ranks whole, since each block draws its
+# own symbols and unranks its own supports, so this no longer bounds its
+# memory; the value stays because batch boundaries key the random streams.
 _BATCH_ENTRIES = 2**23
 # A point stops early once it has run MIN_FRAMES frames (or its whole
 # budget) and every detector has counted MIN_ERRORS symbol errors.
@@ -41,9 +43,9 @@ MAX_WORKERS = 64
 # a time as keep each (rows, w, M) distance array within _DEMAP_ELEMENTS
 # floats (8 MB), and at least one row.
 _DEMAP_ELEMENTS = 2**20
-# A batch runs in blocks of at most _BLOCK_ENTRIES slot entries (1 MiB per
-# float array), and at least one frame.
-_BLOCK_ENTRIES = 2**17
+# A batch runs in blocks of at most _BLOCK_ENTRIES slot entries (256 KiB per
+# float array of the block workspace), and at least one frame.
+_BLOCK_ENTRIES = 2**15
 
 
 @dataclass
@@ -126,77 +128,100 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
                    seed_key) -> dict[str, TrialCounters]:
     """Simulate n_frames frames and count errors for each requested detector.
 
-    The batch generator draws the transmitted ranks, then the QAM symbols.
+    The batch generator draws the transmitted ranks of all frames first.
     Five role streams are then spawned from the batch's seed sequence, in
     this order whatever the detectors: the two correlator outputs r_i and
     r_q, the matched-filter output r_dc, and the CMD and IMD corrections.
     The batch runs in blocks of at most _BLOCK_ENTRIES slot entries, each
-    end to end: its statistics are drawn from their streams in frame order
-    (r_dc only when IMD is requested) and their signal means placed; then
-    per detector the top-w selection, the ranking, the correction of the
-    out-of-set rows from the detector's stream (one uniform per row), the
-    demap and the counting.  So a batch holds its ranks and (frames, w)
-    symbols, and one block's temporaries, its unranked supports included.
+    end to end: it draws its QAM symbols from the batch generator, which
+    hands out the same values as one draw for the whole batch would; its
+    statistics are drawn from their streams in frame order (r_dc only when
+    IMD is requested) and their signal means placed; then per detector the
+    top-w selection, the ranking, the correction of the out-of-set rows
+    from the detector's stream (one uniform per row), the demap and the
+    counting.  So a batch holds its ranks whole, and one block workspace
+    that every block fills: its statistics, the metric and the sent-symbol
+    table.
     """
     seq = np.random.SeedSequence(seed_key)
     rng = np.random.Generator(np.random.Philox(seq))
     n, w, m_q = link.n_slots, link.weight, c.m_q
     tx_rank = rng.integers(0, code.size, n_frames)
-    qam_idx = rng.integers(0, m_q, (n_frames, w)).astype(np.int16)  # M <= 1024
     rng_i, rng_q, rng_dc, rng_cmd, rng_imd = (
         np.random.Generator(np.random.Philox(s)) for s in seq.spawn(5))
     corrections = {"cmd": rng_cmd, "imd": rng_imd}
     amp = link.qam_amplitude
     sigma = math.sqrt(link.sigma2)
     means_i, means_q = amp * c.points[:, 0], amp * c.points[:, 1]
-    means_dc = np.full(m_q, link.dc_mean)
     step = max(1, _BLOCK_ENTRIES // n)
-    # int32 flat indices of each frame's first slot within a block.
-    offsets = np.arange(0, min(step, n_frames) * n, n, dtype=np.int32)[:, None]
+    # The block workspace, allocated once: a block fills the first frames * N
+    # entries of each row of space (r_i, r_q, the metric and the CMD
+    # metric's second term) and of sent, the QAM symbol sent in each slot, -1
+    # where none was (M <= 1024).
+    entries = min(step, n_frames) * n
+    space = np.empty((4, entries))
+    sent = np.empty(entries, dtype=np.int16)
+    # Flat indices of each frame's first slot within a block.
+    offsets = np.arange(0, entries, n)[:, None]
     # A frame's bits are its pattern word and one QAM word per slot in
     # support order; errors are counted per field, since a frame can carry
     # more than 64 bits.  Labels have at most 10 bits.
     labels = c.labels.astype(np.uint16)
     out = {det: TrialCounters() for det in detectors}
 
-    # A block runs in a function, so that its arrays are freed before the
-    # next block draws.
+    # A block runs in a function, so that its temporaries are freed before
+    # the next block draws.
     def block(lo, hi):
-        tx, idx = tx_rank[lo:hi], qam_idx[lo:hi]
-        tx_flat = offsets[:hi - lo] + unrank_supports(tx, code)
+        frames, size = hi - lo, (hi - lo) * n
+        tx = tx_rank[lo:hi]
+        r_i, r_q, metric, square = space[:, :size]
+        tx_sent = sent[:size]
+        # int64, as a whole-batch draw would be: a narrower dtype reads the
+        # stream differently.
+        idx = rng.integers(0, m_q, (frames, w))
+        tx_flat = offsets[:frames] + unrank_supports(tx, code)
 
-        # The block's noise from ``stream``, scaled in place, plus the
+        # The block's noise from ``stream``, scaled in place in r, plus the
         # symbol's mean in the sent slots.
-        def statistic(stream, means):
-            r = stream.standard_normal((hi - lo) * n)
+        def statistic(stream, r, mean):
+            stream.standard_normal(out=r)
             r *= sigma
-            r[tx_flat] += means[idx]
-            return r
+            r[tx_flat] += mean
 
-        r_i, r_q = statistic(rng_i, means_i), statistic(rng_q, means_q)
-        # The QAM symbol sent in each slot of the block, -1 where none was.
-        sent = np.full((hi - lo) * n, -1, dtype=np.int16)
-        sent[tx_flat] = idx
-        tx_labels = labels[idx]
-        for det in detectors:
-            metric = r_i ** 2 + r_q ** 2 if det == "cmd" else statistic(rng_dc, means_dc)
-            det_sup, det_rank = _detect(metric.reshape(-1, n), code, corrections[det])
-            del metric  # before the next detector's metric
-            det_flat = offsets[:hi - lo] + det_sup
-            det_idx = _demap(r_i[det_flat], r_q[det_flat], c, amp)
+        statistic(rng_i, r_i, means_i.take(idx))
+        statistic(rng_q, r_q, means_q.take(idx))
+        tx_sent.fill(-1)
+        tx_sent[tx_flat] = idx
+        tx_labels = labels.take(idx)
+        del idx  # before the detectors' temporaries
+
+        # A detector's counters, in a function so that its arrays are freed
+        # before the next detector's metric.
+        def count(correction):
+            det_sup, det_rank = _detect(metric.reshape(frames, n), code, correction)
+            det_flat = offsets[:frames] + det_sup
+            det_idx = _demap(r_i.take(det_flat), r_q.take(det_flat), c, amp)
             diff = np.bitwise_count(tx ^ det_rank).astype(np.int64)
-            diff += np.bitwise_count(tx_labels ^ labels[det_idx]).sum(axis=1, dtype=np.int64)
-            tx_at_det = sent[det_flat]
+            diff += np.bitwise_count(tx_labels ^ labels.take(det_idx)).sum(axis=1, dtype=np.int64)
+            tx_at_det = tx_sent.take(det_flat)
             common = tx_at_det >= 0  # detected slot that was also sent
-            out[det].merge(TrialCounters(
-                frames=hi - lo,
+            return TrialCounters(
+                frames=frames,
                 sym_errors=np.count_nonzero(diff),
                 bit_errors=int(diff.sum()),
                 bit_errors_sq=int(diff @ diff),
                 mppm_errors=np.count_nonzero(det_rank != tx),
                 qam_cond_errors=np.count_nonzero((tx_at_det != det_idx) & common),
                 qam_cond_opportunities=np.count_nonzero(common),
-            ))
+            )
+
+        for det in detectors:
+            if det == "cmd":
+                np.square(r_i, out=metric)
+                metric += np.square(r_q, out=square)
+            else:
+                statistic(rng_dc, metric, link.dc_mean)
+            out[det].merge(count(corrections[det]))
 
     for lo in range(0, n_frames, step):
         block(lo, min(lo + step, n_frames))

@@ -34,6 +34,16 @@ def rank_support(support, code: MppmCode) -> int:
     return r
 
 
+def rank_by_columns(supports, code: MppmCode) -> np.ndarray:
+    """Lex ranks of an (n, w) array of sorted supports, one column at a time."""
+    sup = supports.astype(np.int64)
+    prefix = code.rank_prefix
+    r = prefix[0, sup[:, 0]] - prefix[0, 0]
+    for j in range(1, code.weight):
+        r += prefix[j, sup[:, j]] - prefix[j, sup[:, j - 1] + 1]
+    return r
+
+
 def unrank(r: int, code: MppmCode) -> tuple[int, ...]:
     """Sorted support of the pattern with lexicographic rank r."""
     n, w = code.n_slots, code.weight

@@ -35,7 +35,7 @@ from qam_mppm.mppm import (
     _usable_swaps,
 )
 
-from oracles import listed_swaps, rank_support, unrank
+from oracles import listed_swaps, rank_by_columns, rank_support, unrank
 
 
 def _lex_supports(code):
@@ -127,6 +127,7 @@ def test_unrank_supports_matches_enumeration_and_scalar_unrank():
         ranks = np.random.default_rng(n * 100 + w).integers(0, code.size, 300)
         ranks = np.concatenate([[0, 1, code.size - 1], ranks])
         sups = unrank_supports(ranks, code)
+        assert np.array_equal(code.last, sups[2])
         assert np.array_equal(rank_supports(sups, code), ranks)
         for r, sup in zip(ranks, sups):
             assert tuple(sup.tolist()) == unrank(int(r), code)
@@ -141,6 +142,20 @@ def test_rank_supports_vectorized_matches_scalar():
     vec = rank_supports(sups, code)
     for row, r in zip(sups, vec):
         assert rank_support(tuple(row), code) == r
+
+
+@pytest.mark.parametrize("n, w", [(12, 6), (32, 6), (2000, 1998)])
+def test_rank_supports_matches_the_column_loop(n, w):
+    """The all-columns gather equals the column-by-column sum bit for bit,
+    on random sorted supports of the whole universe, and on none."""
+    code = make_code(n, w)
+    rng = np.random.default_rng(n + w)
+    sups = np.sort(rng.random((300, n)).argsort(axis=1)[:, :w], axis=1).astype(np.int16)
+    got = rank_supports(sups, code)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, rank_by_columns(sups, code))
+    assert np.all((got >= 0) & (got < math.comb(n, w)))
+    assert rank_supports(sups[:0], code).shape == (0,)
 
 
 def test_correct_pattern_passthrough_and_projection():

@@ -209,12 +209,13 @@ def test_simulate_batch_counters_do_not_depend_on_blocks(frames_per_block, monke
 
 
 def test_simulate_batch_memory_is_draws_plus_one_block():
-    """A batch holds its ranks and (frames, w) symbols whole, and draws the
-    symbols as int64 before it stores them as int16; all else, the supports
-    and the three statistics included, lives one block at a time.  So a
-    50k-frame batch peaks within six blocks' floats of those draws, its
-    correction included, whatever its detectors.  At 0 dB about a third of
-    the (32, 6) rows are corrected."""
+    """A batch holds its drawn ranks whole; each block draws its own
+    symbols and fills one block workspace allocated once per batch: four
+    float arrays (r_i, r_q, the metric and the CMD metric's second term)
+    and the int16 sent-symbol table, 4.25 blocks' floats.  So a 50k-frame
+    batch peaks within nine blocks' floats of its ranks, its correction
+    included, whatever its detectors (7.6 measured).  At 0 dB about a
+    third of the (32, 6) rows are corrected."""
     frames = 50_000
     for n, w, db, detectors in [(64, 8, 10.0, ("cmd", "imd")), (32, 6, 0.0, ("cmd",)),
                                 (12, 6, 10.0, ("cmd", "imd")), (12, 6, 0.0, ("imd",))]:
@@ -226,8 +227,26 @@ def test_simulate_batch_memory_is_draws_plus_one_block():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        draws = frames * (8 + (8 + 2) * w)  # ranks; symbols int64, int16
-        assert peak <= draws + 6 * 8 * simulate._BLOCK_ENTRIES, (n, w, detectors)
+        assert peak <= frames * 8 + 9 * 8 * simulate._BLOCK_ENTRIES, (n, w, detectors)
+
+
+@pytest.mark.parametrize("m_q", [4, 8, 16, 32, 64, 1024])
+def test_block_symbol_draws_read_the_batch_stream_as_one_draw(m_q):
+    """simulate_batch draws each block's QAM symbols from the batch
+    generator after the ranks of the whole batch.  Philox hands out 32-bit
+    words from its own buffer, so int64 draws split into blocks, of odd
+    sizes, read the stream exactly as one draw for the whole batch does:
+    the pinned counters and the CSV digests rest on this."""
+    w, blocks = 3, [7, 1, 33, 251, 9]  # 301 frames
+    for key, n_ranks in [([41, 0, 0], 512), ([7, 3, 2], 1 << 40)]:
+        whole, split = (np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+                        for _ in range(2))
+        assert np.array_equal(whole.integers(0, n_ranks, sum(blocks)),
+                              split.integers(0, n_ranks, sum(blocks)))
+        want = whole.integers(0, m_q, (sum(blocks), w))
+        got = np.concatenate([split.integers(0, m_q, (f, w)) for f in blocks])
+        assert want.dtype == got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 def test_batch_seed_depends_on_point_and_index():
