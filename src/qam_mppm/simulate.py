@@ -27,9 +27,9 @@ from .mppm import MppmCode, correct_patterns, rank_supports, unrank_supports
 
 BATCH_FRAMES = 50_000
 # A batch covers at most _BATCH_ENTRIES symbol entries (frames * w), and at
-# least one frame.  It holds only its ranks whole, since each block draws its
-# own symbols and unranks its own supports, so this no longer bounds its
-# memory; the value stays because batch boundaries key the random streams.
+# least one frame.  A batch holds only its ranks whole (8 bytes a frame),
+# since each block draws its own symbols and unranks its own supports; the
+# value is fixed because batch boundaries key the random streams.
 _BATCH_ENTRIES = 2**23
 # A point stops early once it has run MIN_FRAMES frames (or its whole
 # budget) and every detector has counted MIN_ERRORS symbol errors.
@@ -176,8 +176,8 @@ def simulate_batch(code: MppmCode, c: Constellation, link: LinkParams,
         tx = tx_rank[lo:hi]
         r_i, r_q, metric, square = space[:, :size]
         tx_sent = sent[:size]
-        # int64, as a whole-batch draw would be: a narrower dtype reads the
-        # stream differently.
+        # int64, so the blocks' draws read the stream as one draw for the
+        # whole batch does; a narrower dtype reads it differently.
         idx = rng.integers(0, m_q, (frames, w))
         tx_flat = offsets[:frames] + unrank_supports(tx, code)
 
